@@ -27,9 +27,25 @@ of bidegree (+2, -1); the symmetric group acts by relabelling indices.
 
 Monomials are encoded as bitmasks inside a :class:`BidegreeSpace`: pair bits
 first (lex), then x bits, then y bits, matching the normal-form order, so
-Koszul signs are popcount computations.  Quotients are computed by exact
-sparse elimination: structural zero columns plus a signed union-find for the
-binomial rows, then an integer echelon form for the three-term remainders.
+Koszul signs are popcount computations.
+
+Quotient coordinates come from a direct normal form rather than from
+eliminating relation multiples.  A monomial vanishes when its g-edges contain
+a cycle, or when one component of the graph they span carries two letters
+(after (R2) moves them to the same vertex, (R3) or an odd square kills
+them).  Otherwise (R2) moves every letter to the smallest vertex of its
+component, and (R1), read as
+
+    g_ik g_jk = g_ij g_jk - g_ij g_ik        for i < j < k,
+
+rewrites the forest until every vertex has at most one smaller neighbour.
+Each step lowers the mask, so the rewriting ends, and every coefficient is
+an integer.  The forests it ends in, with one letter from {1, x, y} on the
+smallest vertex of each component, are the no-broken-circuit basis of the
+braid arrangement (Orlik-Solomon 1980; Bjorner 1992): c(n, n-q) C(n-q, p) 2^p
+of them in bidegree (p, q), where c is the unsigned Stirling number of the
+first kind.  The test suite checks the normal form against a dense
+elimination of every relation multiple for small n.
 """
 
 from __future__ import annotations
@@ -37,11 +53,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 from typing import NamedTuple, Optional
-
-from .linalg import SignedUnionFind, SparseEchelon
 
 __all__ = [
     "Generator",
@@ -322,16 +336,8 @@ class Layout:
         self.xbit0 = self.npairs
         self.ybit0 = self.npairs + n
         self.nbits = self.npairs + 2 * n
-        # closing edge of two adjacent pair bits: triangle detection
-        self.closing = {}
-        for b1, p1 in enumerate(self.pairs):
-            for b2, p2 in enumerate(self.pairs):
-                if b2 <= b1:
-                    continue
-                shared = set(p1) & set(p2)
-                if len(shared) == 1:
-                    others = (set(p1) | set(p2)) - shared
-                    self.closing[(b1, b2)] = self.pair_bit[tuple(sorted(others))]
+        self.gfull = (1 << self.npairs) - 1  # all pair bits
+        self._forms = {}  # g-part -> forest_form(g-part)
 
     # -- encoding ----------------------------------------------------------
 
@@ -380,45 +386,14 @@ class Layout:
         return (-1 if inv & 1 else 1), m1 | m2
 
     def bidegree(self, mask):
-        q = (mask & ((1 << self.npairs) - 1)).bit_count()
+        q = (mask & self.gfull).bit_count()
         return (mask.bit_count() - q, q)
 
     def hodge_bidegree(self, mask):
-        q = (mask & ((1 << self.npairs) - 1)).bit_count()
+        q = (mask & self.gfull).bit_count()
         x = (mask >> self.xbit0) & ((1 << self.n) - 1)
         y = mask >> self.ybit0
         return (x.bit_count() + q, y.bit_count() + q)
-
-    def is_structural_zero(self, mask):
-        """Monomials annihilated by monomial consequences of the relations:
-        an x_i y_i pair, a pair bit with two decorations at its endpoints,
-        or a full triangle of pair bits."""
-        x = (mask >> self.xbit0) & ((1 << self.n) - 1)
-        y = mask >> self.ybit0
-        if x & y:
-            return True
-        gbits = []
-        m = mask & ((1 << self.npairs) - 1)
-        while m:
-            b = (m & -m).bit_length() - 1
-            i, j = self.pairs[b]
-            deco = (
-                ((x >> (i - 1)) & 1)
-                + ((x >> (j - 1)) & 1)
-                + ((y >> (i - 1)) & 1)
-                + ((y >> (j - 1)) & 1)
-            )
-            if deco >= 2:
-                return True
-            gbits.append(b)
-            m &= m - 1
-        gmask = mask & ((1 << self.npairs) - 1)
-        for t in range(len(gbits)):
-            for s in range(t):
-                c = self.closing.get((gbits[s], gbits[t]))
-                if c is not None and (gmask >> c) & 1:
-                    return True
-        return False
 
     def perm_table(self, sigma):
         """Bit image table of a relabelling permutation."""
@@ -457,7 +432,7 @@ class Layout:
     def differential_mask(self, mask):
         """d of a normal-form mask as a list of (mask', int coeff)."""
         out = {}
-        gmask = mask & ((1 << self.npairs) - 1)
+        gmask = mask & self.gfull
         m = gmask
         while m:
             b = (m & -m).bit_length() - 1
@@ -493,47 +468,102 @@ class Layout:
                     mask |= 1 << b
                 yield mask
 
+    # -- the no-broken-circuit normal form ------------------------------------
 
-# relation generators, as (terms, pair support, letter support, (p_r, q_r))
+    def forest_form(self, g):
+        """Normal form of a g-part (pair bits only), memoised per layout.
+
+        None when the edges contain a cycle.  Otherwise ``(root, terms)``:
+        ``root[v]`` is the smallest vertex of the component of vertex v
+        (0-based), and ``terms`` maps each forest in which every vertex has
+        at most one smaller neighbour to its integer coefficient.  The
+        memoised value is returned itself, so callers must not mutate it.
+        """
+        if g in self._forms:
+            return self._forms[g]
+        root = list(range(self.n))
+        lower = [[] for _ in range(self.n)]  # smaller neighbours, ascending
+        m = g
+        while m:
+            b = (m & -m).bit_length() - 1
+            m &= m - 1
+            i, j = self.pairs[b]
+            ri, rj = root[i - 1], root[j - 1]
+            if ri == rj:
+                self._forms[g] = None
+                return None
+            lo, hi = min(ri, rj), max(ri, rj)
+            root = [lo if r == hi else r for r in root]
+            lower[j - 1].append(i)
+        k = next((k for k, below in enumerate(lower, 1) if len(below) > 1), None)
+        if k is None:
+            terms = {g: 1}
+        else:
+            # g_ik g_jk = g_ij g_jk - g_ij g_ik; both terms have smaller masks
+            i, j = lower[k - 1][:2]
+            eik = 1 << self.pair_bit[(i, k)]
+            ejk = 1 << self.pair_bit[(j, k)]
+            eij = 1 << self.pair_bit[(i, j)]
+            rest = g & ~(eik | ejk)
+            s0, _ = self.merge(eik | ejk, rest)
+            terms = {}
+            for pair, c in ((eij | ejk, s0), (eij | eik, -s0)):
+                s, sub = self.merge(pair, rest)
+                for h, t in self.forest_form(sub)[1].items():
+                    w = terms.get(h, 0) + c * s * t
+                    if w:
+                        terms[h] = w
+                    elif h in terms:
+                        del terms[h]
+        form = (tuple(root), terms)
+        self._forms[g] = form
+        return form
+
+    def increasing_forests(self, q):
+        """Every forest with q edges in which each vertex has at most one
+        smaller neighbour, as (g-mask, component minima, 0-based)."""
+        n = self.n
+        forests = [(0, ())]
+        for v in range(n):
+            grown = []
+            for g, roots in forests:
+                edges = v - len(roots)
+                if edges + n - v - 1 >= q:
+                    grown.append((g, roots + (v,)))
+                if edges < q:
+                    grown.extend(
+                        (g | 1 << self.pair_bit[(u + 1, v + 1)], roots)
+                        for u in range(v)
+                    )
+            forests = grown
+        return forests
 
 
-def _relation_generators(layout: Layout):
-    n = layout.n
-    rels = []
-    # (R1) circuit relation per triple i<j<k
-    for i, j, k in combinations(range(1, n + 1), 3):
-        eij = 1 << layout.pair_bit[(i, j)]
-        eik = 1 << layout.pair_bit[(i, k)]
-        ejk = 1 << layout.pair_bit[(j, k)]
-        terms = [(eij | eik, 1), (eij | ejk, -1), (eik | ejk, 1)]
-        rels.append((terms, eij | eik | ejk, 0, (0, 2)))
-    # (R2) letter transport along each pair
-    for (i, j), b in layout.pair_bit.items():
-        for bit0 in (layout.xbit0, layout.ybit0):
-            li = 1 << (bit0 + i - 1)
-            lj = 1 << (bit0 + j - 1)
-            pair = 1 << b
-            terms = [(pair | li, 1), (pair | lj, -1)]
-            # letters at both endpoints (x and y alike) are excluded from
-            # multipliers; their products are structural zeros
-            excl = (
-                (1 << (layout.xbit0 + i - 1))
-                | (1 << (layout.xbit0 + j - 1))
-                | (1 << (layout.ybit0 + i - 1))
-                | (1 << (layout.ybit0 + j - 1))
-            )
-            rels.append((terms, pair, excl, (1, 1)))
-    # (R3) x_i y_i is handled entirely by the structural-zero predicate
-    return rels
+def _basis_size(n, p, q):
+    """c(n, n-q) * C(n-q, p) * 2^p decorated increasing forests in bidegree
+    (p, q); c is the unsigned Stirling number of the first kind."""
+    k = n - q
+    if p < 0 or q < 0 or p > k:
+        return 0
+    stirling = [1]  # c(m, 0..m), starting at m = 0
+    for m in range(n):
+        stirling = [
+            (stirling[j - 1] if j else 0) + m * (stirling[j] if j <= m else 0)
+            for j in range(m + 2)
+        ]
+    return stirling[k] * comb(k, p) * 2**p
 
 
 class BidegreeSpace:
     """Quotient of one free bidegree piece by the relation subspace.
 
-    Exposes exact quotient coordinates: ``dim``, ``quotient_basis`` (masks
-    of the chosen coset representatives) and :meth:`reduce_mask` /
-    :meth:`reduce`.  Construction cost is the exact elimination described in
-    the module docstring.
+    ``quotient_basis`` lists, in increasing mask order, the decorated
+    increasing forests of bidegree (p, q): q g-edges in which every vertex
+    has at most one smaller neighbour, and p letters x or y, each on the
+    smallest vertex of its own component.  :meth:`reduce_mask` and
+    :meth:`reduce` give exact quotient coordinates over this basis through
+    the normal form described in the module docstring; ``relation_rank`` is
+    ``free_dim - dim``.
     """
 
     def __init__(self, n, p, q, layout=None):
@@ -541,97 +571,60 @@ class BidegreeSpace:
         self.layout = layout or Layout(n)
         lay = self.layout
         self.free_dim = comb(lay.npairs, q) * comb(2 * n, p) if p >= 0 and q >= 0 else 0
-        self._uf = SignedUnionFind()
-        self._ech = SparseEchelon()
-        self._build()
-
-    # -- construction ------------------------------------------------------
-
-    def _build(self):
-        lay = self.layout
-        p, q = self.p, self.q
-        uf, ech = self._uf, self._ech
-        residual = []
-        n_struct = 0
-
-        for terms, gsupp, lexcl, (pr, qr) in _relation_generators(lay):
-            if qr > q or pr > p:
-                continue
-            mul_pairs = [b for b in range(lay.npairs) if not (gsupp >> b) & 1]
-            mul_letters = [
-                b for b in range(lay.xbit0, lay.nbits) if not (lexcl >> b) & 1
-            ]
-            for gsel in combinations(mul_pairs, q - qr):
-                gmask = 0
-                for b in gsel:
-                    gmask |= 1 << b
-                for lsel in combinations(mul_letters, p - pr):
-                    mu = gmask
-                    for b in lsel:
-                        mu |= 1 << b
-                    row = []
-                    for tmask, tc in terms:
-                        s, prod = lay.merge(mu, tmask)
-                        if s and not lay.is_structural_zero(prod):
-                            row.append((prod, tc * s))
-                    if not row:
-                        continue
-                    if len(row) == 1:
-                        uf.set_zero(row[0][0])
-                    elif len(row) == 2:
-                        (m1, c1), (m2, c2) = row
-                        # c1*m1 + c2*m2 = 0 with c in {+-1}
-                        uf.union(m1, m2, -c1 * c2)
-                    else:
-                        residual.append(row)
-
-        # residual three-term rows, rewritten over class representatives
-        for row in residual:
-            acc = {}
-            for mask, c in row:
-                root, s = uf.find(mask)
-                if root in uf.zero:
-                    continue
-                w = acc.get(root, 0) + c * s
-                if w:
-                    acc[root] = w
-                elif root in acc:
-                    del acc[root]
-            if acc:
-                ech.add_row(acc)
-
-        # final sweep: count structural zeros, collect coset representatives
-        reps = []
-        for mask in lay.enumerate_masks(p, q):
-            if lay.is_structural_zero(mask):
-                n_struct += 1
-                continue
-            root, _ = uf.find(mask)
-            if root == mask and root not in uf.zero and root not in ech.rows:
-                reps.append(mask)
-        reps.sort()
-        uf.flatten()  # reads after this point never mutate the space
-        self.quotient_basis = reps
-        self._rep_index = {m: i for i, m in enumerate(reps)}
-        self.relation_rank = n_struct + uf.merges + len(uf.zero) + ech.rank
-        self.dim = len(reps)
-        if self.free_dim - self.relation_rank != self.dim:
+        basis = []
+        if p >= 0 and q >= 0:
+            for g, roots in lay.increasing_forests(q):
+                for deco in combinations(roots, p):
+                    for bit0s in product((lay.xbit0, lay.ybit0), repeat=p):
+                        mask = g
+                        for v, bit0 in zip(deco, bit0s):
+                            mask |= 1 << (bit0 + v)
+                        basis.append(mask)
+        basis.sort()
+        if len(basis) != _basis_size(n, p, q):
             raise AssertionError(
-                f"rank bookkeeping broken at n={self.n} ({self.p},{self.q})"
+                f"{len(basis)} basis forests at n={n} ({p},{q}), "
+                f"expected {_basis_size(n, p, q)}"
             )
+        self.quotient_basis = basis
+        self._rep_index = {m: i for i, m in enumerate(basis)}
+        self.dim = len(basis)
+        self.relation_rank = self.free_dim - self.dim
 
     # -- quotient coordinates ------------------------------------------------
 
     def reduce_mask(self, mask, coeff=1):
-        """Quotient coordinates {rep mask: coefficient} of one monomial."""
+        """Quotient coordinates {basis mask: coefficient} of one monomial,
+        as a new dict; integer coefficients when ``coeff`` is an integer."""
         lay = self.layout
-        if lay.is_structural_zero(mask):
+        form = lay.forest_form(mask & lay.gfull)
+        if form is None:
             return {}
-        root, s = self._uf.find(mask)
-        if root in self._uf.zero:
-            return {}
-        vec = self._ech.reduce_vector({root: Fraction(coeff) * s})
-        return vec
+        root, terms = form
+        n = self.n
+        used = 0  # components that already carry a letter
+        moved = []  # letter bits (x block, then y block) after transport
+        m = mask >> lay.xbit0
+        while m:
+            b = (m & -m).bit_length() - 1
+            m &= m - 1
+            v = b % n
+            r = root[v]
+            if (used >> r) & 1:
+                return {}
+            used |= 1 << r
+            moved.append(b - v + r)
+        inv = sum(
+            1
+            for s in range(len(moved))
+            for t in range(s + 1, len(moved))
+            if moved[s] > moved[t]
+        )
+        letters = 0
+        for b in moved:
+            letters |= 1 << (lay.xbit0 + b)
+        c = -coeff if inv & 1 else coeff
+        return {h | letters: c * t for h, t in terms.items()}
 
     def reduce(self, e: Element):
         """Coordinate vector of a homogeneous element, over quotient_basis."""
@@ -692,31 +685,25 @@ def free_basis(n, p, q):
 def relation_span(n, p, q, layout=None):
     """An echelonized basis of the relation subspace in bidegree (p, q).
 
-    Rows are returned as Elements with distinct leading monomials: one row
-    per vanishing monomial, one per identified pair, and the reduced
-    three-term remainders.
+    One row ``m - reduce(m)`` per free monomial ``m`` outside the quotient
+    basis.  Every term of ``reduce(m)`` is a smaller mask than ``m``, so the
+    rows have distinct leading monomials.
     """
     space = BidegreeSpace(n, p, q, layout=layout)
     lay = space.layout
+    basis = set(space.quotient_basis)
     rows = []
     for mask in lay.enumerate_masks(p, q):
-        if lay.is_structural_zero(mask):
-            rows.append(Element.from_monomial(lay.decode(mask)))
+        if mask in basis:
             continue
-        root, s = space._uf.find(mask)
-        if root in space._uf.zero:
-            rows.append(Element.from_monomial(lay.decode(mask)))
-        elif root != mask:
-            rows.append(
-                Element.from_monomial(lay.decode(mask))
-                - Element.from_monomial(lay.decode(root)).scale(s)
-            )
-    for pivot, row in sorted(space._ech.rows.items()):
-        e = Element()
-        for mask, c in row.items():
-            e = e + Element.from_monomial(lay.decode(mask), c)
-        rows.append(e)
-    assert len(rows) == space.relation_rank
+        coeffs = {lay.decode(m).gens: -c for m, c in space.reduce_mask(mask).items()}
+        coeffs[lay.decode(mask).gens] = 1
+        rows.append(Element(coeffs))
+    if len(rows) != space.relation_rank:
+        raise AssertionError(
+            f"{len(rows)} relation rows at n={n} ({p},{q}), "
+            f"expected {space.relation_rank}"
+        )
     return rows
 
 

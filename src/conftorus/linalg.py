@@ -2,7 +2,9 @@
 
 Rows are dicts mapping a column key to a nonzero coefficient.  Columns are
 integers (bitmask-encoded monomials) so keys are totally ordered.  Two pieces
-of machinery cover everything the quotient construction needs:
+of machinery cover the genus-zero oracle's quotient elimination
+(:class:`conftorus.oracle.ArnoldAlgebra`), and the echelon form also serves
+the invariant kernels and differential ranks:
 
 * ``SignedUnionFind`` absorbs one- and two-term relation rows (``m = 0`` and
   ``m1 = +-m2``) in near-linear time, keeping a zero flag per class.

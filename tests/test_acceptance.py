@@ -150,3 +150,24 @@ def test_criterion_8_identity_suite():
         f"({len(results)} checks, failures={[r['name'] for r in failed]}, "
         f"{took:.1f}s < 900s)",
     )
+
+
+def test_criterion_9_engine_series_n6():
+    # beyond the paper's n <= 5: engine against series at n = 6
+    clock = Budget()
+    report = e3_dims(6)
+    took = clock.elapsed
+    k = series.vakil_wood_conf(series.macdonald_zeta(series.PUNCTURED_TORUS_HC, 6), 6)
+    k4 = series.vakil_wood_conf(
+        series.cheah_zeta(series.PUNCTURED_TORUS_HODGE, 6), 6
+    )
+    betti_ok = list(report.betti) == series.decode_betti(k[6], 6)
+    hodge_ok = report.hodge == series.decode_hodge(k4[6], 6)
+    pure, violations = purity_check(report)
+    table_ok = list(report.betti) == [1, 2, 4, 5, 7, 8, 4]
+    _line(
+        "9-engine-series-n6",
+        betti_ok and hodge_ok and pure and table_ok,
+        f"(betti={report.betti}, betti_match={betti_ok}, hodge_match={hodge_ok}, "
+        f"violations={violations}, {took:.2f}s)",
+    )

@@ -1,13 +1,16 @@
 """Algebra engine: normal forms, bases, relation spans, quotients, the
 differential and the symmetric-group action.
 
-The quotient pipeline (structural zeros + union-find + echelon) is checked
-against a naive oracle that enumerates every relation multiple with plain
-Element arithmetic and row-reduces densely with Fractions.
+The normal form behind the quotient (decorated increasing forests, the
+no-broken-circuit basis) is checked against a naive oracle that enumerates
+every relation multiple with plain Element arithmetic and row-reduces densely
+with Fractions.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb, factorial
 import random
 
 import pytest
@@ -88,8 +91,6 @@ def test_free_basis_n2():
 
 
 def test_free_basis_counts():
-    from math import comb
-
     for n in (2, 3):
         lay = Layout(n)
         for q in range(lay.npairs + 1):
@@ -137,29 +138,37 @@ def naive_relation_rows(n, p, q):
     return rows
 
 
-def dense_rank(rows, basis_index):
-    mat = []
-    for row in rows:
-        vec = [Fraction(0)] * len(basis_index)
-        for gens, c in row.coeffs.items():
-            vec[basis_index[gens]] = c
-        mat.append(vec)
-    rank = 0
+def dense_vector(coeffs, basis_index):
+    vec = [Fraction(0)] * len(basis_index)
+    for gens, c in coeffs.items():
+        vec[basis_index[gens]] = c
+    return vec
+
+
+def dense_reduce(vec, pivot_rows):
+    for prow, pcol in pivot_rows:
+        if vec[pcol]:
+            f = vec[pcol] / prow[pcol]
+            vec = [a - f * b for a, b in zip(vec, prow)]
+    return vec
+
+
+def dense_echelon(vectors):
+    """Pivot rows (vector, leading column) spanning the given vectors."""
     pivot_rows = []
-    for vec in mat:
-        for prow, pcol in pivot_rows:
-            if vec[pcol]:
-                f = vec[pcol] / prow[pcol]
-                vec = [a - f * b for a, b in zip(vec, prow)]
+    for vec in vectors:
+        vec = dense_reduce(vec, pivot_rows)
         lead = next((c for c, v in enumerate(vec) if v), None)
         if lead is not None:
             pivot_rows.append((vec, lead))
-            rank += 1
-    return rank
+    return pivot_rows
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_quotient_dims_against_dense_oracle(n):
+    # the dense elimination of every relation multiple is the reference:
+    # m - reduce(m) lies in its span for every free monomial m, and the
+    # basis monomials stay independent modulo it
     lay = Layout(n)
     for q in range(lay.npairs + 1):
         for p in range(2 * n + 1):
@@ -167,10 +176,27 @@ def test_quotient_dims_against_dense_oracle(n):
             if not fb:
                 continue
             index = {m.gens: k for k, m in enumerate(fb)}
-            rank = dense_rank(naive_relation_rows(n, p, q), index)
+            pivots = dense_echelon(
+                dense_vector(r.coeffs, index) for r in naive_relation_rows(n, p, q)
+            )
+            rank = len(pivots)
             space = BidegreeSpace(n, p, q, layout=lay)
             assert space.relation_rank == rank, (n, p, q)
             assert space.dim == len(fb) - rank, (n, p, q)
+            for m in fb:
+                coeffs = {
+                    lay.decode(r).gens: -c
+                    for r, c in space.reduce_mask(lay.encode(m)).items()
+                }
+                coeffs[m.gens] = coeffs.get(m.gens, 0) + 1
+                residue = dense_reduce(dense_vector(coeffs, index), pivots)
+                assert not any(residue), (n, p, q, str(m))
+            basis = [
+                dense_vector({lay.decode(r).gens: 1}, index)
+                for r in space.quotient_basis
+            ]
+            extended = dense_echelon([v for v, _ in pivots] + basis)
+            assert len(extended) == rank + space.dim, (n, p, q)
 
 
 def set_partitions(items):
@@ -184,13 +210,11 @@ def set_partitions(items):
         yield part + [[head]]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_total_dimension_against_partition_count(n):
     # a basis element picks a set partition, a tree shape per block
     # ((k-1)! independent ones on a size-k block) and one decoration from
     # {1, x, y} per block
-    from math import factorial
-
     expected = 0
     for part in set_partitions(list(range(n))):
         prod = 1
@@ -204,6 +228,32 @@ def test_total_dimension_against_partition_count(n):
         for p in range(2 * n + 1)
     )
     assert total == expected
+
+
+def cycle_count(perm):
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            v = start
+            while v not in seen:
+                seen.add(v)
+                v = perm[v]
+    return cycles
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_dimension_formula_per_bidegree(n):
+    # dim(p, q) = c(n, n-q) C(n-q, p) 2^p: c(n, k) increasing forests with
+    # k components (the unsigned Stirling numbers of the first kind, counted
+    # here as permutations with k cycles), then p decorated components
+    stirling = Counter(cycle_count(perm) for perm in permutations(range(n)))
+    lay = Layout(n)
+    for q in range(lay.npairs + 1):
+        for p in range(2 * n + 1):
+            k = n - q
+            want = stirling[k] * comb(k, p) * 2**p if p <= k else 0
+            assert BidegreeSpace(n, p, q, layout=lay).dim == want, (n, p, q)
 
 
 # -- relation spans ----------------------------------------------------------------
