@@ -22,13 +22,14 @@ N_CAP = 5
 
 def _parse_n(spec_str):
     if ".." in spec_str:
-        lo, hi = spec_str.split("..", 1)
-        ns = list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(s) for s in spec_str.split("..", 1))
     else:
-        ns = [int(spec_str)]
-    if not ns or ns[0] < 0:
+        lo = hi = int(spec_str)
+    if lo < 0:
         raise ValueError("n must be nonnegative")
-    return ns
+    if hi < lo:
+        raise ValueError(f"empty range {spec_str}")
+    return list(range(lo, hi + 1))
 
 
 def _check_cap(ns, allow_n6, parser):

@@ -320,6 +320,9 @@ def symmetrize(e: Element, n: int) -> Element:
 # ---------------------------------------------------------------------------
 
 
+_SIGN = (-1, 1)  # coefficient of a d-term by the parity of its sign count
+
+
 class Layout:
     """Bit layout for monomial masks at a fixed n.
 
@@ -338,6 +341,15 @@ class Layout:
         self.nbits = self.npairs + 2 * n
         self.gfull = (1 << self.npairs) - 1  # all pair bits
         self._forms = {}  # g-part -> forest_form(g-part)
+        # per pair bit of g_ij: the letter masks of x_j y_i and of x_i y_j,
+        # each followed by the mask of the bits strictly between its letters
+        self._d_terms = {}
+        for b, (i, j) in enumerate(self.pairs):
+            row = ()
+            for xi, yi in ((j, i), (i, j)):
+                bx, by = self.xbit0 + xi - 1, self.ybit0 + yi - 1
+                row += ((1 << bx) | (1 << by), (1 << by) - (2 << bx))
+            self._d_terms[1 << b] = row
 
     # -- encoding ----------------------------------------------------------
 
@@ -430,28 +442,28 @@ class Layout:
         return (-1 if inv & 1 else 1), out
 
     def differential_mask(self, mask):
-        """d of a normal-form mask as a list of (mask', int coeff)."""
-        out = {}
-        gmask = mask & self.gfull
-        m = gmask
+        """d of a normal-form mask as a list of (mask', int coeff).
+
+        The g-bit of g_ij is replaced by -(x_j y_i) and by -(x_i y_j).  Each
+        term carries the Leibniz sign (-1)^(g-bits of the mask below it) and
+        the Koszul sign of moving its two letters into place, (-1)^(letters
+        of the mask strictly between them).  Distinct (g-bit, term) pairs
+        give distinct masks, so no two terms combine.
+        """
+        out = []
+        pos = 0  # g-bits of the mask below the current one
+        m = mask & self.gfull
         while m:
-            b = (m & -m).bit_length() - 1
-            m &= m - 1
-            pos = (mask & ((1 << b) - 1)).bit_count()
-            pre = -1 if pos & 1 else 1
-            rest = mask & ~(1 << b)
-            i, j = self.pairs[b]
-            for xi, yi in ((j, i), (i, j)):
-                add = (1 << (self.xbit0 + xi - 1)) | (1 << (self.ybit0 + yi - 1))
-                if rest & add:
-                    continue
-                s, prod = self.merge(rest, add)
-                c = out.get(prod, 0) - pre * s
-                if c:
-                    out[prod] = c
-                elif prod in out:
-                    del out[prod]
-        return list(out.items())
+            low = m & -m
+            m ^= low
+            rest = mask ^ low
+            add1, between1, add2, between2 = self._d_terms[low]
+            if not mask & add1:
+                out.append((rest | add1, _SIGN[(pos + (mask & between1).bit_count()) & 1]))
+            if not mask & add2:
+                out.append((rest | add2, _SIGN[(pos + (mask & between2).bit_count()) & 1]))
+            pos += 1
+        return out
 
     def enumerate_masks(self, p, q):
         """All free-basis masks of bidegree (p, q) in lex enumeration order."""

@@ -91,6 +91,13 @@ def test_bad_range_rejected(capsys):
         cli.main(["betti", "--n", "-1"])
 
 
+def test_reversed_range_names_the_empty_range(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["betti", "--n", "5..3"])
+    assert err.value.code == 2
+    assert "empty range 5..3" in capsys.readouterr().err
+
+
 def test_workers_validation():
     with pytest.raises(SystemExit):
         cli.main(["betti", "--n", "2", "--workers", "0"])

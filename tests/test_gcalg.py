@@ -400,6 +400,17 @@ def test_differential_bidegree_shift():
     assert e.bidegree() == (3, 1)
 
 
+def test_differential_mask_matches_element_path():
+    # the engine's bitmask d, term by term against the tuple-based one
+    for n in range(5):
+        lay = Layout(n)
+        for mask in range(1 << lay.nbits):
+            want = differential(Element.from_monomial(lay.decode(mask)))
+            got = lay.differential_mask(mask)
+            assert len({m for m, _ in got}) == len(got), mask
+            assert {lay.decode(m).gens: c for m, c in got} == want.coeffs, mask
+
+
 # -- group action ----------------------------------------------------------------------
 
 

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftorus.gcalg import Element, G, Monomial, X, Y, multiply, normalize
+from conftorus.gcalg import Element, G, Layout, Monomial, X, Y, multiply, normalize
 from conftorus.oracle import (
     ArnoldAlgebra,
+    _Suite,
     arnold_conf_betti,
     check_left_inverse,
     make_v_monomial,
@@ -156,3 +157,36 @@ def test_run_selftest_n3_all_pass():
     assert "cycle_vanishing" in names and "boundary_property" in names
     failed = [r for r in results if not r["passed"]]
     assert not failed, failed
+
+
+# -- negative controls for d_squared_zero: faults injected into the bitmask d ---
+
+
+def _dd_zero_with(monkeypatch, fault):
+    original = Layout.differential_mask
+    monkeypatch.setattr(
+        Layout, "differential_mask", lambda self, mask: fault(self, mask, original(self, mask))
+    )
+    suite = _Suite(4)
+    suite.check_dd_zero()
+    return suite.results[-1]
+
+
+def test_dd_zero_catches_sign_flip_on_x1(monkeypatch):
+    def flip(lay, mask, terms):
+        if mask >> lay.xbit0 & 1:
+            return [(m, -c) for m, c in terms]
+        return terms
+
+    result = _dd_zero_with(monkeypatch, flip)
+    assert result["name"] == "d_squared_zero"
+    assert not result["passed"] and result["counterexample"]
+
+
+def test_dd_zero_catches_dropped_four_letter_terms(monkeypatch):
+    def drop(lay, mask, terms):
+        return [(m, c) for m, c in terms if (m & ~lay.gfull).bit_count() < 4]
+
+    result = _dd_zero_with(monkeypatch, drop)
+    assert result["name"] == "d_squared_zero"
+    assert not result["passed"] and result["counterexample"]
