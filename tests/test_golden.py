@@ -1,6 +1,16 @@
-"""Golden command-line outputs: stdout and exit code of ``betti``, ``hodge``
-and ``purity`` for n = 0..5, in JSON and table format, must match the
-recorded files under ``tests/golden/`` byte for byte."""
+"""Golden command-line outputs: stdout and exit code of every case in
+``tests/golden/cases.json`` must match the recorded files byte for byte.
+
+The cases are:
+
+* ``betti``, ``hodge`` and ``purity`` for n = 0..5 in JSON, table and CSV
+  format, with the default engine (both);
+* ``betti --n 0..5 --engine series`` (table),
+  ``hodge --n 0..4 --engine series --format json`` and
+  ``betti --n 0..3 --engine spectral`` (table);
+* ``series --which K4 --t-order 4`` in table, JSON and CSV format;
+* ``selftest --n 3`` (table).
+"""
 
 import json
 from pathlib import Path
