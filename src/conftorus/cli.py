@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from typing import Callable, NamedTuple
 
 from . import oracle, series
 from .specseq import e3_dims, verify_against_series
@@ -46,150 +46,100 @@ def _check_cap(ns, allow_n6, parser):
         )
 
 
-def _add_common(p, t_order=False):
-    p.add_argument("--n", required=True, help="single value or range A..B")
-    p.add_argument(
-        "--engine",
-        choices=["spectral", "series", "both"],
-        default="both",
-    )
-    p.add_argument(
-        "--format", choices=["json", "csv", "table"], default="table"
-    )
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--allow-n6", action="store_true")
-    p.add_argument("--modular-prescreen", action="store_true")
-    if t_order:
-        p.add_argument("--t-order", type=int, default=None)
+class _Numbers(NamedTuple):
+    """How ``betti`` or ``hodge`` decodes, compares and prints its numbers.
+    Series functions are named, not held, so they are looked up per run."""
+
+    builder: str  # builder of the K table in :mod:`series`
+    decode: str  # decoder of one K coefficient in :mod:`series`
+    field: str  # SpectralReport field, and the JSON key of a series-only run
+    to_json: Callable
+    csv_header: str
+    csv_rows: Callable  # value -> CSV rows after the leading "n,"
+    cells: Callable  # value -> table cells
 
 
-def _series_tables(n_max):
-    z = series.macdonald_zeta(series.PUNCTURED_TORUS_HC, n_max)
-    k = series.vakil_wood_conf(z, n_max)
-    z4 = series.cheah_zeta(series.PUNCTURED_TORUS_HODGE, n_max)
-    k4 = series.vakil_wood_conf(z4, n_max)
-    return k, k4
+def _hodge_json(hodge):
+    return [
+        {"i": i, "a": a, "b": b, "dim": d} for (i, a, b), d in sorted(hodge.items())
+    ]
 
 
-def _engine_reports(ns, workers, prescreen):
+_NUMBERS = {
+    "betti": _Numbers(
+        "conf_series_betti", "decode_betti", "betti", list, "n,i,h_i",
+        lambda betti: (f"{i},{h}" for i, h in enumerate(betti)),
+        lambda betti: "h = " + ",".join(map(str, betti)),
+    ),
+    "hodge": _Numbers(
+        "conf_series_hodge", "decode_hodge", "hodge", _hodge_json, "n,i,a,b,dim",
+        lambda hodge: (f"{i},{a},{b},{d}" for (i, a, b), d in sorted(hodge.items())),
+        lambda hodge: " ".join(
+            f"h^{{{a},{b}}}(H^{i})={d}" for (i, a, b), d in sorted(hodge.items())
+        ),
+    ),
+}
+
+
+def _engine_reports(ns, workers):
     """Yield (n, SpectralReport) in ascending n, possibly computed in
     parallel across n."""
     if workers > 1 and len(ns) > 1:
-        fn = partial(e3_dims, modular_prescreen=prescreen)
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [(n, ex.submit(fn, n)) for n in ns]
+            futures = [(n, ex.submit(e3_dims, n)) for n in ns]
             for n, fut in futures:
                 yield n, fut.result()
     else:
         for n in ns:
-            yield n, e3_dims(n, modular_prescreen=prescreen)
+            yield n, e3_dims(n)
 
 
-def cmd_betti(args, parser):
-    ns = _parse_n(args.n)
-    _check_cap(ns, args.allow_n6, parser)
+def cmd_numbers(args):
+    """``betti`` and ``hodge``: the engine's numbers, the series' numbers, or
+    both with a match verdict.  Exit 1 on a mismatch or a purity violation."""
+    spec = _NUMBERS[args.command]
+    decode = getattr(series, spec.decode)
+    if args.engine != "spectral":
+        k = getattr(series, spec.builder)(max(args.ns))
+    if args.engine == "series":
+        reports = ((n, None) for n in args.ns)
+    else:
+        reports = _engine_reports(args.ns, args.workers)
+    if args.format == "csv":
+        print(spec.csv_header)
     failed = False
-    k = k4 = None
-    if args.engine in ("series", "both"):
-        k, _ = _series_tables(max(ns))
-    emit_csv_header = args.format == "csv"
-
-    def emit(n, betti, doc):
-        nonlocal emit_csv_header
+    for n, rep in reports:
+        if rep is None:
+            value = decode(k[n], n)
+            doc = {"n": n, spec.field: spec.to_json(value)}
+        else:
+            value = getattr(rep, spec.field)
+            if args.engine == "both":
+                rep.series_match = decode(k[n], n) == value
+            doc = rep.to_json_dict()
+            if rep.series_match is not None:
+                doc["match"] = rep.series_match
+            if not rep.purity_ok:
+                print(f"n={n}: purity VIOLATED at {rep.violations}", file=sys.stderr)
+            failed |= rep.series_match is False or not rep.purity_ok
         if args.format == "json":
             print(json.dumps(doc, sort_keys=True))
         elif args.format == "csv":
-            if emit_csv_header:
-                print("n,i,h_i")
-                emit_csv_header = False
-            for i, h in enumerate(betti):
-                print(f"{n},{i},{h}")
+            for row in spec.csv_rows(value):
+                print(f"{n},{row}")
         else:
-            print(f"n={n}: h = {','.join(map(str, betti))}"
-                  + ("" if doc.get("match") is None
-                     else f"  [{'match' if doc['match'] else 'MISMATCH'}]"))
-
-    if args.engine == "series":
-        for n in ns:
-            betti = series.decode_betti(k[n], n)
-            emit(n, betti, {"n": n, "betti": betti})
-    else:
-        for n, rep in _engine_reports(ns, args.workers, args.modular_prescreen):
-            doc = rep.to_json_dict()
-            if args.engine == "both":
-                sb = series.decode_betti(k[n], n)
-                match = sb == list(rep.betti)
-                rep.series_match = match
-                doc = rep.to_json_dict()
-                doc["match"] = match
-                if not match:
-                    failed = True
-            emit(n, rep.betti, doc)
+            match = doc.get("match")
+            tail = "" if match is None else "  [match]" if match else "  [MISMATCH]"
+            print(f"n={n}: {spec.cells(value)}{tail}")
     return 1 if failed else 0
 
 
-def cmd_hodge(args, parser):
-    ns = _parse_n(args.n)
-    _check_cap(ns, args.allow_n6, parser)
+def cmd_purity(args):
     failed = False
-    k4 = None
-    if args.engine in ("series", "both"):
-        _, k4 = _series_tables(max(ns))
-    emit_csv_header = args.format == "csv"
-
-    def emit(n, table, doc):
-        nonlocal emit_csv_header
+    for n, rep in _engine_reports(args.ns, args.workers):
+        failed |= not rep.purity_ok
         if args.format == "json":
-            print(json.dumps(doc, sort_keys=True))
-        elif args.format == "csv":
-            if emit_csv_header:
-                print("n,i,a,b,dim")
-                emit_csv_header = False
-            for (i, a, b), d in sorted(table.items()):
-                print(f"{n},{i},{a},{b},{d}")
-        else:
-            cells = " ".join(
-                f"h^{{{a},{b}}}(H^{i})={d}" for (i, a, b), d in sorted(table.items())
-            )
-            tail = "" if doc.get("match") is None else (
-                "  [match]" if doc["match"] else "  [MISMATCH]")
-            print(f"n={n}: {cells}{tail}")
-
-    if args.engine == "series":
-        for n in ns:
-            table = series.decode_hodge(k4[n], n)
-            doc = {
-                "n": n,
-                "hodge": [
-                    {"i": i, "a": a, "b": b, "dim": d}
-                    for (i, a, b), d in sorted(table.items())
-                ],
-            }
-            emit(n, table, doc)
-    else:
-        for n, rep in _engine_reports(ns, args.workers, args.modular_prescreen):
-            doc = rep.to_json_dict()
-            if args.engine == "both":
-                st = series.decode_hodge(k4[n], n)
-                match = st == rep.hodge
-                rep.series_match = match
-                doc = rep.to_json_dict()
-                doc["match"] = match
-                if not match:
-                    failed = True
-            emit(n, rep.hodge, doc)
-    return 1 if failed else 0
-
-
-def cmd_purity(args, parser):
-    ns = _parse_n(args.n)
-    _check_cap(ns, args.allow_n6, parser)
-    failed = False
-    for n, rep in _engine_reports(ns, args.workers, args.modular_prescreen):
-        if not rep.purity_ok:
-            failed = True
-        if args.format == "json":
-            print(json.dumps(rep.to_json_dict(), sort_keys=True))
+            print(rep.to_json())
         elif args.format == "csv":
             print(f"{n},{'pure' if rep.purity_ok else 'violated'}")
         else:
@@ -200,17 +150,13 @@ def cmd_purity(args, parser):
 
 _SERIES_CHOICES = {
     "Z": lambda order: series.macdonald_zeta(series.PUNCTURED_TORUS_HC, order),
-    "K": lambda order: series.vakil_wood_conf(
-        series.macdonald_zeta(series.PUNCTURED_TORUS_HC, order), order
-    ),
+    "K": series.conf_series_betti,
     "Z4": lambda order: series.cheah_zeta(series.PUNCTURED_TORUS_HODGE, order),
-    "K4": lambda order: series.vakil_wood_conf(
-        series.cheah_zeta(series.PUNCTURED_TORUS_HODGE, order), order
-    ),
+    "K4": series.conf_series_hodge,
 }
 
 
-def cmd_series(args, parser):
+def cmd_series(args):
     order = args.t_order if args.t_order is not None else 10
     coeffs = _SERIES_CHOICES[args.which](order)
     if args.format == "csv":
@@ -227,10 +173,8 @@ def cmd_series(args, parser):
     return 0
 
 
-def cmd_selftest(args, parser):
-    ns = _parse_n(args.n)
-    _check_cap(ns, args.allow_n6, parser)
-    n_max = max(ns)
+def cmd_selftest(args):
+    n_max = max(args.ns)
     results = list(series.property_checks())
     results += oracle.run_selftest(n_max)
     for n in range(0, min(n_max, N_CAP) + 1):
@@ -274,20 +218,28 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("betti", "hodge", "purity"):
+    for name, handler in (
+        ("betti", cmd_numbers),
+        ("hodge", cmd_numbers),
+        ("purity", cmd_purity),
+        ("series", cmd_series),
+        ("selftest", cmd_selftest),
+    ):
         p = sub.add_parser(name)
-        _add_common(p)
-    p = sub.add_parser("series")
-    p.add_argument("--which", choices=sorted(_SERIES_CHOICES), default="K")
-    p.add_argument("--t-order", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv", "table"],
-                   default="table")
-    p = sub.add_parser("selftest")
-    p.add_argument("--n", required=True)
-    p.add_argument("--format", choices=["json", "csv", "table"],
-                   default="table")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--allow-n6", action="store_true")
+        p.set_defaults(handler=handler)
+        if name == "series":
+            p.add_argument("--which", choices=sorted(_SERIES_CHOICES), default="K")
+            p.add_argument("--t-order", type=int, default=None)
+        else:
+            p.add_argument("--n", required=True, help="single value or range A..B")
+            p.add_argument("--allow-n6", action="store_true")
+        if name in ("betti", "hodge"):
+            p.add_argument(
+                "--engine", choices=["spectral", "series", "both"], default="both"
+            )
+        if name in ("betti", "hodge", "purity"):
+            p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     return parser
 
 
@@ -296,18 +248,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
-    try:
-        ns = _parse_n(args.n) if hasattr(args, "n") else None
-    except ValueError as exc:
-        parser.error(str(exc))
-    handler = {
-        "betti": cmd_betti,
-        "hodge": cmd_hodge,
-        "purity": cmd_purity,
-        "series": cmd_series,
-        "selftest": cmd_selftest,
-    }[args.command]
-    return handler(args, parser)
+    if hasattr(args, "n"):
+        try:
+            args.ns = _parse_n(args.n)
+        except ValueError as exc:
+            parser.error(str(exc))
+        _check_cap(args.ns, args.allow_n6, parser)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -57,6 +57,8 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import NamedTuple, Optional
 
+from .linalg import add_terms
+
 __all__ = [
     "Generator",
     "G",
@@ -68,7 +70,6 @@ __all__ = [
     "free_basis",
     "relation_span",
     "BidegreeSpace",
-    "reduce_element",
     "differential",
     "sn_act",
     "symmetrize",
@@ -190,13 +191,7 @@ class Element:
 
     def __add__(self, other):
         out = Element()
-        out.coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            w = out.coeffs.get(k, 0) + v
-            if w:
-                out.coeffs[k] = w
-            elif k in out.coeffs:
-                del out.coeffs[k]
+        out.coeffs = add_terms(dict(self.coeffs), other.coeffs.items())
         return out
 
     def __sub__(self, other):
@@ -214,10 +209,6 @@ class Element:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def is_homogeneous(self):
-        degs = {Monomial(g).bidegree for g in self.coeffs}
-        return len(degs) <= 1
 
     def bidegree(self):
         degs = {Monomial(g).bidegree for g in self.coeffs}
@@ -244,15 +235,8 @@ class Element:
 def multiply(m: Monomial, e: Element) -> Element:
     """Left product of a monomial with an element."""
     out = Element()
-    for gens, c in e.coeffs.items():
-        prod = normalize(m.gens + gens, m.sign)
-        if prod is not None:
-            k, s = prod.gens, prod.sign
-            w = out.coeffs.get(k, 0) + c * s
-            if w:
-                out.coeffs[k] = w
-            elif k in out.coeffs:
-                del out.coeffs[k]
+    prods = ((normalize(m.gens + gens, m.sign), c) for gens, c in e.coeffs.items())
+    add_terms(out.coeffs, ((p.gens, c * p.sign) for p, c in prods if p is not None))
     return out
 
 
@@ -273,14 +257,9 @@ def differential(e: Element) -> Element:
                 ((X(gen.i), Y(gen.j)), -1),
             ):
                 prod = normalize(rest + repl)
-                if prod is None:
-                    continue
-                k = prod.gens
-                w = out.coeffs.get(k, 0) + c * s * prefix_sign * prod.sign
-                if w:
-                    out.coeffs[k] = w
-                elif k in out.coeffs:
-                    del out.coeffs[k]
+                if prod is not None:
+                    coeff = c * s * prefix_sign * prod.sign
+                    add_terms(out.coeffs, [(prod.gens, coeff)])
     return out
 
 
@@ -294,14 +273,10 @@ def sn_act(sigma, e: Element) -> Element:
         return Generator(gen.kind, sigma[gen.i - 1])
 
     out = Element()
-    for gens, c in e.coeffs.items():
-        m = normalize(tuple(relabel(g) for g in gens))
-        k, s = m.gens, m.sign
-        w = out.coeffs.get(k, 0) + c * s
-        if w:
-            out.coeffs[k] = w
-        elif k in out.coeffs:
-            del out.coeffs[k]
+    images = (
+        (normalize(tuple(relabel(g) for g in gens)), c) for gens, c in e.coeffs.items()
+    )
+    add_terms(out.coeffs, ((m.gens, c * m.sign) for m, c in images))
     return out
 
 
@@ -521,12 +496,8 @@ class Layout:
             terms = {}
             for pair, c in ((eij | ejk, s0), (eij | eik, -s0)):
                 s, sub = self.merge(pair, rest)
-                for h, t in self.forest_form(sub)[1].items():
-                    w = terms.get(h, 0) + c * s * t
-                    if w:
-                        terms[h] = w
-                    elif h in terms:
-                        del terms[h]
+                sub_terms = self.forest_form(sub)[1]
+                add_terms(terms, ((h, c * s * t) for h, t in sub_terms.items()))
         form = (tuple(root), terms)
         self._forms[g] = form
         return form
@@ -649,12 +620,7 @@ class BidegreeSpace:
                     f"element of bidegree {m.bidegree} in space "
                     f"({self.p},{self.q})"
                 )
-            for mask, v in self.reduce_mask(lay.encode(m), c).items():
-                w = acc.get(mask, 0) + v
-                if w:
-                    acc[mask] = w
-                elif mask in acc:
-                    del acc[mask]
+            add_terms(acc, self.reduce_mask(lay.encode(m), c).items())
         out = [Fraction(0)] * self.dim
         for mask, v in acc.items():
             out[self._rep_index[mask]] = v
@@ -718,7 +684,3 @@ def relation_span(n, p, q, layout=None):
         )
     return rows
 
-
-def reduce_element(e: Element, space: BidegreeSpace):
-    """Quotient coordinates of ``e`` in ``space``."""
-    return space.reduce(e)

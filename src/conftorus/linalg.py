@@ -12,12 +12,27 @@ the invariant kernels and differential ranks:
   union-find cannot absorb.  Pivot = largest column key of the row, so the
   surviving coset representatives are the small monomials.  Rows are kept
   content-free (gcd 1), which is what keeps the arithmetic fraction-free.
+
+``add_terms`` is the one sparse accumulate (add, drop zeros) the engine and
+the oracles share; ``integer_row`` clears the denominators of a row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+
+def add_terms(acc, pairs):
+    """Add each ``(key, value)`` pair into the dict ``acc``, deleting a key
+    whose sum is zero, so ``acc`` never holds a zero; returns ``acc``."""
+    for k, v in pairs:
+        w = acc.get(k, 0) + v
+        if w:
+            acc[k] = w
+        elif k in acc:
+            del acc[k]
+    return acc
 
 
 class SignedUnionFind:
@@ -31,7 +46,6 @@ class SignedUnionFind:
     def __init__(self):
         self.parent = {}  # key -> (parent, sign) with key == sign * parent
         self.zero = set()  # flagged roots
-        self.merges = 0
 
     def find(self, k):
         """Return ``(root, sign)`` with ``k == sign * root``."""
@@ -69,7 +83,6 @@ class SignedUnionFind:
         if rb in self.zero:
             self.zero.discard(rb)
             self.zero.add(ra)
-        self.merges += 1
 
     def set_zero(self, k):
         root, _ = self.find(k)
@@ -77,10 +90,6 @@ class SignedUnionFind:
 
     def set_zero_root(self, root):
         self.zero.add(root)
-
-    def is_zero(self, k):
-        root, _ = self.find(k)
-        return root in self.zero
 
 
 class SparseEchelon:
@@ -120,6 +129,7 @@ class SparseEchelon:
                 return True
             a, b = other[p], row[p]
             new = {c: v * a for c, v in row.items()}
+            # the elimination hot loop: inlined, not add_terms, for speed
             for c, v in other.items():
                 w = new.get(c, 0) - v * b
                 if w:
@@ -141,12 +151,7 @@ class SparseEchelon:
                 return vec
             row = self.rows[hit]
             factor = vec[hit] / row[hit]
-            for c, v in row.items():
-                w = vec.get(c, 0) - factor * v
-                if w:
-                    vec[c] = w
-                elif c in vec:
-                    del vec[c]
+            add_terms(vec, ((c, -factor * v) for c, v in row.items()))
 
 
 def rank_of_rows(rows):
@@ -173,9 +178,7 @@ def kernel_of_columns(columns, dim):
                 equations.setdefault(r, {})[j] = v
     ech = SparseEchelon()
     for row in equations.values():
-        frac_free = _clear_denominators(row)
-        if frac_free:
-            ech.add_row(frac_free)
+        ech.add_row(integer_row(row))
     pivots = set(ech.rows)
     basis = []
     for free in range(dim):
@@ -191,14 +194,11 @@ def kernel_of_columns(columns, dim):
     return basis
 
 
-def _clear_denominators(row):
+def integer_row(row):
+    """``row`` times the lcm of its denominators: an integer row with the
+    zero entries left out."""
     denom = 1
     for v in row.values():
-        f = Fraction(v)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    out = {}
-    for c, v in row.items():
-        w = Fraction(v) * denom
-        if w:
-            out[c] = int(w)
-    return out
+        d = Fraction(v).denominator
+        denom = denom * d // gcd(denom, d)
+    return {c: int(Fraction(v) * denom) for c, v in row.items() if v}

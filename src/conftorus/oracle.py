@@ -44,7 +44,13 @@ from .gcalg import (
     sn_act,
     symmetrize,
 )
-from .linalg import SignedUnionFind, SparseEchelon, rank_of_rows
+from .linalg import (
+    SignedUnionFind,
+    SparseEchelon,
+    add_terms,
+    integer_row,
+    rank_of_rows,
+)
 
 __all__ = [
     "ArnoldAlgebra",
@@ -137,16 +143,9 @@ class ArnoldAlgebra:
                     (m1, c1), (m2, c2) = row
                     uf.union(m1, m2, -c1 * c2)
                 elif len(row) == 3:
-                    acc = {}
-                    for mask, c in row:
-                        root, s = uf.find(mask)
-                        if root in uf.zero:
-                            continue
-                        w = acc.get(root, 0) + c * s
-                        if w:
-                            acc[root] = w
-                        elif root in acc:
-                            del acc[root]
+                    found = ((uf.find(mask), c) for mask, c in row)
+                    live = ((r, c * s) for (r, s), c in found if r not in uf.zero)
+                    acc = add_terms({}, live)
                     if acc:
                         ech.add_row(acc)
         basis = []
@@ -215,10 +214,7 @@ class ArnoldAlgebra:
                     if v:
                         row[(tno, m)] = v
             if row:
-                denom = 1
-                for v in row.values():
-                    denom = denom * v.denominator
-                rows.append({k: int(v * denom) for k, v in row.items()})
+                rows.append(integer_row(row))
         return deg.dim - rank_of_rows(rows)
 
 
@@ -414,18 +410,8 @@ def psi(m: Monomial):
 
 def psi_element(e: Element):
     """Linear extension of :func:`psi`; returns {VMonomial: Fraction}."""
-    out = {}
-    for gens, c in e.coeffs.items():
-        hit = psi(Monomial(gens))
-        if hit is None:
-            continue
-        vm, s = hit
-        w = out.get(vm, 0) + c * s
-        if w:
-            out[vm] = w
-        elif vm in out:
-            del out[vm]
-    return out
+    hits = ((psi(Monomial(gens)), c) for gens, c in e.coeffs.items())
+    return add_terms({}, ((hit[0], c * hit[1]) for hit, c in hits if hit is not None))
 
 
 def check_left_inverse(n):
@@ -491,18 +477,6 @@ def _canonical_shapes(n):
     return shapes
 
 
-def _collect(terms):
-    """Sum (mask, coeff) pairs into a dict without zero entries."""
-    acc = {}
-    for m, c in terms:
-        w = acc.get(m, 0) + c
-        if w:
-            acc[m] = w
-        elif m in acc:
-            del acc[m]
-    return acc
-
-
 def _dd_counterexample(lay):
     """The first free mask failing part (a) or (b) of
     :meth:`_Suite.check_dd_zero` in this layout, or None."""
@@ -513,9 +487,8 @@ def _dd_counterexample(lay):
     signs = {}
     for g in range(lay.gfull + 1):
         terms = lay.differential_mask(g)
-        if _collect(
-            (m3, c2 * c3) for m2, c2 in terms for m3, c3 in lay.differential_mask(m2)
-        ):
+        dd = ((m3, c2 * c3) for m2, c2 in terms for m3, c3 in lay.differential_mask(m2))
+        if add_terms({}, dd):
             return g
         split = []
         for t, c in terms:
@@ -526,25 +499,14 @@ def _dd_counterexample(lay):
         for k, lmask in enumerate(lmasks):
             want = [(t | lmask, c * s[k]) for t, c, s in split if s[k]]
             got = lay.differential_mask(g | lmask)
-            if got != want and _collect(got) != dict(want):
+            if got != want and add_terms({}, got) != dict(want):
                 return g | lmask
     return None
 
 
 def _rank_of_vectors(vectors):
-    rows = []
-    for vec in vectors:
-        row = {}
-        denom = 1
-        for v in vec:
-            denom = denom * Fraction(v).denominator
-        for idx, v in enumerate(vec):
-            w = int(Fraction(v) * denom)
-            if w:
-                row[idx] = w
-        if row:
-            rows.append(row)
-    return rank_of_rows(rows)
+    rows = (integer_row(dict(enumerate(vec))) for vec in vectors)
+    return rank_of_rows([row for row in rows if row])
 
 
 class _Suite:

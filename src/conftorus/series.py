@@ -52,6 +52,8 @@ __all__ = [
     "sym_gf_hodge",
     "conf_gf_betti",
     "conf_gf_hodge",
+    "conf_series_betti",
+    "conf_series_hodge",
     "genus0_gf",
     "genus0_weight_inverse",
     "multiply_series",
@@ -108,6 +110,7 @@ class MultiPoly:
 
     def __add__(self, other):
         out = dict(self.terms)
+        # inline, not linalg.add_terms: the series side shares no code with the engine
         for k, v in other.terms.items():
             w = out.get(k, 0) + v
             if w:
@@ -130,6 +133,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         out = {}
+        # inline, not linalg.add_terms: the series side shares no code with the engine
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = tuple(a + b for a, b in zip(k1, k2))
@@ -183,6 +187,7 @@ class MultiPoly:
         """Set the named variable ('u', 'x' or 'y') to 1."""
         pos = {"u": _U, "x": _X, "y": _Y}[var]
         out = MultiPoly()
+        # inline, not linalg.add_terms: the series side shares no code with the engine
         for k, v in self.terms.items():
             kk = list(k)
             kk[pos] = 0
@@ -511,6 +516,16 @@ def conf_gf_hodge():
             (MultiPoly.monomial(y=1, u=1, t=2), 1),
         ],
     )
+
+
+def conf_series_betti(t_order):
+    """K to t^t_order, from the punctured torus's Macdonald zeta by Vakil-Wood."""
+    return vakil_wood_conf(macdonald_zeta(PUNCTURED_TORUS_HC, t_order), t_order)
+
+
+def conf_series_hodge(t_order):
+    """K4 to t^t_order, from the punctured torus's Cheah zeta by Vakil-Wood."""
+    return vakil_wood_conf(cheah_zeta(PUNCTURED_TORUS_HODGE, t_order), t_order)
 
 
 def genus0_gf():

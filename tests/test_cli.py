@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from conftorus import cli, series
+from conftorus import cli, oracle, series
+from conftorus.specseq import SpectralEngine
 
 
 def run(capsys, *argv):
@@ -130,3 +131,42 @@ def test_workers_parallel_betti(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("n=0") and lines[3].startswith("n=3")
+
+
+def test_purity_violation_is_reported_not_raised(capsys, monkeypatch):
+    monkeypatch.setattr(SpectralEngine, "d_rank", lambda self, p, q, ab: 0)
+    code, out = run(capsys, "purity", "--n", "3")
+    assert code == 1
+    assert out.startswith("n=3: VIOLATED at [(")
+    code, out = run(capsys, "betti", "--n", "3", "--engine", "spectral")
+    assert code == 1
+    assert out.startswith("n=3: h = ")
+
+
+def test_hodge_mismatch_gives_nonzero_exit(capsys, monkeypatch):
+    monkeypatch.setattr(series, "decode_hodge", lambda coeff, n: {})
+    code, out = run(capsys, "hodge", "--n", "1", "--engine", "both")
+    assert code == 1
+    assert "MISMATCH" in out
+
+
+def test_failed_selftest_check_gives_nonzero_exit(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "check_left_inverse", lambda n: (False, "injected"))
+    code, out = run(capsys, "selftest", "--n", "2")
+    assert code == 1
+    assert "FAIL left_inverse_and_relation_annihilation" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--n", "2", "--modular-prescreen"],
+        ["purity", "--n", "2", "--engine", "both"],
+        ["selftest", "--n", "2", "--workers", "2"],
+    ],
+)
+def test_removed_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

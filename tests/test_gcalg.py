@@ -28,7 +28,6 @@ from conftorus.gcalg import (
     multiply,
     normalize,
     relation_span,
-    reduce_element,
     sn_act,
     symmetrize,
 )
@@ -472,8 +471,3 @@ def test_dump_json_shape():
     assert doc["relation_rank"] == 2
     assert set(doc["free_basis"]) == {"g12.x1", "g12.x2", "g12.y1", "g12.y2"}
 
-
-def test_reduce_element_helper():
-    space = BidegreeSpace(2, 1, 0)
-    e = Element.from_generators(X(1))
-    assert reduce_element(e, space) == space.reduce(e)

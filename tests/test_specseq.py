@@ -115,6 +115,11 @@ def test_purity_negative_control(reports):
     doctored.e3_inv[(0, 1)] = 1
     ok, violations = purity_check(doctored)
     assert not ok and violations == [(0, 1)]
+    # a Hodge block off the weight line: a + b = 1, but w(1 + 1) = 3
+    doctored = copy.deepcopy(reports[2])
+    doctored.e3_hodge[(1, 1, (0, 1))] = 1
+    ok, violations = purity_check(doctored)
+    assert not ok and violations == [(1, 1)]
 
 
 def test_weight_identity_on_survivors(reports):
