@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
@@ -254,7 +255,16 @@ def main(argv=None):
         except ValueError as exc:
             parser.error(str(exc))
         _check_cap(args.ns, args.allow_n6, parser)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at devnull
+        # so the flush at interpreter exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -10,8 +10,11 @@ the invariant kernels and differential ranks:
   ``m1 = +-m2``) in near-linear time, keeping a zero flag per class.
 * ``SparseEchelon`` is a forward-only integer echelon form for whatever the
   union-find cannot absorb.  Pivot = largest column key of the row, so the
-  surviving coset representatives are the small monomials.  Rows are kept
-  content-free (gcd 1), which is what keeps the arithmetic fraction-free.
+  surviving coset representatives are the small monomials.  Elimination is
+  fraction-free: a row is reduced against a pivot entry 1 in place, and is
+  scaled by the pivot entry and divided by its content (gcd) only when that
+  entry is not 1.  Every installed row is divided by its content and has a
+  positive pivot entry, so it is the same row however it was reached.
 
 ``add_terms`` is the one sparse accumulate (add, drop zeros) the engine and
 the oracles share; ``integer_row`` clears the denominators of a row.
@@ -118,7 +121,11 @@ class SparseEchelon:
         """Reduce ``row`` against the echelon; install it if independent.
 
         Returns True when the rank grew.  ``row`` is a dict col -> int and
-        may be consumed.
+        may be consumed.  A step against a pivot entry 1 subtracts in place
+        and leaves the content alone; a step against any other pivot entry
+        scales the row by it and divides out the content.  The content is
+        always divided out on install, so the installed row does not depend
+        on which steps led to it.
         """
         row = {c: v for c, v in row.items() if v}
         while row:
@@ -128,15 +135,18 @@ class SparseEchelon:
                 self.rows[p] = self._normalize(row)
                 return True
             a, b = other[p], row[p]
-            new = {c: v * a for c, v in row.items()}
-            # the elimination hot loop: inlined, not add_terms, for speed
+            if a != 1:
+                row = {c: v * a for c, v in row.items()}
+            # the elimination hot loop: inlined, not add_terms, for speed;
+            # b != 0, so a zero sum means c was already in row
             for c, v in other.items():
-                w = new.get(c, 0) - v * b
+                w = row.get(c, 0) - v * b
                 if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            row = self._normalize(new) if new else new
+                    row[c] = w
+                else:
+                    del row[c]
+            if a != 1 and row:
+                row = self._normalize(row)
         return False
 
     def reduce_vector(self, vec):
@@ -179,15 +189,16 @@ def kernel_of_columns(columns, dim):
     ech = SparseEchelon()
     for row in equations.values():
         ech.add_row(integer_row(row))
-    pivots = set(ech.rows)
+    pivot_rows = sorted(ech.rows.items())
     basis = []
     for free in range(dim):
-        if free in pivots:
+        if free in ech.rows:
             continue
         vec = {free: Fraction(1)}
-        for p in sorted(ech.rows):
-            row = ech.rows[p]
-            s = sum(Fraction(v) * vec.get(c, 0) for c, v in row.items() if c != p)
+        for p, row in pivot_rows:
+            # vec holds the free column and smaller pivots only, never p;
+            # the columns it lacks would add zero products
+            s = sum(v * vec[c] for c, v in row.items() if c in vec)
             if s:
                 vec[p] = -s / row[p]
         basis.append(vec)
@@ -196,7 +207,10 @@ def kernel_of_columns(columns, dim):
 
 def integer_row(row):
     """``row`` times the lcm of its denominators: an integer row with the
-    zero entries left out."""
+    zero entries left out.  An all-int row is returned without going
+    through ``Fraction``."""
+    if all(type(v) is int for v in row.values()):
+        return {c: v for c, v in row.items() if v}
     denom = 1
     for v in row.values():
         d = Fraction(v).denominator

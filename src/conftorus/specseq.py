@@ -66,8 +66,6 @@ class InvariantSpace:
 class SpectralReport:
     n: int
     e2_inv: dict = field(default_factory=dict)
-    ker: dict = field(default_factory=dict)
-    im_in: dict = field(default_factory=dict)
     e3_inv: dict = field(default_factory=dict)
     e3_hodge: dict = field(default_factory=dict)  # (p,q,a,b) -> dim
     betti: list = field(default_factory=list)
@@ -155,13 +153,12 @@ class SpectralEngine:
                 continue
             constraint_cols = []
             for g in cols:
+                mask = space.quotient_basis[g]
                 col = {}
                 for tno, table in enumerate(tables):
-                    s, img = lay.apply_perm(table, space.quotient_basis[g])
+                    s, img = lay.apply_perm(table, mask)
                     vec = space.reduce_mask(img, s)
-                    vec[space.quotient_basis[g]] = vec.get(
-                        space.quotient_basis[g], Fraction(0)
-                    ) - 1
+                    vec[mask] = vec.get(mask, 0) - 1
                     for m, v in vec.items():
                         if v:
                             col[(tno, m)] = v
@@ -225,7 +222,7 @@ class SpectralEngine:
             for ab, vecs in inv.blocks.items():
                 if vecs:
                     rank_out[(p, q, ab)] = self.d_rank(p, q, ab)
-        e2_inv, ker, im_in, e3_inv, e3_hodge = {}, {}, {}, {}, {}
+        e2_inv, e3_inv, e3_hodge = {}, {}, {}
         for p, q in bidegrees:
             inv = self.invariants(p, q)
             if inv is None or inv.dim == 0:
@@ -236,19 +233,15 @@ class SpectralEngine:
                     continue
                 out = rank_out.get((p, q, ab), 0)
                 into = rank_out.get((p - 2, q + 1, ab), 0)
-                k = len(vecs) - out
-                e3 = k - into
+                e3 = len(vecs) - out - into
                 if e3 < 0:
                     raise AssertionError(
                         f"negative E3 dimension at n={n} ({p},{q}) {ab}"
                     )
-                ker[(p, q)] = ker.get((p, q), 0) + k
-                im_in[(p, q)] = im_in.get((p, q), 0) + into
                 if e3:
                     e3_inv[(p, q)] = e3_inv.get((p, q), 0) + e3
                     e3_hodge[(p, q, ab)] = e3
-        rep.e2_inv, rep.ker, rep.im_in = e2_inv, ker, im_in
-        rep.e3_inv, rep.e3_hodge = e3_inv, e3_hodge
+        rep.e2_inv, rep.e3_inv, rep.e3_hodge = e2_inv, e3_inv, e3_hodge
         rep.purity_ok, rep.violations = purity_check(rep)
         rep.betti, rep.hodge = betti_and_hodge(rep)
         return rep

@@ -1,6 +1,10 @@
 """Command-line front end: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +174,21 @@ def test_removed_flags_are_rejected(capsys, argv):
         cli.main(argv)
     assert err.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_without_traceback():
+    # `conftorus betti ... | head -1`: unbuffered, so every line is its own
+    # write and the n = 6 lines come about a second after the header.
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["betti", "--n", "0..6", "--allow-n6", "--format", "csv"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "conftorus.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"n,i,h_i\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

@@ -1,0 +1,156 @@
+"""Sparse exact elimination against a dense Fraction Gauss-Jordan oracle."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from conftorus.linalg import SparseEchelon, integer_row, kernel_of_columns, rank_of_rows
+
+SEEDS = range(40)
+
+
+def random_matrix(rng):
+    """Integer matrix with entries in -3..3, about a third of them zero, plus
+    a few rows that are integer combinations of earlier ones."""
+    ncols = rng.randint(1, 8)
+    rows = [
+        [rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(ncols)]
+        for _ in range(rng.randint(0, 7))
+    ]
+    for _ in range(rng.randint(0, 3)):
+        if rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def sparse(row):
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def dense_rref(rows, ncols):
+    """Reduced row echelon form over Fraction, pivoting on the largest column
+    first (the echelon's convention); returns {pivot column: row}."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    pivots = {}
+    for col in reversed(range(ncols)):
+        hit = next((r for r in work if r[col]), None)
+        if hit is None:
+            continue
+        work.remove(hit)
+        hit = [v / hit[col] for v in hit]
+        for r in work:
+            if r[col]:
+                f = r[col]
+                r[:] = [x - f * y for x, y in zip(r, hit)]
+        for p, r in pivots.items():
+            if r[col]:
+                f = r[col]
+                pivots[p] = [x - f * y for x, y in zip(r, hit)]
+        pivots[col] = hit
+    return pivots
+
+
+def dense_kernel(rows, ncols):
+    """Kernel basis with a 1 on one free column and 0 on the others."""
+    pivots = dense_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: Fraction(1)}
+        for p, r in pivots.items():
+            if r[free]:
+                vec[p] = -r[free]
+        basis.append(vec)
+    return basis
+
+
+def test_rank_and_kernel_match_dense_oracle():
+    for seed in SEEDS:
+        rows, ncols = random_matrix(random.Random(seed))
+        pivots = dense_rref(rows, ncols)
+        assert rank_of_rows([sparse(r) for r in rows]) == len(pivots), seed
+        columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
+        kernel = kernel_of_columns(columns, ncols)
+        assert kernel == dense_kernel(rows, ncols), seed
+        assert len(kernel) == ncols - len(pivots), seed
+        for vec in kernel:
+            for r in rows:
+                assert sum(r[c] * v for c, v in vec.items()) == 0, seed
+
+
+def echelon(rows):
+    ech = SparseEchelon()
+    for r in rows:
+        ech.add_row(sparse(r))
+    return ech
+
+
+def test_installed_rows_are_content_free_with_positive_pivot():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        rows, ncols = random_matrix(rng)
+        ech = echelon(rows)
+        assert set(ech.rows) == set(dense_rref(rows, ncols)), seed
+        for p, row in ech.rows.items():
+            assert p == max(row) and row[p] > 0, seed
+            assert all(type(v) is int and v for v in row.values()), seed
+            g = 0
+            for v in row.values():
+                g = gcd(g, v)
+            assert g == 1, seed
+        for _ in range(3):
+            rng.shuffle(rows)
+            assert set(echelon(rows).rows) == set(ech.rows), seed
+
+
+def test_both_pivot_branches_run(monkeypatch):
+    """Over the seeds, some installed pivot entry is 1 (rows meeting it are
+    reduced in place) and some is larger, and rows are scaled and divided
+    by their content after steps against it: more content divisions than
+    installed rows."""
+    calls = []
+    normalize = SparseEchelon._normalize
+    monkeypatch.setattr(
+        SparseEchelon, "_normalize", staticmethod(lambda row: calls.append(1) or normalize(row))
+    )
+    leads, installed = set(), 0
+    for seed in SEEDS:
+        ech = echelon(random_matrix(random.Random(seed))[0])
+        leads |= {row[p] for p, row in ech.rows.items()}
+        installed += ech.rank
+    assert 1 in leads and max(leads) > 1
+    assert len(calls) > installed
+
+
+def test_reduction_against_unit_pivot_keeps_caller_row():
+    ech = SparseEchelon()
+    assert ech.add_row({3: 1, 1: 2})
+    row = {3: 2, 2: 5, 1: 4}
+    assert ech.add_row(row)
+    assert row == {3: 2, 2: 5, 1: 4}
+    assert ech.rows == {3: {3: 1, 1: 2}, 2: {2: 1}}
+    assert not ech.add_row({3: -3, 2: 7, 1: -6})
+    assert ech.rank == 2
+
+
+def test_integer_row_same_on_int_fraction_and_mixed():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        ints = {c: rng.randint(-3, 3) for c in range(rng.randint(0, 6))}
+        want = {c: v for c, v in ints.items() if v}
+        fracs = {c: Fraction(v) for c, v in ints.items()}
+        mixed = {c: Fraction(v) if c % 2 else v for c, v in ints.items()}
+        for row in (ints, fracs, mixed):
+            got = integer_row(row)
+            assert got == want, seed
+            assert all(type(v) is int for v in got.values()), seed
+
+
+def test_integer_row_clears_denominators():
+    assert integer_row({0: Fraction(1, 2), 1: 3, 2: 0, 5: Fraction(-2, 3)}) == {
+        0: 3, 1: 18, 5: -4
+    }
