@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
 from . import oracle, series
@@ -22,10 +21,12 @@ N_CAP = 5
 
 
 def _parse_n(spec_str):
-    if ".." in spec_str:
-        lo, hi = (int(s) for s in spec_str.split("..", 1))
-    else:
-        lo = hi = int(spec_str)
+    lo, dots, hi = spec_str.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+    except ValueError:
+        raise ValueError(f"--n expects N or A..B, got {spec_str!r}") from None
     if lo < 0:
         raise ValueError("n must be nonnegative")
     if hi < lo:
@@ -82,19 +83,6 @@ _NUMBERS = {
 }
 
 
-def _engine_reports(ns, workers):
-    """Yield (n, SpectralReport) in ascending n, possibly computed in
-    parallel across n."""
-    if workers > 1 and len(ns) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [(n, ex.submit(e3_dims, n)) for n in ns]
-            for n, fut in futures:
-                yield n, fut.result()
-    else:
-        for n in ns:
-            yield n, e3_dims(n)
-
-
 def cmd_numbers(args):
     """``betti`` and ``hodge``: the engine's numbers, the series' numbers, or
     both with a match verdict.  Exit 1 on a mismatch or a purity violation."""
@@ -105,7 +93,7 @@ def cmd_numbers(args):
     if args.engine == "series":
         reports = ((n, None) for n in args.ns)
     else:
-        reports = _engine_reports(args.ns, args.workers)
+        reports = ((n, e3_dims(n)) for n in args.ns)
     if args.format == "csv":
         print(spec.csv_header)
     failed = False
@@ -137,15 +125,15 @@ def cmd_numbers(args):
 
 def cmd_purity(args):
     failed = False
-    for n, rep in _engine_reports(args.ns, args.workers):
+    for rep in map(e3_dims, args.ns):
         failed |= not rep.purity_ok
         if args.format == "json":
             print(rep.to_json())
         elif args.format == "csv":
-            print(f"{n},{'pure' if rep.purity_ok else 'violated'}")
+            print(f"{rep.n},{'pure' if rep.purity_ok else 'violated'}")
         else:
             verdict = "pure" if rep.purity_ok else f"VIOLATED at {rep.violations}"
-            print(f"n={n}: {verdict}")
+            print(f"n={rep.n}: {verdict}")
     return 1 if failed else 0
 
 
@@ -158,8 +146,7 @@ _SERIES_CHOICES = {
 
 
 def cmd_series(args):
-    order = args.t_order if args.t_order is not None else 10
-    coeffs = _SERIES_CHOICES[args.which](order)
+    coeffs = _SERIES_CHOICES[args.which](args.t_order)
     if args.format == "csv":
         print("n,u,x,y,value")
     for n, poly in enumerate(coeffs):
@@ -230,7 +217,7 @@ def build_parser():
         p.set_defaults(handler=handler)
         if name == "series":
             p.add_argument("--which", choices=sorted(_SERIES_CHOICES), default="K")
-            p.add_argument("--t-order", type=int, default=None)
+            p.add_argument("--t-order", type=int, default=10)
         else:
             p.add_argument("--n", required=True, help="single value or range A..B")
             p.add_argument("--allow-n6", action="store_true")
@@ -238,8 +225,6 @@ def build_parser():
             p.add_argument(
                 "--engine", choices=["spectral", "series", "both"], default="both"
             )
-        if name in ("betti", "hodge", "purity"):
-            p.add_argument("--workers", type=int, default=1)
         p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     return parser
 
@@ -247,8 +232,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be >= 1")
+    if getattr(args, "t_order", 0) < 0:
+        parser.error("--t-order must be >= 0")
     if hasattr(args, "n"):
         try:
             args.ns = _parse_n(args.n)

@@ -304,30 +304,22 @@ def v_basis(n):
     out = []
 
     def grow(free, xs, ys, xpairs, ypairs):
-        out.append(VMonomial(tuple(xs), tuple(ys), tuple(xpairs), tuple(ypairs)))
         if not free:
+            out.append(VMonomial(xs, ys, xpairs, ypairs))
             return
-        rest = list(free)
-        # to avoid duplicates, decide the fate of the smallest free index
-        head, tail = rest[0], rest[1:]
+        # each call decides the fate of the smallest free index, so every
+        # monomial is reached by exactly one path, with its tuples sorted
+        head, tail = free[0], free[1:]
         grow(tail, xs, ys, xpairs, ypairs)  # unused
-        grow(tail, xs + [head], ys, xpairs, ypairs)
-        grow(tail, xs, ys + [head], xpairs, ypairs)
+        grow(tail, xs + (head,), ys, xpairs, ypairs)
+        grow(tail, xs, ys + (head,), xpairs, ypairs)
         for t, partner in enumerate(tail):
             remaining = tail[:t] + tail[t + 1 :]
-            grow(remaining, xs, ys, xpairs + [(head, partner)], ypairs)
-            grow(remaining, xs, ys, xpairs, ypairs + [(head, partner)])
+            grow(remaining, xs, ys, xpairs + ((head, partner),), ypairs)
+            grow(remaining, xs, ys, xpairs, ypairs + ((head, partner),))
 
-    grow(list(range(1, n + 1)), [], [], [], [])
-    # the recursion above emits each partial monomial many times; dedupe
-    seen = set()
-    uniq = []
-    for vm in out:
-        key = make_v_monomial(vm.xs, vm.ys, vm.xpairs, vm.ypairs)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(key)
-    return uniq
+    grow(tuple(range(1, n + 1)), (), (), (), ())
+    return out
 
 
 def phi(vm: VMonomial) -> Element:
@@ -428,9 +420,17 @@ def check_left_inverse(n):
 # ---------------------------------------------------------------------------
 
 
+def _g_times_phi(gpair, vm):
+    """g_{gpair} phi(vm), or phi(vm) when gpair is None."""
+    e = phi(vm)
+    return multiply(Monomial((G(*gpair),)), e) if gpair else e
+
+
 def _canonical_shapes(n):
     """One representative per shape of the canonical invariant generators
-    g^r x^{s1} y^{s2} x_{J_1}..x_{J_b} y_{K_1}..y_{K_c} on {1..n}."""
+    g^r x^{s1} y^{s2} x_{J_1}..x_{J_b} y_{K_1}..y_{K_c} on {1..n}: the
+    V(n) monomial ``vm`` of the letters and pair symbols, its image
+    ``element`` under phi, times g on the two lowest indices when r = 1."""
     shapes = []
     for r in (0, 1):
         for s1 in (0, 1):
@@ -439,27 +439,12 @@ def _canonical_shapes(n):
                 for b in range((n - base) // 2 + 1):
                     for c in range((n - base - 2 * b) // 2 + 1):
                         idx = iter(range(1, n + 1))
-                        gens = []
-                        gpair = None
-                        if r:
-                            gpair = (next(idx), next(idx))
-                            gens.append(G(*gpair))
-                        xj = next(idx) if s1 else None
-                        if xj:
-                            gens.append(X(xj))
-                        yk = next(idx) if s2 else None
-                        if yk:
-                            gens.append(Y(yk))
-                        xpairs, ypairs = [], []
-                        for _ in range(b):
-                            i, j = next(idx), next(idx)
-                            xpairs.append((i, j))
-                            gens += [G(i, j), X(i)]
-                        for _ in range(c):
-                            i, j = next(idx), next(idx)
-                            ypairs.append((i, j))
-                            gens += [G(i, j), Y(i)]
-                        m = normalize(tuple(gens))
+                        gpair = (next(idx), next(idx)) if r else None
+                        xs = (next(idx),) if s1 else ()
+                        ys = (next(idx),) if s2 else ()
+                        xpairs = tuple((next(idx), next(idx)) for _ in range(b))
+                        ypairs = tuple((next(idx), next(idx)) for _ in range(c))
+                        vm = VMonomial(xs, ys, xpairs, ypairs)
                         shapes.append(
                             {
                                 "r": r,
@@ -468,9 +453,8 @@ def _canonical_shapes(n):
                                 "b": b,
                                 "c": c,
                                 "gpair": gpair,
-                                "xpairs": xpairs,
-                                "ypairs": ypairs,
-                                "element": Element.from_monomial(m),
+                                "vm": vm,
+                                "element": _g_times_phi(gpair, vm),
                                 "bidegree": (s1 + s2 + b + c, r + b + c),
                             }
                         )
@@ -557,7 +541,6 @@ class _Suite:
         rng = random.Random(20210405)
         bad = None
         for n in range(2, min(self.n_max, 5) + 1):
-            lay = Layout(n)
             gens = [G(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
             gens += [X(i) for i in range(1, n + 1)]
             gens += [Y(i) for i in range(1, n + 1)]
@@ -645,45 +628,40 @@ class _Suite:
                         bad = f"n={n} path={tup}"
         self.record("path_annihilation", "r>=3, n<=5", bad is None, bad)
 
-    def check_canonical_spanning(self):
-        bad = None
+    def _first_deficient_bidegree(self, elements):
+        """The first invariant space of the engine, n <= min(n_max, 4), that
+        the symmetrized ``elements(inv)`` do not span, or None."""
         for n in range(2, min(self.n_max, 4) + 1):
             eng = self.engine(n)
-            lay = eng.layout
-            by_bidegree = {}
-            for shape in _canonical_shapes(n):
-                by_bidegree.setdefault(shape["bidegree"], []).append(shape)
-            for q in range(lay.npairs + 1):
+            for q in range(eng.layout.npairs + 1):
                 for p in range(2 * n + 1):
                     inv = eng.invariants(p, q)
                     if inv is None:
                         continue
-                    vecs = []
-                    for shape in by_bidegree.get((p, q), []):
-                        e = symmetrize(shape["element"], n)
-                        vecs.append(inv.space.reduce(e))
+                    vecs = [inv.space.reduce(symmetrize(e, n)) for e in elements(inv)]
                     if _rank_of_vectors(vecs) != inv.dim:
-                        bad = f"n={n} (p,q)=({p},{q})"
+                        return f"n={n} (p,q)=({p},{q})"
+        return None
+
+    def check_canonical_spanning(self):
+        by_bidegree = {}
+        for n in range(2, min(self.n_max, 4) + 1):
+            for shape in _canonical_shapes(n):
+                by_bidegree.setdefault((n, shape["bidegree"]), []).append(
+                    shape["element"]
+                )
+        bad = self._first_deficient_bidegree(
+            lambda inv: by_bidegree.get((inv.n, (inv.p, inv.q)), [])
+        )
         self.record("canonical_spanning", "n<=4", bad is None, bad)
 
     def check_fixed_space_agreement(self):
-        bad = None
-        for n in range(2, min(self.n_max, 4) + 1):
-            eng = self.engine(n)
-            lay = eng.layout
-            for q in range(lay.npairs + 1):
-                for p in range(2 * n + 1):
-                    inv = eng.invariants(p, q)
-                    if inv is None or inv.space.dim == 0:
-                        continue
-                    vecs = []
-                    for mask in inv.space.quotient_basis:
-                        e = symmetrize(
-                            Element.from_monomial(lay.decode(mask)), n
-                        )
-                        vecs.append(inv.space.reduce(e))
-                    if _rank_of_vectors(vecs) != inv.dim:
-                        bad = f"n={n} (p,q)=({p},{q})"
+        bad = self._first_deficient_bidegree(
+            lambda inv: [
+                Element.from_monomial(inv.space.layout.decode(mask))
+                for mask in inv.space.quotient_basis
+            ]
+        )
         self.record("symmetrizer_image_is_fixed_space", "n<=4", bad is None, bad)
 
     def check_rel6(self):
@@ -730,10 +708,7 @@ class _Suite:
             for shape in _canonical_shapes(n):
                 if (shape["r"], shape["s1"], shape["s2"]) != (0, 1, 1):
                     continue
-                e = shape["element"]
-                total = Element.zero()
-                for perm in permutations(range(1, n + 1)):
-                    total = total + sn_act(perm, e)
+                total = symmetrize(shape["element"], n)
                 p, q = shape["bidegree"]
                 sp = eng.space(p, q)
                 engine_nonzero = any(sp.reduce(total))
@@ -763,14 +738,8 @@ class _Suite:
                         bad = f"n={n} (1,0,0) class unexpectedly closed"
                     # d(e(alpha)) = -2 e(x_i1 y_i2 * rest)
                     i1, i2 = shape["gpair"]
-                    gens = [X(i1), Y(i2)]
-                    for a, b in shape["xpairs"]:
-                        gens += [G(a, b), X(a)]
-                    for a, b in shape["ypairs"]:
-                        gens += [G(a, b), Y(a)]
-                    cmp = symmetrize(
-                        Element.from_monomial(normalize(tuple(gens))), n
-                    ).scale(-2)
+                    rest = phi(shape["vm"]._replace(xs=(i1,), ys=(i2,)))
+                    cmp = symmetrize(rest, n).scale(-2)
                     if target and any(
                         x != y for x, y in zip(img, target.reduce(cmp))
                     ):
@@ -788,23 +757,10 @@ class _Suite:
                     continue
                 p, q = shape["bidegree"]
                 e = symmetrize(shape["element"], n)
-                # rebuild with g on the single indices: x_j y_k -> g_{jk}
-                mono = next(iter(shape["element"].coeffs))
-                xj = [g.i for g in mono if g.kind == "x"]
-                yk = [g.i for g in mono if g.kind == "y"]
-                singles_x = [i for i in xj if not any(
-                    i in pr for pr in shape["xpairs"])]
-                singles_y = [i for i in yk if not any(
-                    i in pr for pr in shape["ypairs"])]
-                j, k = singles_x[0], singles_y[0]
-                gens = [G(j, k)]
-                for a, b in shape["xpairs"]:
-                    gens += [G(a, b), X(a)]
-                for a, b in shape["ypairs"]:
-                    gens += [G(a, b), Y(a)]
-                pre = symmetrize(
-                    Element.from_monomial(normalize(tuple(gens))), n
-                ).scale(Fraction(-1, 2))
+                # the preimage puts g on the single indices: x_j y_k -> g_{jk}
+                vm = shape["vm"]
+                pre = _g_times_phi(vm.xs + vm.ys, vm._replace(xs=(), ys=()))
+                pre = symmetrize(pre, n).scale(Fraction(-1, 2))
                 sp = eng.space(p, q)
                 if sp.reduce(e) != sp.reduce(differential(pre)):
                     bad = f"n={n} b={shape['b']} c={shape['c']}"

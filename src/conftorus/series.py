@@ -290,23 +290,10 @@ def macdonald_zeta(h_c, t_order):
     """Symmetric-power zeta series from compact-support Betti numbers.
 
     ``h_c`` lists pairs ``(i, dim)``; the series is
-    ``prod_i (1 - u^i t)^{(-1)^{i+1} dim}``.
+    ``prod_i (1 - u^i t)^{(-1)^{i+1} dim}``: :func:`cheah_zeta` with every
+    Hodge type (0, 0).
     """
-    num = MultiPoly.one()
-    dens = []
-    for i, dim in h_c:
-        if dim < 0:
-            raise ValueError("negative Betti number")
-        if dim == 0:
-            continue
-        m = MultiPoly.monomial(u=i, t=1)
-        if i % 2 == 1:
-            factor = MultiPoly.one() - m
-            for _ in range(dim):
-                num = num * factor
-        else:
-            dens.append((m, dim))
-    return expand(FactoredRatFun(num, dens), t_order)
+    return cheah_zeta([(i, 0, 0, dim) for i, dim in h_c], t_order)
 
 
 def cheah_zeta(h, t_order):
@@ -319,7 +306,7 @@ def cheah_zeta(h, t_order):
     dens = []
     for i, a, b, dim in h:
         if dim < 0:
-            raise ValueError("negative Hodge number")
+            raise ValueError("negative Betti or Hodge number")
         if dim == 0:
             continue
         m = MultiPoly.monomial(u=i, x=a, y=b, t=1)

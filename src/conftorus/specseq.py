@@ -102,7 +102,13 @@ class SpectralEngine:
         self.layout = Layout(n)
         self._spaces = {}
         self._invariants = {}
-        self._perm_tables = None
+        # bit tables for (1 2) and the n-cycle, which generate S_n
+        perms = []
+        if n >= 2:
+            perms.append((2, 1, *range(3, n + 1)))
+        if n > 2:
+            perms.append((*range(2, n + 1), 1))
+        self._perm_tables = [self.layout.perm_table(sigma) for sigma in perms]
 
     # -- spaces --------------------------------------------------------------
 
@@ -116,20 +122,6 @@ class SpectralEngine:
                 self._spaces[key] = BidegreeSpace(self.n, p, q, layout=lay)
         return self._spaces[key]
 
-    def _generators(self):
-        """Bit tables for (1 2) and the n-cycle, which generate S_n."""
-        if self._perm_tables is None:
-            n = self.n
-            tables = []
-            if n >= 2:
-                swap = tuple([2, 1] + list(range(3, n + 1)))
-                cycle = tuple(list(range(2, n + 1)) + [1])
-                tables.append(self.layout.perm_table(swap))
-                if n > 2:
-                    tables.append(self.layout.perm_table(cycle))
-            self._perm_tables = tables
-        return self._perm_tables
-
     # -- invariants ------------------------------------------------------------
 
     def invariants(self, p, q) -> InvariantSpace | None:
@@ -137,7 +129,7 @@ class SpectralEngine:
         if key in self._invariants:
             return self._invariants[key]
         space = self.space(p, q)
-        if space is None or space.free_dim == 0:
+        if space is None:
             self._invariants[key] = None
             return None
         lay = self.layout
@@ -145,9 +137,8 @@ class SpectralEngine:
         for idx, mask in enumerate(space.quotient_basis):
             blocks_cols.setdefault(lay.hodge_bidegree(mask), []).append(idx)
         blocks = {}
-        tables = self._generators()
+        tables = self._perm_tables
         for ab, cols in sorted(blocks_cols.items()):
-            local = {g: l for l, g in enumerate(cols)}
             if not tables:
                 blocks[ab] = [{g: Fraction(1)} for g in cols]
                 continue
@@ -178,7 +169,7 @@ class SpectralEngine:
         target quotient coordinates."""
         target = self.space(inv.p + 2, inv.q - 1)
         rows = []
-        if target is None or target.free_dim == 0 or inv.q == 0:
+        if target is None:
             return rows
         space = inv.space
         dcache = {}

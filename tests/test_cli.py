@@ -103,9 +103,22 @@ def test_reversed_range_names_the_empty_range(capsys):
     assert "empty range 5..3" in capsys.readouterr().err
 
 
-def test_workers_validation():
-    with pytest.raises(SystemExit):
-        cli.main(["betti", "--n", "2", "--workers", "0"])
+@pytest.mark.parametrize("spec", ["abc", "3..", "2..x"])
+def test_malformed_n_names_the_flag_and_the_spec(capsys, spec):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["betti", "--n", spec])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "--n" in err_text and repr(spec) in err_text
+    assert "invalid literal" not in err_text
+
+
+def test_negative_t_order_is_a_usage_error(capsys):
+    # a ValueError from series.expand would escape as a traceback, exit 1
+    with pytest.raises(SystemExit) as err:
+        cli.main(["series", "--t-order", "-1"])
+    assert err.value.code == 2
+    assert "--t-order" in capsys.readouterr().err
 
 
 def test_mismatch_gives_nonzero_exit(capsys, monkeypatch):
@@ -126,15 +139,6 @@ def test_selftest_small(capsys):
     names = {r["name"] for r in doc["results"]}
     assert "vakil_wood_identity" in names
     assert "genus_zero_table" in names
-
-
-def test_workers_parallel_betti(capsys):
-    code, out = run(
-        capsys, "betti", "--n", "0..3", "--workers", "2", "--engine", "spectral"
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("n=0") and lines[3].startswith("n=3")
 
 
 def test_purity_violation_is_reported_not_raised(capsys, monkeypatch):
@@ -167,6 +171,8 @@ def test_failed_selftest_check_gives_nonzero_exit(capsys, monkeypatch):
         ["betti", "--n", "2", "--modular-prescreen"],
         ["purity", "--n", "2", "--engine", "both"],
         ["selftest", "--n", "2", "--workers", "2"],
+        ["betti", "--n", "0..2", "--workers", "2"],
+        ["purity", "--n", "0..2", "--workers", "2"],
     ],
 )
 def test_removed_flags_are_rejected(capsys, argv):

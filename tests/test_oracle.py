@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftorus import oracle
 from conftorus.gcalg import Element, G, Layout, Monomial, X, Y, multiply, normalize
 from conftorus.oracle import (
     ArnoldAlgebra,
@@ -60,10 +61,13 @@ def test_arnold_dies_at_degree_n():
 
 
 def test_v_basis_counts():
-    # n=2: 9 pair-free assignments + 2 labelled pairs
-    assert len(v_basis(2)) == 11
-    assert len(v_basis(3)) == 45
-    assert len(v_basis(0)) == 1
+    # n=2: 9 pair-free assignments + 2 labelled pairs; in general
+    # a(n) = 3 a(n-1) + 2 (n-1) a(n-2)
+    for n, count in enumerate([1, 3, 11, 45, 201, 963]):
+        basis = v_basis(n)
+        assert len(basis) == count
+        assert len(set(basis)) == count
+        assert all(vm == make_v_monomial(*vm) for vm in basis)
 
 
 def test_v_monomial_rejects_repeated_index():
@@ -190,3 +194,34 @@ def test_dd_zero_catches_dropped_four_letter_terms(monkeypatch):
     result = _dd_zero_with(monkeypatch, drop)
     assert result["name"] == "d_squared_zero"
     assert not result["passed"] and result["counterexample"]
+
+
+# -- negative controls for the symmetrizer and d identity checks ----------------
+
+
+def _verdicts(*checks):
+    suite = _Suite(4)
+    for check in checks:
+        check(suite)
+    return {r["name"]: r["passed"] for r in suite.results}
+
+
+def test_zero_symmetrizer_fails_the_spanning_checks(monkeypatch):
+    monkeypatch.setattr(oracle, "symmetrize", lambda e, n: Element())
+    assert _verdicts(
+        _Suite.check_canonical_spanning,
+        _Suite.check_fixed_space_agreement,
+        _Suite.check_rel7_nonvanishing,
+    ) == {
+        "canonical_spanning": False,
+        "symmetrizer_image_is_fixed_space": False,
+        "disjoint_pair_classes_nonzero": False,
+    }
+
+
+def test_doubled_differential_fails_the_d_checks(monkeypatch):
+    original = oracle.differential
+    monkeypatch.setattr(oracle, "differential", lambda e: original(e).scale(2))
+    assert _verdicts(
+        _Suite.check_kernel_dichotomy, _Suite.check_boundary_property
+    ) == {"canonical_kernel_dichotomy": False, "boundary_property": False}
