@@ -21,23 +21,37 @@ N_CAP = 5
 
 
 def _parse_n(spec_str):
+    """``--n`` converter: N or A..B as the list of n, ascending."""
     lo, dots, hi = spec_str.partition("..")
     try:
         lo = int(lo)
         hi = int(hi) if dots else lo
     except ValueError:
-        raise ValueError(f"--n expects N or A..B, got {spec_str!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected N or A..B, got {spec_str!r}"
+        ) from None
     if lo < 0:
-        raise ValueError("n must be nonnegative")
+        raise argparse.ArgumentTypeError("n must be nonnegative")
     if hi < lo:
-        raise ValueError(f"empty range {spec_str}")
+        raise argparse.ArgumentTypeError(f"empty range {spec_str}")
     return list(range(lo, hi + 1))
 
 
-def _check_cap(ns, allow_n6, parser):
+def _parse_t_order(text):
+    """``--t-order`` converter: an integer >= 0."""
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if order < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {order}")
+    return order
+
+
+def _check_cap(ns, allow_n6, usage_error):
     big = [n for n in ns if n > N_CAP]
     if big and not allow_n6:
-        parser.error(
+        usage_error(
             f"n={max(big)} exceeds the default cap of {N_CAP}; "
             "pass --allow-n6 to proceed"
         )
@@ -214,12 +228,15 @@ def build_parser():
         ("selftest", cmd_selftest),
     ):
         p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, usage_error=p.error)
         if name == "series":
             p.add_argument("--which", choices=sorted(_SERIES_CHOICES), default="K")
-            p.add_argument("--t-order", type=int, default=10)
+            p.add_argument("--t-order", type=_parse_t_order, default=10)
         else:
-            p.add_argument("--n", required=True, help="single value or range A..B")
+            p.add_argument(
+                "--n", dest="ns", metavar="N", type=_parse_n, required=True,
+                help="single value or range A..B",
+            )
             p.add_argument("--allow-n6", action="store_true")
         if name in ("betti", "hodge"):
             p.add_argument(
@@ -232,14 +249,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "t_order", 0) < 0:
-        parser.error("--t-order must be >= 0")
-    if hasattr(args, "n"):
-        try:
-            args.ns = _parse_n(args.n)
-        except ValueError as exc:
-            parser.error(str(exc))
-        _check_cap(args.ns, args.allow_n6, parser)
+    # the cap guards engine runs; a series-only run is cheap for any n
+    if hasattr(args, "ns") and getattr(args, "engine", None) != "series":
+        _check_cap(args.ns, args.allow_n6, args.usage_error)
     try:
         code = args.handler(args)
         sys.stdout.flush()

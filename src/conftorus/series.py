@@ -2,11 +2,13 @@
 decoders for Betti and mixed Hodge numbers.
 
 Everything lives in the polynomial ring Q[u, x, y] with an outer formal
-variable t.  A truncated series is a plain list of :class:`MultiPoly`,
-entry ``k`` being the coefficient of ``t^k``.  Rational functions are kept
-in factored form: a polynomial numerator over a product of binomial factors
-``(1 - c * monomial)`` with positive t-degree, each inverted order by order
-as a geometric series.
+variable t.  Arithmetic is exact: a coefficient is an ``int``, and a
+``fractions.Fraction`` only for a value that is not an integer, which never
+arises in the series of the paper.  A truncated series is a plain list of
+:class:`MultiPoly`, entry ``k`` being the coefficient of ``t^k``.  Rational
+functions are kept in factored form: a polynomial numerator over a product
+of binomial factors ``(1 - c * monomial)`` with positive t-degree, each
+inverted order by order as a geometric series.
 
 The two closed forms driving the whole artifact:
 
@@ -73,11 +75,44 @@ def _key(u=0, x=0, y=0, t=0):
     return (u, x, y, t)
 
 
+def _exact(v):
+    """``v`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _accumulate(out, c, a, b):
+    """``out[k1 + k2] += c * v1 * v2`` over the terms of ``a`` and ``b``.
+
+    ``out``, ``a`` and ``b`` are term dicts; ``out`` may be left holding
+    zeros, which :func:`_poly` drops.  The one product loop of the module:
+    inline, not linalg.add_terms, as the series side shares no code with the
+    engine.
+    """
+    for (u1, x1, y1, t1), v1 in a.items():
+        cv1 = c * v1
+        for (u2, x2, y2, t2), v2 in b.items():
+            k = (u1 + u2, x1 + x2, y1 + y2, t1 + t2)
+            out[k] = out.get(k, 0) + cv1 * v2
+
+
+def _poly(out):
+    """A :class:`MultiPoly` owning the term dict ``out``, zeros dropped and
+    integral values stored as ``int``."""
+    res = MultiPoly()
+    res.terms = {k: _exact(v) for k, v in out.items() if v}
+    return res
+
+
 class MultiPoly:
     """Polynomial in u, x, y, t with exact rational coefficients.
 
-    Terms are held sparsely as exponent-tuple -> Fraction; zero coefficients
-    are never stored.
+    Terms are held sparsely as exponent-tuple -> coefficient; zero
+    coefficients are never stored.  A coefficient is an ``int`` whenever it is
+    integral and a ``Fraction`` otherwise, so products of integer polynomials
+    stay on plain ``int`` arithmetic.
     """
 
     __slots__ = ("terms",)
@@ -86,7 +121,7 @@ class MultiPoly:
         self.terms = {}
         if terms:
             for k, v in terms.items():
-                v = Fraction(v)
+                v = _exact(v)
                 if v:
                     if min(k) < 0:
                         raise ValueError(f"negative exponent in {k}")
@@ -110,16 +145,9 @@ class MultiPoly:
 
     def __add__(self, other):
         out = dict(self.terms)
-        # inline, not linalg.add_terms: the series side shares no code with the engine
         for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        res = MultiPoly()
-        res.terms = out
-        return res
+            out[k] = out.get(k, 0) + v
+        return _poly(out)
 
     def __neg__(self):
         res = MultiPoly()
@@ -133,27 +161,14 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         out = {}
-        # inline, not linalg.add_terms: the series side shares no code with the engine
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                w = out.get(k, 0) + v1 * v2
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        res = MultiPoly()
-        res.terms = out
-        return res
+        _accumulate(out, 1, self.terms, other.terms)
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
-        res = MultiPoly()
-        if c:
-            res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
+        c = _exact(c)
+        return _poly({k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, MultiPoly) and self.terms == other.terms
@@ -170,7 +185,7 @@ class MultiPoly:
     # -- structure ---------------------------------------------------------
 
     def is_one(self):
-        return self.terms == {_key(): Fraction(1)}
+        return self.terms == {_key(): 1}
 
     def t_degree(self):
         return max((k[_T] for k in self.terms), default=0)
@@ -186,18 +201,13 @@ class MultiPoly:
     def substitute_one(self, var):
         """Set the named variable ('u', 'x' or 'y') to 1."""
         pos = {"u": _U, "x": _X, "y": _Y}[var]
-        out = MultiPoly()
-        # inline, not linalg.add_terms: the series side shares no code with the engine
+        out = {}
         for k, v in self.terms.items():
             kk = list(k)
             kk[pos] = 0
             kk = tuple(kk)
-            w = out.terms.get(kk, 0) + v
-            if w:
-                out.terms[kk] = w
-            elif kk in out.terms:
-                del out.terms[kk]
-        return out
+            out[kk] = out.get(kk, 0) + v
+        return _poly(out)
 
     def as_string(self):
         if not self.terms:
@@ -263,27 +273,24 @@ def expand(f: FactoredRatFun, t_order: int):
     """
     if t_order < 0:
         raise ValueError("t_order must be >= 0")
-    series = f.numerator.t_coefficients(t_order)
+    series = [p.terms for p in f.numerator.t_coefficients(t_order)]
     for m, mult in f.denominator_factors:
         ((k, c),) = m.terms.items()
         d = k[_T]
-        step = MultiPoly({(k[_U], k[_X], k[_Y], 0): c})
+        step = {(k[_U], k[_X], k[_Y], 0): c}
         for _ in range(mult):
             for j in range(d, t_order + 1):
-                series[j] = series[j] + step * series[j - d]
-    return series
+                _accumulate(series[j], 1, step, series[j - d])
+    return [_poly(terms) for terms in series]
 
 
 def multiply_series(a, b, t_order):
     """Truncated product of two coefficient lists."""
-    out = [MultiPoly() for _ in range(t_order + 1)]
+    out = [{} for _ in range(t_order + 1)]
     for i, ai in enumerate(a[: t_order + 1]):
-        if not ai:
-            continue
         for j, bj in enumerate(b[: t_order + 1 - i]):
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
+            _accumulate(out[i + j], 1, ai.terms, bj.terms)
+    return [_poly(terms) for terms in out]
 
 
 def macdonald_zeta(h_c, t_order):
@@ -325,15 +332,13 @@ def vakil_wood_conf(z, t_order):
         raise ValueError("input series too short for requested order")
     if not z[0].is_one():
         raise ValueError("series must have constant term 1")
-    k = [MultiPoly() for _ in range(t_order + 1)]
-    k[0] = MultiPoly.one()
+    k = [MultiPoly.one()]
     for j in range(1, t_order + 1):
-        acc = z[j]
+        acc = dict(z[j].terms)
         # subtract sum_{m<j} K_m * Z2_{j-m}; Z2 has z_r at t^{2r}
-        for m in range(j):
-            if (j - m) % 2 == 0:
-                acc = acc - k[m] * z[(j - m) // 2]
-        k[j] = acc
+        for m in range(j % 2, j, 2):
+            _accumulate(acc, -1, k[m].terms, z[(j - m) // 2].terms)
+        k.append(_poly(acc))
     return k
 
 
@@ -443,7 +448,7 @@ def coefficient_json(poly, n):
 def coefficient_from_json(doc):
     poly = MultiPoly()
     for c in doc["coefficients"]:
-        poly.terms[(c["u"], c["x"], c["y"], 0)] = Fraction(int(c["value"]))
+        poly.terms[(c["u"], c["x"], c["y"], 0)] = int(c["value"])
     return doc["n"], poly
 
 

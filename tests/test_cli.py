@@ -91,6 +91,32 @@ def test_n_cap_requires_flag(capsys):
     assert err.value.code == 2
 
 
+def test_series_only_run_ignores_the_n_cap(capsys):
+    code, out = run(capsys, "betti", "--n", "12", "--engine", "series")
+    assert code == 0
+    assert out == "n=12: h = 1,2,4,5,7,8,10,11,13,14,16,17,7\n"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--n", "abc"],
+        ["betti", "--n", "5..3"],
+        ["betti", "--n", "6", "--engine", "both"],
+        ["hodge", "--n", "6", "--engine", "spectral"],
+        ["purity", "--n", "7"],
+        ["series", "--t-order", "-1"],
+        ["series", "--t-order", "x"],
+    ],
+)
+def test_usage_errors_name_the_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: conftorus {argv[0]} ")
+
+
 def test_bad_range_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["betti", "--n", "-1"])

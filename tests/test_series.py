@@ -24,6 +24,8 @@ from conftorus.series import (
     coefficient_json,
     conf_gf_betti,
     conf_gf_hodge,
+    conf_series_betti,
+    conf_series_hodge,
     decode_betti,
     decode_hodge,
     expand,
@@ -219,6 +221,21 @@ def test_vakil_wood_rejects_bad_constant_term():
         vakil_wood_conf(z, 3)
 
 
+def test_vakil_wood_matches_closed_forms_to_t40_and_decodes():
+    order = 40
+    k = vakil_wood_conf(macdonald_zeta(PUNCTURED_TORUS_HC, order), order)
+    k4 = vakil_wood_conf(cheah_zeta(PUNCTURED_TORUS_HODGE, order), order)
+    assert k == expand(conf_gf_betti(), order)
+    assert k4 == expand(conf_gf_hodge(), order)
+    for n in range(order + 1):
+        betti = decode_betti(k[n], n)
+        assert sum((-1) ** i * h for i, h in enumerate(betti)) == (-1) ** n
+        collapsed = [0] * len(betti)
+        for (i, _a, _b), dim in decode_hodge(k4[n], n).items():
+            collapsed[i] += dim
+        assert collapsed == betti, n
+
+
 def test_vakil_wood_u_equal_one_gives_alternating_signs():
     # oracle: (1-t)/(1-t^2) = 1/(1+t)
     oracle = expand(
@@ -314,6 +331,7 @@ def test_coefficient_json_round_trip_and_sorting():
     assert all(isinstance(c["value"], str) for c in doc["coefficients"])
     n, back = coefficient_from_json(json.loads(json.dumps(doc)))
     assert n == 2 and back == poly
+    assert all(type(v) is int for v in back.terms.values())
 
 
 def test_coefficient_json_rejects_non_integer():
@@ -325,3 +343,36 @@ def test_coefficient_json_rejects_non_integer():
 def test_property_checks_all_pass():
     results = property_checks()
     assert results and all(r["passed"] for r in results)
+
+
+# -- integer coefficients -------------------------------------------------------
+
+
+def test_series_coefficients_are_plain_ints():
+    order = 40
+    for coeffs in (
+        conf_series_betti(order),
+        conf_series_hodge(order),
+        macdonald_zeta(PUNCTURED_TORUS_HC, order),
+        cheah_zeta(PUNCTURED_TORUS_HODGE, order),
+        expand(conf_gf_hodge(), order),
+    ):
+        assert len(coeffs) == order + 1
+        assert all(type(v) is int for c in coeffs for v in c.terms.values())
+
+
+def test_integral_fraction_values_are_stored_as_int():
+    half = MultiPoly({(1, 0, 0, 0): Fraction(1, 2)})
+    assert type(half.terms[(1, 0, 0, 0)]) is Fraction
+    assert MultiPoly({(0, 0, 0, 0): Fraction(1, 2)}) * 2 == MultiPoly.one()
+    assert hash(MultiPoly({(0, 0, 0, 0): Fraction(1, 2)}) * 2) == hash(MultiPoly.one())
+    for product in (
+        half * 2,
+        half.scale(Fraction(4)),
+        half * MultiPoly.monomial(2, x=1),
+        half + half,
+        MultiPoly({(1, 0, 0, 0): Fraction(6, 3)}),
+    ):
+        assert all(type(v) is int for v in product.terms.values())
+    assert (half + half) == MultiPoly.monomial(u=1)
+    assert half * 2 * Fraction(1, 2) == half
