@@ -39,7 +39,7 @@ space = BidegreeSpace(3, 0, 2)
 print(f"  n=3 (0,2): free dim {space.free_dim}, quotient dim {space.dim}")
 e = Element.from_generators(G(1, 3), G(2, 3))
 coords = space.reduce(e)
-named = {str(space.representative(i)): c for i, c in enumerate(coords) if c}
+named = {str(space.layout.decode(m)): c for m, c in sorted(coords.items())}
 print(f"  g13.g23 reduces to {named}")
 
 print("\nThe three-term relation is the unique sign pattern stable under")

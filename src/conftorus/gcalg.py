@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
+from numbers import Rational
 from typing import NamedTuple, Optional
 
 from .linalg import add_terms
@@ -154,6 +155,14 @@ def normalize(gens, sign=1) -> Optional[Monomial]:
     return Monomial(tuple(seq), sign)
 
 
+def _rational(v):
+    """``v`` as a ``Fraction``; a value that is not a ``numbers.Rational``
+    (a float, say) is a ``TypeError``, since the algebra is exact."""
+    if not isinstance(v, Rational):
+        raise TypeError(f"coefficient {v!r} is not rational")
+    return Fraction(v)
+
+
 class Element:
     """Sparse rational combination of normal-form monomials."""
 
@@ -163,7 +172,7 @@ class Element:
         self.coeffs = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = Fraction(v)
+                v = _rational(v)
                 if v:
                     self.coeffs[k] = v
 
@@ -175,7 +184,7 @@ class Element:
     def from_monomial(cls, m: Optional[Monomial], coeff=1):
         e = cls()
         if m is not None:
-            c = Fraction(coeff) * m.sign
+            c = _rational(coeff) * m.sign
             if c:
                 e.coeffs[m.gens] = c
         return e
@@ -198,7 +207,7 @@ class Element:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _rational(c)
         out = Element()
         if c:
             out.coeffs = {k: v * c for k, v in self.coeffs.items()}
@@ -397,6 +406,21 @@ class Layout:
         return table
 
     @staticmethod
+    def sort_bits(bits):
+        """Koszul sort of distinct bit positions: ``(sign, mask)``, where
+        ``sign`` is the sign of the permutation that orders ``bits``."""
+        inv = sum(
+            1
+            for s in range(len(bits))
+            for t in range(s + 1, len(bits))
+            if bits[s] > bits[t]
+        )
+        mask = 0
+        for b in bits:
+            mask |= 1 << b
+        return (-1 if inv & 1 else 1), mask
+
+    @staticmethod
     def apply_perm(table, mask):
         """Relabel a mask; returns (sign, mask')."""
         imgs = []
@@ -405,16 +429,7 @@ class Layout:
             b = (m & -m).bit_length() - 1
             imgs.append(table[b])
             m &= m - 1
-        inv = sum(
-            1
-            for s in range(len(imgs))
-            for t in range(s + 1, len(imgs))
-            if imgs[s] > imgs[t]
-        )
-        out = 0
-        for b in imgs:
-            out |= 1 << b
-        return (-1 if inv & 1 else 1), out
+        return Layout.sort_bits(imgs)
 
     def differential_mask(self, mask):
         """d of a normal-form mask as a list of (mask', int coeff).
@@ -545,8 +560,11 @@ class BidegreeSpace:
     has at most one smaller neighbour, and p letters x or y, each on the
     smallest vertex of its own component.  :meth:`reduce_mask` and
     :meth:`reduce` give exact quotient coordinates over this basis through
-    the normal form described in the module docstring; ``relation_rank`` is
-    ``free_dim - dim``.
+    the normal form described in the module docstring, as a dict
+    {basis mask: coefficient} without zeros; ``layout.decode(mask)`` names
+    a coordinate.  ``relation_rank`` is ``free_dim - dim``.  A bidegree
+    outside the algebra (a negative degree, or more generators than exist)
+    gives an empty space, of dim 0.
     """
 
     def __init__(self, n, p, q, layout=None):
@@ -555,7 +573,7 @@ class BidegreeSpace:
         lay = self.layout
         self.free_dim = comb(lay.npairs, q) * comb(2 * n, p) if p >= 0 and q >= 0 else 0
         basis = []
-        if p >= 0 and q >= 0:
+        if self.free_dim:
             for g, roots in lay.increasing_forests(q):
                 for deco in combinations(roots, p):
                     for bit0s in product((lay.xbit0, lay.ybit0), repeat=p):
@@ -570,7 +588,6 @@ class BidegreeSpace:
                 f"expected {_basis_size(n, p, q)}"
             )
         self.quotient_basis = basis
-        self._rep_index = {m: i for i, m in enumerate(basis)}
         self.dim = len(basis)
         self.relation_rank = self.free_dim - self.dim
 
@@ -596,21 +613,15 @@ class BidegreeSpace:
             if (used >> r) & 1:
                 return {}
             used |= 1 << r
-            moved.append(b - v + r)
-        inv = sum(
-            1
-            for s in range(len(moved))
-            for t in range(s + 1, len(moved))
-            if moved[s] > moved[t]
-        )
-        letters = 0
-        for b in moved:
-            letters |= 1 << (lay.xbit0 + b)
-        c = -coeff if inv & 1 else coeff
+            moved.append(lay.xbit0 + b - v + r)
+        s, letters = lay.sort_bits(moved)
+        c = coeff if s > 0 else -coeff
         return {h | letters: c * t for h, t in terms.items()}
 
     def reduce(self, e: Element):
-        """Coordinate vector of a homogeneous element, over quotient_basis."""
+        """Quotient coordinates {basis mask: coefficient} of a homogeneous
+        element, in the format of :meth:`reduce_mask`; zero coefficients
+        are left out, so the zero class reduces to ``{}``."""
         lay = self.layout
         acc = {}
         for gens, c in e.coeffs.items():
@@ -621,13 +632,7 @@ class BidegreeSpace:
                     f"({self.p},{self.q})"
                 )
             add_terms(acc, self.reduce_mask(lay.encode(m), c).items())
-        out = [Fraction(0)] * self.dim
-        for mask, v in acc.items():
-            out[self._rep_index[mask]] = v
-        return out
-
-    def representative(self, idx):
-        return self.layout.decode(self.quotient_basis[idx])
+        return acc
 
     def dump_json(self):
         lay = self.layout

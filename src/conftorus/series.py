@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 
 __all__ = [
     "MultiPoly",
@@ -76,9 +77,13 @@ def _key(u=0, x=0, y=0, t=0):
 
 
 def _exact(v):
-    """``v`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    """``v`` as an ``int`` when it is integral, else as a ``Fraction``; a
+    value that is not a ``numbers.Rational`` (a float, say) is a
+    ``TypeError``, since every coefficient is exact."""
     if type(v) is int:
         return v
+    if not isinstance(v, Rational):
+        raise TypeError(f"coefficient {v!r} is not rational")
     v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
 
@@ -158,7 +163,7 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             return self.scale(other)
         out = {}
         _accumulate(out, 1, self.terms, other.terms)
@@ -186,9 +191,6 @@ class MultiPoly:
 
     def is_one(self):
         return self.terms == {_key(): 1}
-
-    def t_degree(self):
-        return max((k[_T] for k in self.terms), default=0)
 
     def t_coefficients(self, order):
         """Split into coefficients of t^0 .. t^order (t-exponent zeroed)."""

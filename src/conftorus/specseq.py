@@ -44,7 +44,9 @@ class InvariantSpace:
     """Fixed vectors of one bidegree, in quotient coordinates.
 
     ``blocks`` maps a Hodge bidegree (a, b) to a list of basis vectors, each
-    a dict {quotient coordinate index: Fraction}.
+    a dict {basis mask: Fraction} over ``space.quotient_basis``, the format
+    of :meth:`BidegreeSpace.reduce`.  Outside the algebra the space is
+    empty and so is ``blocks``.
     """
 
     n: int
@@ -112,39 +114,33 @@ class SpectralEngine:
 
     # -- spaces --------------------------------------------------------------
 
-    def space(self, p, q):
+    def space(self, p, q) -> BidegreeSpace:
+        """The quotient in bidegree (p, q); empty (dim 0) outside the
+        algebra."""
         key = (p, q)
         if key not in self._spaces:
-            lay = self.layout
-            if p < 0 or q < 0 or p > 2 * self.n or q > lay.npairs:
-                self._spaces[key] = None
-            else:
-                self._spaces[key] = BidegreeSpace(self.n, p, q, layout=lay)
+            self._spaces[key] = BidegreeSpace(self.n, p, q, layout=self.layout)
         return self._spaces[key]
 
     # -- invariants ------------------------------------------------------------
 
-    def invariants(self, p, q) -> InvariantSpace | None:
+    def invariants(self, p, q) -> InvariantSpace:
         key = (p, q)
         if key in self._invariants:
             return self._invariants[key]
         space = self.space(p, q)
-        if space is None:
-            self._invariants[key] = None
-            return None
         lay = self.layout
         blocks_cols = {}
-        for idx, mask in enumerate(space.quotient_basis):
-            blocks_cols.setdefault(lay.hodge_bidegree(mask), []).append(idx)
+        for mask in space.quotient_basis:
+            blocks_cols.setdefault(lay.hodge_bidegree(mask), []).append(mask)
         blocks = {}
         tables = self._perm_tables
         for ab, cols in sorted(blocks_cols.items()):
             if not tables:
-                blocks[ab] = [{g: Fraction(1)} for g in cols]
+                blocks[ab] = [{mask: Fraction(1)} for mask in cols]
                 continue
             constraint_cols = []
-            for g in cols:
-                mask = space.quotient_basis[g]
+            for mask in cols:
                 col = {}
                 for tno, table in enumerate(tables):
                     s, img = lay.apply_perm(table, mask)
@@ -169,14 +165,10 @@ class SpectralEngine:
         target quotient coordinates."""
         target = self.space(inv.p + 2, inv.q - 1)
         rows = []
-        if target is None:
-            return rows
-        space = inv.space
         dcache = {}
         for vec in inv.blocks.get(ab, []):
             img = {}
-            for idx, c in vec.items():
-                mask = space.quotient_basis[idx]
+            for mask, c in vec.items():
                 if mask not in dcache:
                     acc = {}
                     for m2, c2 in self.layout.differential_mask(mask):
@@ -188,10 +180,7 @@ class SpectralEngine:
         return rows
 
     def d_rank(self, p, q, ab):
-        inv = self.invariants(p, q)
-        if inv is None:
-            return 0
-        rows = self._d_image_rows(inv, ab)
+        rows = self._d_image_rows(self.invariants(p, q), ab)
         return rank_of_rows(rows) if rows else 0
 
     # -- the report ---------------------------------------------------------------
@@ -207,16 +196,13 @@ class SpectralEngine:
         ]
         rank_out = {}
         for p, q in bidegrees:
-            inv = self.invariants(p, q)
-            if inv is None:
-                continue
-            for ab, vecs in inv.blocks.items():
+            for ab, vecs in self.invariants(p, q).blocks.items():
                 if vecs:
                     rank_out[(p, q, ab)] = self.d_rank(p, q, ab)
         e2_inv, e3_inv, e3_hodge = {}, {}, {}
         for p, q in bidegrees:
             inv = self.invariants(p, q)
-            if inv is None or inv.dim == 0:
+            if inv.dim == 0:
                 continue
             e2_inv[(p, q)] = inv.dim
             for ab, vecs in inv.blocks.items():

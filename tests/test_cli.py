@@ -167,6 +167,16 @@ def test_selftest_small(capsys):
     assert "genus_zero_table" in names
 
 
+def test_selftest_cross_checks_every_requested_n(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "run_selftest", lambda n_max: [])
+    monkeypatch.setattr(series, "property_checks", lambda: [])
+    code, out = run(capsys, "selftest", "--n", "6", "--allow-n6", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["name,passed"] + [
+        f"engine_matches_series_n{n},1" for n in range(7)
+    ]
+
+
 def test_purity_violation_is_reported_not_raised(capsys, monkeypatch):
     monkeypatch.setattr(SpectralEngine, "d_rank", lambda self, p, q, ab: 0)
     code, out = run(capsys, "purity", "--n", "3")

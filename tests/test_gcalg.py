@@ -31,6 +31,7 @@ from conftorus.gcalg import (
     sn_act,
     symmetrize,
 )
+from conftorus.linalg import add_terms
 
 
 def brute_force_sign(gens):
@@ -274,7 +275,7 @@ def test_relation_span_n2_21_kills_everything():
     assert space.dim == 0
     assert space.relation_rank == 6
     for m in free_basis(2, 2, 1):
-        assert not any(space.reduce(Element.from_monomial(m)))
+        assert space.reduce(Element.from_monomial(m)) == {}
 
 
 def test_relation_span_n2_02_empty():
@@ -299,35 +300,49 @@ def test_reduce_letter_transport():
     e = Element.from_generators(G(1, 2), X(1)) - Element.from_generators(
         G(1, 2), X(2)
     )
-    assert not any(space.reduce(e))
+    assert space.reduce(e) == {}
 
 
 def test_reduce_xy_vanishes():
     space = BidegreeSpace(2, 2, 0)
-    assert not any(space.reduce(Element.from_generators(X(1), Y(1))))
+    assert space.reduce(Element.from_generators(X(1), Y(1))) == {}
 
 
 def test_reduce_circuit_rewrites():
     space = BidegreeSpace(3, 0, 2)
     coords = space.reduce(Element.from_generators(G(1, 3), G(2, 3)))
-    named = {
-        str(space.representative(i)): c for i, c in enumerate(coords) if c
-    }
-    assert named == {"g12.g13": Fraction(-1), "g12.g23": Fraction(1)}
+    named = {str(space.layout.decode(mask)): c for mask, c in coords.items()}
+    assert named == {"g12.g13": -1, "g12.g23": 1}
 
 
 def test_reduce_is_idempotent_on_representatives():
     space = BidegreeSpace(3, 1, 1)
-    for idx in range(space.dim):
-        rep = space.representative(idx)
-        coords = space.reduce(Element.from_monomial(rep))
-        assert coords[idx] == 1 and sum(1 for c in coords if c) == 1
-        # rebuild from coordinates and reduce again
-        e = Element.zero()
-        for k, c in enumerate(coords):
-            if c:
-                e = e + Element.from_monomial(space.representative(k), c)
-        assert space.reduce(e) == coords
+    for mask in space.quotient_basis:
+        coords = space.reduce(Element.from_monomial(space.layout.decode(mask)))
+        assert coords == {mask: 1}
+    # rebuild an element from its coordinates and reduce again
+    coords = space.reduce(Element.from_generators(G(2, 3), X(3)))
+    e = Element.zero()
+    for mask, c in coords.items():
+        e = e + Element.from_monomial(space.layout.decode(mask), c)
+    assert space.reduce(e) == coords
+
+
+def test_reduce_sums_reduce_mask_over_terms():
+    space = BidegreeSpace(3, 1, 2)
+    lay = space.layout
+    basis = set(space.quotient_basis)
+    e = (
+        Element.from_generators(G(1, 3), G(2, 3), X(3))
+        - Element.from_generators(G(1, 2), G(2, 3), Y(2)).scale(3)
+        + Element.from_generators(G(1, 3), G(2, 3), Y(1)).scale(Fraction(1, 2))
+    )
+    want = {}
+    for m, c in e.terms():
+        add_terms(want, space.reduce_mask(lay.encode(m), c).items())
+    got = space.reduce(e)
+    assert got == want
+    assert got and set(got) <= basis and all(got.values())
 
 
 def test_reduce_rejects_wrong_bidegree():
@@ -351,7 +366,7 @@ def test_differential_of_pair_class_vanishes_in_quotient():
     space = BidegreeSpace(2, 3, 0)
     d = differential(Element.from_generators(G(1, 2), X(1)))
     assert d  # nonzero upstairs
-    assert not any(space.reduce(d))
+    assert space.reduce(d) == {}
 
 
 def leibniz_oracle(m: Monomial) -> Element:
@@ -452,6 +467,37 @@ def test_symmetrize_idempotent():
     assert symmetrize(s, 3) == s
 
 
+def test_sort_bits_sign_and_mask():
+    assert Layout.sort_bits([]) == (1, 0)
+    assert Layout.sort_bits([2, 0]) == (-1, 0b101)
+    assert Layout.sort_bits([3, 1, 2]) == (1, 0b1110)
+    lay = Layout(3)
+    table = lay.perm_table((2, 3, 1))
+    for gens in ((G(1, 2), X(3)), (G(1, 3), G(2, 3), Y(1)), (X(1), X(2), Y(3))):
+        want = normalize(tuple(
+            lay.bit_gen(table[lay.gen_bit(g)]) for g in gens
+        ))
+        sign, mask = lay.apply_perm(table, lay.encode(normalize(gens)))
+        assert (sign, mask) == (want.sign, lay.encode(want))
+
+
+# -- exact coefficients ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Element({(X(1),): 0.1}),
+        lambda: Element.from_monomial(normalize((X(1),)), 0.5),
+        lambda: Element.from_generators(X(1)).scale(0.1),
+    ],
+    ids=["init", "from_monomial", "scale"],
+)
+def test_float_coefficients_are_rejected(build):
+    with pytest.raises(TypeError, match="not rational"):
+        build()
+
+
 # -- degenerate sizes --------------------------------------------------------------------
 
 
@@ -461,6 +507,7 @@ def test_n0_and_n1_spaces():
     s1 = BidegreeSpace(1, 1, 0)
     assert s1.dim == 2
     assert BidegreeSpace(1, 2, 0).dim == 0  # x1 y1 = 0
+    assert BidegreeSpace(0, 0, 1).dim == 0  # no pairs to carry a g
 
 
 def test_dump_json_shape():

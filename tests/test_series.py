@@ -376,3 +376,17 @@ def test_integral_fraction_values_are_stored_as_int():
         assert all(type(v) is int for v in product.terms.values())
     assert (half + half) == MultiPoly.monomial(u=1)
     assert half * 2 * Fraction(1, 2) == half
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiPoly({(0, 0, 0, 0): 0.1}),
+        lambda: MultiPoly.one().scale(0.1),
+        lambda: MultiPoly.one() * 0.5,
+    ],
+    ids=["init", "scale", "mul"],
+)
+def test_float_coefficients_are_rejected(build):
+    with pytest.raises(TypeError, match="not rational"):
+        build()

@@ -1,11 +1,10 @@
 """Spectral engine: invariant bases, surviving dimensions, purity, decoded
 Betti/Hodge tables, and the cross-check against the series module."""
 
-from fractions import Fraction
-
 import pytest
 
 from conftorus.gcalg import Element, X, Y, symmetrize
+from conftorus.linalg import integer_row, rank_of_rows
 from conftorus.series import w
 from conftorus.specseq import (
     SpectralEngine,
@@ -40,44 +39,33 @@ def test_invariant_vectors_are_fixed_n2():
         - Element.from_generators(Y(1), X(2))
     )
     (vec,) = list(inv.vectors())
-    dense = [vec.get(i, Fraction(0)) for i in range(space.dim)]
-    ratio = None
-    for a, b in zip(dense, want):
-        if bool(a) != bool(b):
-            pytest.fail("different support")
-        if a:
-            r = a / b
-            assert ratio is None or r == ratio
-            ratio = r
-    assert ratio is not None
+    assert want and set(vec) == set(want)
+    assert len({vec[mask] / want[mask] for mask in want}) == 1
 
 
 def test_invariants_agree_with_symmetrizer_image_n3():
     eng = SpectralEngine(3)
     for q in range(eng.layout.npairs + 1):
         for p in range(7):
-            inv = eng.invariants(p, q)
-            if inv is None or inv.space.dim == 0:
-                continue
-            space = inv.space
+            space = eng.space(p, q)
             rows = []
             for mask in space.quotient_basis:
                 e = symmetrize(
                     Element.from_monomial(space.layout.decode(mask)), 3
                 )
                 vec = space.reduce(e)
-                row = {i: v for i, v in enumerate(vec) if v}
-                if row:
-                    rows.append(row)
-            from conftorus.linalg import rank_of_rows
+                if vec:
+                    rows.append(integer_row(vec))
+            assert rank_of_rows(rows) == eng.invariants(p, q).dim, (p, q)
 
-            int_rows = []
-            for row in rows:
-                denom = 1
-                for v in row.values():
-                    denom *= v.denominator
-                int_rows.append({k: int(v * denom) for k, v in row.items()})
-            assert rank_of_rows(int_rows) == inv.dim, (p, q)
+
+def test_spaces_outside_the_algebra_are_empty_n3():
+    eng = SpectralEngine(3)
+    for p, q in ((7, 0), (0, 4), (2, -1)):
+        space = eng.space(p, q)
+        assert space.dim == 0 and space.quotient_basis == []
+        inv = eng.invariants(p, q)
+        assert inv.dim == 0 and inv.space is space
 
 
 # -- E3 dimensions -----------------------------------------------------------
