@@ -1,20 +1,16 @@
 """Sparse exact linear algebra over the rationals.
 
 Rows are dicts mapping a column key to a nonzero coefficient.  Columns are
-integers (bitmask-encoded monomials) so keys are totally ordered.  Two pieces
-of machinery cover the genus-zero oracle's quotient elimination
-(:class:`conftorus.oracle.ArnoldAlgebra`), and the echelon form also serves
-the invariant kernels and differential ranks:
-
-* ``SignedUnionFind`` absorbs one- and two-term relation rows (``m = 0`` and
-  ``m1 = +-m2``) in near-linear time, keeping a zero flag per class.
-* ``SparseEchelon`` is a forward-only integer echelon form for whatever the
-  union-find cannot absorb.  Pivot = largest column key of the row, so the
-  surviving coset representatives are the small monomials.  Elimination is
-  fraction-free: a row is reduced against a pivot entry 1 in place, and is
-  scaled by the pivot entry and divided by its content (gcd) only when that
-  entry is not 1.  Every installed row is divided by its content and has a
-  positive pivot entry, so it is the same row however it was reached.
+integers (bitmask-encoded monomials) so keys are totally ordered.
+``SparseEchelon`` is a forward-only integer echelon form; it serves the
+genus-zero oracle's quotient elimination
+(:class:`conftorus.oracle.ArnoldAlgebra`), the invariant kernels and the
+differential ranks.  Pivot = largest column key of the row, so the
+surviving coset representatives are the small monomials.  Elimination is
+fraction-free: a row is reduced against a pivot entry 1 in place, and is
+scaled by the pivot entry and divided by its content (gcd) only when that
+entry is not 1.  Every installed row is divided by its content and has a
+positive pivot entry, so it is the same row however it was reached.
 
 ``add_terms`` is the one sparse accumulate (add, drop zeros) the engine and
 the oracles share; ``integer_row`` clears the denominators of a row.
@@ -36,63 +32,6 @@ def add_terms(acc, pairs):
         elif k in acc:
             del acc[k]
     return acc
-
-
-class SignedUnionFind:
-    """Union-find on column keys where each union carries a sign.
-
-    ``union(a, b, s)`` records the relation ``a = s * b`` with ``s`` in
-    ``{+1, -1}``.  A class may be flagged zero; a sign contradiction
-    (``a = a`` and ``a = -a``) zeroes the class.
-    """
-
-    def __init__(self):
-        self.parent = {}  # key -> (parent, sign) with key == sign * parent
-        self.zero = set()  # flagged roots
-
-    def find(self, k):
-        """Return ``(root, sign)`` with ``k == sign * root``."""
-        path = []
-        cur, sign = k, 1
-        while cur in self.parent:
-            nxt, s = self.parent[cur]
-            path.append((cur, sign))
-            sign *= s
-            cur = nxt
-        if len(path) > 1:
-            for node, pref in path:
-                self.parent[node] = (cur, 1 if pref == sign else -1)
-        return cur, sign
-
-    def flatten(self):
-        """Point every key directly at its root.  After this, ``find`` no
-        longer writes, so the structure is safe to share read-only."""
-        for k in list(self.parent):
-            self.find(k)
-
-    def union(self, a, b, s):
-        """Impose ``a = s * b``."""
-        ra, sa = self.find(a)
-        rb, sb = self.find(b)
-        rel = sa * s * sb  # ra = rel * rb
-        if ra == rb:
-            if rel != 1:
-                self.set_zero_root(ra)
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        # attach the larger root under the smaller one
-        self.parent[rb] = (ra, rel)
-        if rb in self.zero:
-            self.zero.discard(rb)
-            self.zero.add(ra)
-
-    def set_zero(self, k):
-        root, _ = self.find(k)
-        self.set_zero_root(root)
-
-    def set_zero_root(self, root):
-        self.zero.add(root)
 
 
 class SparseEchelon:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
 from typing import NamedTuple
 
 from .gcalg import (
@@ -45,7 +44,6 @@ from .gcalg import (
     symmetrize,
 )
 from .linalg import (
-    SignedUnionFind,
     SparseEchelon,
     add_terms,
     integer_row,
@@ -74,7 +72,7 @@ __all__ = [
 class _Degree(NamedTuple):
     dim: int
     basis: tuple
-    uf: SignedUnionFind
+    zero: set
     ech: SparseEchelon
 
 
@@ -82,7 +80,20 @@ class ArnoldAlgebra:
     """Exterior algebra on the g_ij modulo the circuit relation, graded by
     the number of g factors.  Quotients are computed degree by degree; once
     a degree dies the algebra is zero above it (it is generated in degree
-    one), and the top nonzero degree is checked to be at most n - 1."""
+    one), and the top nonzero degree is checked to be at most n - 1.
+
+    The relations of degree q are the multiples mu * r of the triangle
+    relations r = g_ij g_ik - g_ij g_jk + g_ik g_jk, with mu a product of
+    q - 2 other g's.  A monomial holding a whole triangle is zero.  Each
+    edge of ijk lies in exactly two of the three terms of r, so a term of
+    mu * r dies only when mu closes a triangle on one of its edges, and
+    then it dies together with the other term on that edge: a row keeps
+    3, 1 or 0 terms.  A 1-term row puts its monomial in the set ``zero``;
+    a 3-term row goes to one ``SparseEchelon``.  Rows installed before one
+    of their monomials was found zero still hold it, so once every row is
+    in, each installed row is stripped of its zero monomials and
+    eliminated again into a fresh echelon.  The basis is every
+    triangle-free monomial that is neither zero nor a pivot."""
 
     def __init__(self, n):
         self.n = n
@@ -118,7 +129,7 @@ class ArnoldAlgebra:
     def degree(self, q) -> _Degree:
         if q in self._degrees:
             return self._degrees[q]
-        uf, ech = SignedUnionFind(), SparseEchelon()
+        zero, ech = set(), SparseEchelon()
         triples = combinations(range(1, self.n + 1), 3) if q >= 2 else ()
         for i, j, k in triples:
             eij, eik, ejk = self.bit[(i, j)], self.bit[(i, k)], self.bit[(j, k)]
@@ -132,22 +143,19 @@ class ArnoldAlgebra:
                 mu = 0
                 for b in sel:
                     mu |= 1 << b
-                row = []
+                row = {}
                 for tmask, tc in terms:
                     s, prod = self._merge(mu, tmask)
                     if s and not self._has_triangle(prod):
-                        row.append((prod, tc * s))
+                        row[prod] = tc * s
                 if len(row) == 1:
-                    uf.set_zero(row[0][0])
-                elif len(row) == 2:
-                    (m1, c1), (m2, c2) = row
-                    uf.union(m1, m2, -c1 * c2)
-                elif len(row) == 3:
-                    found = ((uf.find(mask), c) for mask, c in row)
-                    live = ((r, c * s) for (r, s), c in found if r not in uf.zero)
-                    acc = add_terms({}, live)
-                    if acc:
-                        ech.add_row(acc)
+                    zero.update(row)
+                elif row:
+                    ech.add_row({m: c for m, c in row.items() if m not in zero})
+        rows, ech = ech.rows, SparseEchelon()
+        while rows:
+            _, row = rows.popitem()
+            ech.add_row({m: c for m, c in row.items() if m not in zero})
         basis = []
         for sel in combinations(range(self.npairs), q):
             mask = 0
@@ -155,11 +163,9 @@ class ArnoldAlgebra:
                 mask |= 1 << b
             if self._has_triangle(mask):
                 continue
-            root, _ = uf.find(mask)
-            if root == mask and root not in uf.zero and root not in ech.rows:
+            if mask not in zero and mask not in ech.rows:
                 basis.append(mask)
-        uf.flatten()
-        deg = _Degree(len(basis), tuple(sorted(basis)), uf, ech)
+        deg = _Degree(len(basis), tuple(sorted(basis)), zero, ech)
         self._degrees[q] = deg
         return deg
 
@@ -169,12 +175,9 @@ class ArnoldAlgebra:
         return self.degree(q).dim
 
     def _reduce_mask(self, deg: _Degree, mask, coeff):
-        if self._has_triangle(mask):
+        if mask in deg.zero or self._has_triangle(mask):
             return {}
-        root, s = deg.uf.find(mask)
-        if root in deg.uf.zero:
-            return {}
-        return deg.ech.reduce_vector({root: Fraction(coeff) * s})
+        return deg.ech.reduce_vector({mask: coeff})
 
     def invariant_dim(self, q):
         """Dimension of the fixed space of (1 2) and the n-cycle."""
@@ -209,7 +212,7 @@ class ArnoldAlgebra:
                     out |= 1 << b
                 sgn = -1 if inv % 2 else 1
                 vec = self._reduce_mask(deg, out, sgn)
-                vec[mask] = vec.get(mask, Fraction(0)) - 1
+                vec[mask] = vec.get(mask, 0) - 1
                 for m, v in vec.items():
                     if v:
                         row[(tno, m)] = v
@@ -234,8 +237,6 @@ def arnold_conf_betti(n):
     dims = []
     q = 0
     while q <= alg.npairs:
-        if q > 0 and comb(alg.npairs, q) == 0:
-            break
         d = alg.quotient_dim(q)
         if d == 0:
             break
@@ -574,8 +575,6 @@ class _Suite:
             lay = Layout(nn)
             for q in range(1, lay.npairs + 1):
                 sp = BidegreeSpace(nn, 0, q, layout=lay)
-                if sp.free_dim == 0:
-                    continue
                 vecs = [
                     sp.reduce(Element.from_monomial(m))
                     for m in _path_products(nn, q)
@@ -754,8 +753,6 @@ class _Suite:
             lay = Layout(n)
             for q in range(lay.npairs + 1):
                 for p in range(2 * n + 1):
-                    if comb(lay.npairs, q) * comb(2 * n, p) == 0:
-                        continue
                     target = BidegreeSpace(n, p + 2, q - 1, layout=lay)
                     for row in relation_span(n, p, q, layout=lay):
                         de = differential(row)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -39,7 +40,7 @@ def test_arnold_table(n):
 def test_arnold_quotient_dims_are_falling_factorial_coefficients():
     # dimensions of ordered-configuration cohomology of the line:
     # coefficients of (1+t)(1+2t)...(1+(n-1)t)
-    for n in range(1, 6):
+    for n in range(1, 7):
         poly = [1]
         for k in range(1, n):
             poly = [
@@ -49,6 +50,24 @@ def test_arnold_quotient_dims_are_falling_factorial_coefficients():
         alg = ArnoldAlgebra(n)
         got = [alg.quotient_dim(q) for q in range(len(poly))]
         assert got == poly, n
+
+
+def test_arnold_echelon_holds_no_zero_monomial():
+    """Every relation row left in the echelon is free of zero monomials, so
+    each degree splits into basis, zero monomials and pivots."""
+    for n in range(1, 7):
+        alg = ArnoldAlgebra(n)
+        for q in range(alg.npairs + 1):
+            deg = alg.degree(q)
+            for row in deg.ech.rows.values():
+                assert deg.zero.isdisjoint(row), (n, q)
+            assert deg.zero.isdisjoint(deg.ech.rows), (n, q)
+            free = sum(
+                1
+                for sel in combinations(range(alg.npairs), q)
+                if not alg._has_triangle(sum(1 << b for b in sel))
+            )
+            assert deg.dim + len(deg.zero) + deg.ech.rank == free, (n, q)
 
 
 def test_arnold_dies_at_degree_n():
