@@ -84,16 +84,22 @@ class ArnoldAlgebra:
 
     The relations of degree q are the multiples mu * r of the triangle
     relations r = g_ij g_ik - g_ij g_jk + g_ik g_jk, with mu a product of
-    q - 2 other g's.  A monomial holding a whole triangle is zero.  Each
-    edge of ijk lies in exactly two of the three terms of r, so a term of
-    mu * r dies only when mu closes a triangle on one of its edges, and
-    then it dies together with the other term on that edge: a row keeps
-    3, 1 or 0 terms.  A 1-term row puts its monomial in the set ``zero``;
-    a 3-term row goes to one ``SparseEchelon``.  Rows installed before one
-    of their monomials was found zero still hold it, so once every row is
-    in, each installed row is stripped of its zero monomials and
-    eliminated again into a fresh echelon.  The basis is every
-    triangle-free monomial that is neither zero nor a pivot."""
+    q - 2 other g's.  A monomial holding a whole triangle is zero, so only
+    triangle-free monomials are enumerated: :meth:`_walk` adds edges in
+    increasing order and carries the closing mask, the edges that would
+    close a triangle on two edges already chosen.  A multiplier mu holding
+    a triangle kills every term of mu * r and is never visited.
+
+    For a triangle-free mu disjoint from the triangle T, a term t of
+    mu * r_T holds a triangle exactly when t meets closing(mu): a triangle
+    with one edge in t has its other two in mu, and the only triangle with
+    two edges in t is T, whose third edge mu misses.  Each edge of T lies
+    in two of the three terms, so a row keeps 3, 1 or 0 terms.  The
+    multipliers are walked twice.  The first walk puts the monomial of
+    every 1-term row in the set ``zero``; the second sends every 3-term
+    row, stripped of its zero monomials, to one ``SparseEchelon``, so no
+    echelon row holds a zero monomial.  A walk at degree q then reads the
+    basis: every triangle-free monomial that is neither zero nor a pivot."""
 
     def __init__(self, n):
         self.n = n
@@ -102,10 +108,19 @@ class ArnoldAlgebra:
         ]
         self.bit = {p: b for b, p in enumerate(self.pairs)}
         self.npairs = len(self.pairs)
-        self.triangles = [
-            (1 << self.bit[(i, j)]) | (1 << self.bit[(i, k)]) | (1 << self.bit[(j, k)])
-            for i, j, k in combinations(range(1, n + 1), 3)
-        ]
+        self.triangles = []
+        # the terms of r_T, and per edge e the wedges (f, g) as bits: f < e
+        # shares a vertex with e and g closes the triangle on e and f
+        self._relations = []
+        self._wedges = [[] for _ in self.pairs]
+        for i, j, k in combinations(range(1, n + 1), 3):
+            eij, eik, ejk = (1 << self.bit[p] for p in ((i, j), (i, k), (j, k)))
+            self.triangles.append(eij | eik | ejk)
+            self._relations.append(
+                (eij | eik | ejk, ((eij | eik, 1), (eij | ejk, -1), (eik | ejk, 1)))
+            )
+            self._wedges[self.bit[(i, k)]].append((eij, ejk))
+            self._wedges[self.bit[(j, k)]] += [(eij, eik), (eik, eij)]
         self._degrees = {}
 
     # independent sign bookkeeping: for each bit of m2, the bits of m1 above it
@@ -120,51 +135,60 @@ class ArnoldAlgebra:
             inv += (m1 & -(low << 1)).bit_count()
         return (-1 if inv % 2 else 1), m1 | m2
 
-    def _has_triangle(self, mask):
-        for t in self.triangles:
-            if mask & t == t:
-                return True
-        return False
+    def _walk(self, q, visit):
+        """Call ``visit(mask, closing)`` once on every triangle-free mask of
+        q edges; ``closing`` holds the edges that would close a triangle on
+        two edges of ``mask``."""
+        wedges, top = self._wedges, self.npairs
+
+        def grow(start, mask, closing, left):
+            if not left:
+                visit(mask, closing)
+                return
+            for e in range(start, top - left + 1):
+                if closing >> e & 1:
+                    continue
+                grown = closing
+                for f, g in wedges[e]:
+                    if mask & f:
+                        grown |= g
+                grow(e + 1, mask | 1 << e, grown, left - 1)
+
+        if q >= 0:
+            grow(0, 0, 0, q)
 
     def degree(self, q) -> _Degree:
         if q in self._degrees:
             return self._degrees[q]
-        zero, ech = set(), SparseEchelon()
-        triples = combinations(range(1, self.n + 1), 3) if q >= 2 else ()
-        for i, j, k in triples:
-            eij, eik, ejk = self.bit[(i, j)], self.bit[(i, k)], self.bit[(j, k)]
-            terms = [
-                ((1 << eij) | (1 << eik), 1),
-                ((1 << eij) | (1 << ejk), -1),
-                ((1 << eik) | (1 << ejk), 1),
-            ]
-            others = [b for b in range(self.npairs) if b not in (eij, eik, ejk)]
-            for sel in combinations(others, q - 2):
-                mu = 0
-                for b in sel:
-                    mu |= 1 << b
+        zero, ech, basis = set(), SparseEchelon(), []
+        relations = self._relations
+
+        def find_zero(mu, closing):
+            for tri, _ in relations:
+                hit = tri & closing
+                # one edge of T closed: only the term without it survives
+                if hit and not hit & (hit - 1) and not tri & mu:
+                    zero.add(mu | tri ^ hit)
+
+        def eliminate(mu, closing):
+            blocked = mu | closing
+            for tri, terms in relations:
+                if tri & blocked:
+                    continue
                 row = {}
-                for tmask, tc in terms:
-                    s, prod = self._merge(mu, tmask)
-                    if s and not self._has_triangle(prod):
-                        row[prod] = tc * s
-                if len(row) == 1:
-                    zero.update(row)
-                elif row:
-                    ech.add_row({m: c for m, c in row.items() if m not in zero})
-        rows, ech = ech.rows, SparseEchelon()
-        while rows:
-            _, row = rows.popitem()
-            ech.add_row({m: c for m, c in row.items() if m not in zero})
-        basis = []
-        for sel in combinations(range(self.npairs), q):
-            mask = 0
-            for b in sel:
-                mask |= 1 << b
-            if self._has_triangle(mask):
-                continue
+                for t, c in terms:
+                    s, prod = self._merge(mu, t)
+                    if prod not in zero:
+                        row[prod] = c * s
+                ech.add_row(row)
+
+        def read_basis(mask, closing):
             if mask not in zero and mask not in ech.rows:
                 basis.append(mask)
+
+        self._walk(q - 2, find_zero)
+        self._walk(q - 2, eliminate)
+        self._walk(q, read_basis)
         deg = _Degree(len(basis), tuple(sorted(basis)), zero, ech)
         self._degrees[q] = deg
         return deg
@@ -175,7 +199,8 @@ class ArnoldAlgebra:
         return self.degree(q).dim
 
     def _reduce_mask(self, deg: _Degree, mask, coeff):
-        if mask in deg.zero or self._has_triangle(mask):
+        # mask relabels a basis monomial, so it is triangle-free like it
+        if mask in deg.zero:
             return {}
         return deg.ech.reduce_vector({mask: coeff})
 
@@ -767,7 +792,11 @@ class _Suite:
         bad = None
         top = min(self.n_max, 7)
         for n in range(2, top + 1):
-            dims = arnold_conf_betti(n)
+            try:
+                dims = arnold_conf_betti(n)
+            except AssertionError as err:
+                bad = str(err)
+                continue
             expected = [1, 1] + [0] * (len(dims) - 2)
             if dims != expected:
                 bad = f"n={n}: {dims}"

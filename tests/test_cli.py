@@ -201,6 +201,23 @@ def test_failed_selftest_check_gives_nonzero_exit(capsys, monkeypatch):
     assert "FAIL left_inverse_and_relation_annihilation" in out
 
 
+def test_genus_zero_verdict_is_reported_not_raised(capsys, monkeypatch):
+    # a live degree n makes arnold_conf_betti raise its AssertionError
+    monkeypatch.setattr(
+        oracle.ArnoldAlgebra, "quotient_dim", lambda self, q: int(q <= self.n)
+    )
+    code, out = run(capsys, "selftest", "--n", "3", "--format", "json")
+    assert code == 1
+    doc = json.loads(out.strip())
+    assert doc["all_passed"] is False
+    (entry,) = [r for r in doc["results"] if r["name"] == "genus_zero_table"]
+    assert entry["passed"] is False
+    assert entry["counterexample"] == "nonzero piece above degree n-1 at n=3"
+    code, out = run(capsys, "selftest", "--n", "3")
+    assert code == 1
+    assert "FAIL genus_zero_table" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,8 +1,10 @@
 """Oracle structures: the genus-zero algebra, V(n), phi/psi and the suite."""
 
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,10 @@ def test_arnold_quotient_dims_are_falling_factorial_coefficients():
         assert got == poly, n
 
 
+def _holds_triangle(alg, mask):
+    return any(mask & t == t for t in alg.triangles)
+
+
 def test_arnold_echelon_holds_no_zero_monomial():
     """Every relation row left in the echelon is free of zero monomials, so
     each degree splits into basis, zero monomials and pivots."""
@@ -65,9 +71,63 @@ def test_arnold_echelon_holds_no_zero_monomial():
             free = sum(
                 1
                 for sel in combinations(range(alg.npairs), q)
-                if not alg._has_triangle(sum(1 << b for b in sel))
+                if not _holds_triangle(alg, sum(1 << b for b in sel))
             )
             assert deg.dim + len(deg.zero) + deg.ech.rank == free, (n, q)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_arnold_walk_visits_each_triangle_free_mask_once(n):
+    """The walk meets every triangle-free mask of q edges once and nothing
+    else, and its closing mask is every edge outside the mask that would
+    complete a triangle."""
+    alg = ArnoldAlgebra(n)
+    by_size = {}
+    for mask in range(1 << alg.npairs):
+        if not _holds_triangle(alg, mask):
+            by_size.setdefault(mask.bit_count(), set()).add(mask)
+    for q in range(alg.npairs + 1):
+        seen = []
+        alg._walk(q, lambda mask, closing: seen.append((mask, closing)))
+        masks = [mask for mask, _ in seen]
+        assert len(set(masks)) == len(masks), (n, q)
+        assert set(masks) == by_size.get(q, set()), (n, q)
+        for mask, closing in seen:
+            brute = 0
+            for e in range(alg.npairs):
+                if not mask >> e & 1 and _holds_triangle(alg, mask | 1 << e):
+                    brute |= 1 << e
+            assert closing == brute, (n, q, mask)
+
+
+def test_arnold_oracle_uses_nothing_from_gcalg():
+    """ArnoldAlgebra and arnold_conf_betti, with every module-level helper
+    they reach, name nothing that oracle.py imports from gcalg, so the
+    genus-zero check does not lean on the engine it checks."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    from_gcalg = {"gcalg"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "gcalg":
+            from_gcalg.update(alias.asname or alias.name for alias in node.names)
+    assert {"Layout", "BidegreeSpace", "normalize"} <= from_gcalg
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    todo, reached, used = ["ArnoldAlgebra", "arnold_conf_betti"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+                if node.id in defs:
+                    todo.append(node.id)
+    assert {"_Degree", "_bits"} <= reached
+    assert not used & from_gcalg, sorted(used & from_gcalg)
 
 
 def test_arnold_dies_at_degree_n():
