@@ -3,7 +3,8 @@
 Commands: betti, hodge, purity, series, selftest.  Output is deterministic
 (sorted keys, ascending n); exit code is 0 exactly when every requested
 check passes.  Reports stream per n so long ranges yield partial output
-early.
+early.  An inconsistent engine page (negative E3) or an undecodable series
+coefficient ends the run with a message on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import oracle, series
-from .specseq import e3_dims, verify_against_series
+from .specseq import NegativeE3Error, e3_dims, verify_against_series
 
 N_CAP = 5
 
@@ -260,6 +261,10 @@ def main(argv=None):
         # so the flush at interpreter exit does not raise a second time.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except (NegativeE3Error, series.DecodeError) as err:
+        # a verdict on the numbers, not a usage error: report it, exit 1
+        print(f"conftorus {args.command}: {err}", file=sys.stderr)
         return 1
     return code
 

@@ -408,15 +408,16 @@ class Layout:
     @staticmethod
     def sort_bits(bits):
         """Koszul sort of distinct bit positions: ``(sign, mask)``, where
-        ``sign`` is the sign of the permutation that orders ``bits``."""
-        inv = sum(
-            1
-            for s in range(len(bits))
-            for t in range(s + 1, len(bits))
-            if bits[s] > bits[t]
-        )
-        mask = 0
+        ``sign`` is the sign of the permutation that orders ``bits``.
+
+        One pass: each position adds the number of earlier positions above
+        it, read off the mask of the earlier ones.  The positions must be
+        distinct (a repeat would be lost in the mask); both callers,
+        ``apply_perm`` and ``BidegreeSpace.reduce_mask``, pass distinct
+        ones."""
+        inv = mask = 0
         for b in bits:
+            inv += (mask >> b).bit_count()
             mask |= 1 << b
         return (-1 if inv & 1 else 1), mask
 

@@ -12,6 +12,11 @@ scaled by the pivot entry and divided by its content (gcd) only when that
 entry is not 1.  Every installed row is divided by its content and has a
 positive pivot entry, so it is the same row however it was reached.
 
+``kernel_of_columns`` eliminates its equations shortest first (most have
+two terms) and back-substitutes sparsely: each column is indexed to the
+pivot rows that hold it, and a kernel vector visits only the rows it can
+reach, in increasing pivot order.
+
 ``add_terms`` is the one sparse accumulate (add, drop zeros) the engine and
 the oracles share; ``integer_row`` clears the denominators of a row.
 """
@@ -19,6 +24,7 @@ the oracles share; ``integer_row`` clears the denominators of a row.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -117,7 +123,15 @@ def kernel_of_columns(columns, dim):
     """Kernel of the linear map sending basis vector ``j`` to ``columns[j]``.
 
     ``columns`` is a list of dicts (row index -> coefficient); the result is
-    a list of Fraction-valued dicts over ``range(dim)`` spanning the kernel.
+    a list of Fraction-valued dicts over ``range(dim)`` spanning the kernel,
+    one per free column: 1 there, 0 on the other free columns, with keys
+    in the order free column, then pivots ascending (zeros left out).
+
+    The equations are eliminated shortest first, which keeps the rows short
+    while they are reduced.  The pivot set of a max-column echelon does not
+    depend on the order of its rows, so neither does the basis.
+    Back-substitution visits, in increasing pivot order, only the pivot rows
+    that hold a column the vector already holds.
     """
     # Equations: for every row index r, sum_j columns[j][r] * v_j = 0.
     equations = {}
@@ -126,20 +140,35 @@ def kernel_of_columns(columns, dim):
             if v:
                 equations.setdefault(r, {})[j] = v
     ech = SparseEchelon()
-    for row in equations.values():
+    for row in sorted(equations.values(), key=len):
         ech.add_row(integer_row(row))
-    pivot_rows = sorted(ech.rows.items())
+    rows = ech.rows
+    holders = {}  # column -> pivots of the rows that hold it off the pivot
+    for p, row in rows.items():
+        for c in row:
+            if c != p:
+                holders.setdefault(c, []).append(p)
     basis = []
     for free in range(dim):
-        if free in ech.rows:
+        if free in rows:
             continue
         vec = {free: Fraction(1)}
-        for p, row in pivot_rows:
-            # vec holds the free column and smaller pivots only, never p;
-            # the columns it lacks would add zero products
+        # a row's pivot is larger than its other columns, so every pivot
+        # pushed is larger than the one popped: each row is reached after
+        # all the entries of vec it reads are final
+        heap = list(holders.get(free, ()))
+        heapify(heap)
+        queued = set(heap)
+        while heap:
+            p = heappop(heap)
+            row = rows[p]
             s = sum(v * vec[c] for c, v in row.items() if c in vec)
             if s:
                 vec[p] = -s / row[p]
+                for h in holders.get(p, ()):
+                    if h not in queued:
+                        queued.add(h)
+                        heappush(heap, h)
         basis.append(vec)
     return basis
 

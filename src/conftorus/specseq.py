@@ -28,6 +28,7 @@ from .gcalg import BidegreeSpace, Layout
 from .linalg import add_terms, integer_row, kernel_of_columns, rank_of_rows
 
 __all__ = [
+    "NegativeE3Error",
     "InvariantSpace",
     "SpectralReport",
     "SpectralEngine",
@@ -37,6 +38,11 @@ __all__ = [
     "betti_and_hodge",
     "verify_against_series",
 ]
+
+
+class NegativeE3Error(ArithmeticError):
+    """The d-ranks into and out of a Hodge block exceed its E2 dimension:
+    the engine is inconsistent, and no table can be read off."""
 
 
 @dataclass
@@ -212,8 +218,9 @@ class SpectralEngine:
                 into = rank_out.get((p - 2, q + 1, ab), 0)
                 e3 = len(vecs) - out - into
                 if e3 < 0:
-                    raise AssertionError(
-                        f"negative E3 dimension at n={n} ({p},{q}) {ab}"
+                    raise NegativeE3Error(
+                        f"negative E3 dimension at n={n}, (p, q) = ({p}, {q}), "
+                        f"(a, b) = {ab}"
                     )
                 if e3:
                     e3_inv[(p, q)] = e3_inv.get((p, q), 0) + e3

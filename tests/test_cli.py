@@ -187,6 +187,35 @@ def test_purity_violation_is_reported_not_raised(capsys, monkeypatch):
     assert out.startswith("n=3: h = ")
 
 
+@pytest.mark.parametrize("command", ["betti", "hodge", "purity"])
+def test_negative_e3_is_reported_not_raised(capsys, monkeypatch, command):
+    # d-ranks as large as the block: out + into exceeds E2 somewhere
+    monkeypatch.setattr(
+        SpectralEngine, "d_rank",
+        lambda self, p, q, ab: len(self.invariants(p, q).blocks[ab]),
+    )
+    code = cli.main([command, "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"conftorus {command}: negative E3 dimension at n=2, (p, q) = ("
+    )
+    assert "(a, b) = (" in captured.err
+
+
+def test_undecodable_series_is_reported_not_raised(capsys, monkeypatch):
+    # u^1 at t^0 has no weight preimage
+    bad = series.MultiPoly({(1, 0, 0, 0): 1})
+    monkeypatch.setattr(series, "conf_series_betti", lambda order: [bad] * (order + 1))
+    code = cli.main(["betti", "--n", "0", "--engine", "both"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "conftorus betti: u-exponent 1 at t^0 has no weight preimage\n"
+    )
+
+
 def test_hodge_mismatch_gives_nonzero_exit(capsys, monkeypatch):
     monkeypatch.setattr(series, "decode_hodge", lambda coeff, n: {})
     code, out = run(capsys, "hodge", "--n", "1", "--engine", "both")

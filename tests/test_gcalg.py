@@ -467,6 +467,24 @@ def test_symmetrize_idempotent():
     assert symmetrize(s, 3) == s
 
 
+def brute_force_sort_bits(bits):
+    """Pairwise inversion count, the slow way, as an oracle for sort_bits."""
+    inv = sum(1 for s, t in combinations(range(len(bits)), 2) if bits[s] > bits[t])
+    mask = sum(1 << b for b in bits)
+    return (-1 if inv % 2 else 1), mask
+
+
+def test_sort_bits_against_pairwise_inversion_count():
+    positions = [0, 3, 4, 9, 17, 40]
+    for k in range(len(positions) + 1):
+        for bits in permutations(positions[:k]):
+            assert Layout.sort_bits(list(bits)) == brute_force_sort_bits(bits), bits
+    for seed in range(50):
+        bits = random.Random(seed).sample(range(80), 20)
+        assert Layout.sort_bits(bits) == brute_force_sort_bits(bits), seed
+    assert Layout.sort_bits([]) == brute_force_sort_bits([]) == (1, 0)
+
+
 def test_sort_bits_sign_and_mask():
     assert Layout.sort_bits([]) == (1, 0)
     assert Layout.sort_bits([2, 0]) == (-1, 0b101)

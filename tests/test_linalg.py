@@ -82,6 +82,29 @@ def test_rank_and_kernel_match_dense_oracle():
                 assert sum(r[c] * v for c, v in vec.items()) == 0, seed
 
 
+def test_kernel_does_not_depend_on_the_order_of_row_keys():
+    """Shuffling the row keys inside each column changes the order in which
+    equations are met and tied; every vector keeps its values and its key
+    order: the free column, then the pivots ascending."""
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        rows, ncols = random_matrix(rng)
+        columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
+        want = [list(vec.items()) for vec in kernel_of_columns(columns, ncols)]
+        for vec in want:
+            keys = [c for c, _ in vec]
+            assert keys[1:] == sorted(keys[1:]), seed
+            assert keys[0] not in dense_rref(rows, ncols), seed
+        for _ in range(3):
+            shuffled = []
+            for col in columns:
+                items = list(col.items())
+                rng.shuffle(items)
+                shuffled.append(dict(items))
+            got = kernel_of_columns(shuffled, ncols)
+            assert [list(vec.items()) for vec in got] == want, seed
+
+
 def echelon(rows):
     ech = SparseEchelon()
     for r in rows:

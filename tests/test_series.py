@@ -291,6 +291,14 @@ def test_decode_betti_rejects_negative():
         decode_betti(u_poly(u5=1), 3)  # i = 1 odd, +1 would decode to -1
 
 
+def test_decode_hodge_rejects_an_entry_off_the_weight_line():
+    k4 = vakil_wood_conf(cheah_zeta(PUNCTURED_TORUS_HODGE, 1), 1)
+    # u^2 at t^1 is H^0 (w = 0); x^0 y^1 puts it at (a, b) = (1, 0)
+    off_line = k4[1] + MultiPoly({(2, 0, 1, 0): 1})
+    with pytest.raises(DecodeError, match="off the weight line"):
+        decode_hodge(off_line, 1)
+
+
 def test_decode_hodge_small_n():
     k4 = vakil_wood_conf(cheah_zeta(PUNCTURED_TORUS_HODGE, 3), 3)
     assert decode_hodge(k4[0], 0) == {(0, 0, 0): 1}

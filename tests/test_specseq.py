@@ -108,6 +108,16 @@ def test_purity_negative_control(reports):
     doctored.e3_hodge[(1, 1, (0, 1))] = 1
     ok, violations = purity_check(doctored)
     assert not ok and violations == [(1, 1)]
+    # p - q = 2 is off the weight line, though its Hodge blocks are not doctored
+    doctored = copy.deepcopy(reports[2])
+    doctored.e3_inv[(2, 0)] = 1
+    ok, violations = purity_check(doctored)
+    assert not ok and violations == [(2, 0)]
+    # a block with a = b is checked too: a + b = 2, but w(2) = 3
+    doctored = copy.deepcopy(reports[2])
+    doctored.e3_hodge[(1, 1, (1, 1))] = 1
+    ok, violations = purity_check(doctored)
+    assert not ok and violations == [(1, 1)]
 
 
 def test_weight_identity_on_survivors(reports):
@@ -168,6 +178,20 @@ def test_verify_against_series(reports):
     for n in range(5):
         verdict = verify_against_series(n, reports[n])
         assert verdict["match"], verdict["mismatches"]
+
+
+def test_verify_against_series_sees_an_entry_only_the_series_has(reports):
+    import copy
+
+    doctored = copy.deepcopy(reports[2])
+    key = min(doctored.hodge)
+    want = doctored.hodge.pop(key)
+    verdict = verify_against_series(2, doctored)
+    assert not verdict["match"]
+    i, a, b = key
+    assert verdict["mismatches"] == [
+        {"what": f"hodge i={i} a={a} b={b}", "engine": 0, "series": want}
+    ]
 
 
 def test_euler_characteristic(reports):
