@@ -4,8 +4,9 @@ Rows are dicts mapping a column key to a nonzero coefficient.  Columns are
 integers (bitmask-encoded monomials) so keys are totally ordered.
 ``SparseEchelon`` is a forward-only integer echelon form; it serves the
 genus-zero oracle's quotient elimination
-(:class:`conftorus.oracle.ArnoldAlgebra`), the invariant kernels and the
-differential ranks.  Pivot = largest column key of the row, so the
+(:class:`conftorus.oracle.ArnoldAlgebra`), the spectral engine's
+coinvariant blocks, its reference invariant kernels and the differential
+ranks.  Pivot = largest column key of the row, so the
 surviving coset representatives are the small monomials.  Elimination is
 fraction-free: a row is reduced against a pivot entry 1 in place, and is
 scaled by the pivot entry and divided by its content (gcd) only when that
@@ -41,10 +42,14 @@ def add_terms(acc, pairs):
 
 
 class SparseEchelon:
-    """Incremental echelon form with integer rows and max-column pivots."""
+    """Incremental echelon form with integer rows and max-column pivots.
 
-    def __init__(self):
-        self.rows = {}  # pivot column -> normalized row (dict col -> int)
+    ``rows`` seeds it with the rows of another echelon ({pivot: row}); the
+    dict is copied, the rows are shared, since no installed row is ever
+    changed."""
+
+    def __init__(self, rows=()):
+        self.rows = dict(rows)  # pivot column -> normalized row (dict col -> int)
 
     @property
     def rank(self):
@@ -65,12 +70,13 @@ class SparseEchelon:
     def add_row(self, row):
         """Reduce ``row`` against the echelon; install it if independent.
 
-        Returns True when the rank grew.  ``row`` is a dict col -> int and
-        may be consumed.  A step against a pivot entry 1 subtracts in place
-        and leaves the content alone; a step against any other pivot entry
-        scales the row by it and divides out the content.  The content is
-        always divided out on install, so the installed row does not depend
-        on which steps led to it.
+        Returns True when the rank grew.  ``row`` is a dict col -> int; it
+        is copied, and neither it nor an installed row is ever changed.  A
+        step against a pivot entry 1 subtracts in place and leaves the
+        content alone; a step against any other pivot entry scales the row
+        by it and divides out the content.  The content is always divided
+        out on install, so the installed row does not depend on which steps
+        led to it.
         """
         row = {c: v for c, v in row.items() if v}
         while row:
@@ -109,12 +115,14 @@ class SparseEchelon:
             add_terms(vec, ((c, -factor * v) for c, v in row.items()))
 
 
-def rank_of_rows(rows):
-    """Rank of an iterable of integer rows."""
-    ech = SparseEchelon()
+def rank_of_rows(rows, base=()):
+    """Rank of an iterable of integer rows; with ``base``, the echelon rows
+    {pivot: row} of another echelon, the rank they add to it.  ``base`` and
+    the rows are left as they were."""
+    ech = SparseEchelon(base)
     r = 0
     for row in rows:
-        if ech.add_row(dict(row)):
+        if ech.add_row(row):
             r += 1
     return r
 
@@ -141,7 +149,10 @@ def kernel_of_columns(columns, dim):
                 equations.setdefault(r, {})[j] = v
     ech = SparseEchelon()
     for row in sorted(equations.values(), key=len):
-        ech.add_row(integer_row(row))
+        # add_row copies the row; only a Fraction entry needs integer_row
+        if not all(type(v) is int for v in row.values()):
+            row = integer_row(row)
+        ech.add_row(row)
     rows = ech.rows
     holders = {}  # column -> pivots of the rows that hold it off the pivot
     for p, row in rows.items():

@@ -1,16 +1,27 @@
 """Invariant spectral-sequence computation on top of :mod:`gcalg`.
 
-For each bidegree (p, q) the engine takes the subspace of the quotient fixed
-by the whole symmetric group (kernel of the two generating permutations on
-quotient coordinates), applies the differential inside the invariants, and
-reads off the surviving dimensions
+The S_n-invariant part of the E2 page is read off through coinvariants.  In
+characteristic zero the averaging map V^{S_n} -> V -> V_{S_n} is an
+isomorphism of complexes, so invariants and coinvariants have the same
+dimensions and the same d-ranks, and taking either commutes with
+cohomology.  For each bidegree (p, q) the engine eliminates the rows
+reduce(sigma . m) - m, over the quotient basis masks m and the two
+generating permutations sigma, in one forward integer echelon per Hodge
+block; the basis masks that are not pivots are a coinvariant basis.  A
+d-rank reduces the d-images of a source coinvariant basis modulo the target
+block's rows.  :func:`assemble_page` then reads off the surviving
+dimensions
 
-    e3(p, q) = dim ker(d: (p,q) -> (p+2,q-1)) - dim im(d: (p-2,q+1) -> (p,q)).
+    e3(p, q) = dim ker(d: (p,q) -> (p+2,q-1)) - dim im(d: (p-2,q+1) -> (p,q)),
 
-Taking invariants commutes with cohomology in characteristic zero, so these
-are the invariant E3 dimensions, which assemble into the Betti numbers of
-the unordered configuration space and, through the Hodge bigrading carried
-by every basis vector, into its mixed Hodge table.
+the invariant E3 dimensions, which assemble into the Betti numbers of the
+unordered configuration space and, through the Hodge bigrading carried by
+every basis vector, into its mixed Hodge table.
+
+The fixed space itself, as the kernel of the two generating permutations
+on quotient coordinates (:meth:`SpectralEngine.invariants`), is kept as a
+reference: the tests feed it through the same page function, and the
+identity suite's fixed-space checks read its vectors.
 
 Everything splits along the Hodge bidegree (a, b) = (#x + #g, #y + #g): the
 relations, the group action and the differential all preserve it, so the
@@ -25,13 +36,14 @@ from fractions import Fraction
 
 from . import series as series_mod
 from .gcalg import BidegreeSpace, Layout
-from .linalg import add_terms, integer_row, kernel_of_columns, rank_of_rows
+from .linalg import SparseEchelon, add_terms, integer_row, kernel_of_columns, rank_of_rows
 
 __all__ = [
     "NegativeE3Error",
     "InvariantSpace",
     "SpectralReport",
     "SpectralEngine",
+    "assemble_page",
     "invariant_basis",
     "e3_dims",
     "purity_check",
@@ -47,7 +59,8 @@ class NegativeE3Error(ArithmeticError):
 
 @dataclass
 class InvariantSpace:
-    """Fixed vectors of one bidegree, in quotient coordinates.
+    """Fixed vectors of one bidegree, in quotient coordinates: the
+    reference E2 source, from :meth:`SpectralEngine.invariants`.
 
     ``blocks`` maps a Hodge bidegree (a, b) to a list of basis vectors, each
     a dict {basis mask: Fraction} over ``space.quotient_basis``, the format
@@ -103,12 +116,22 @@ class SpectralReport:
 
 
 class SpectralEngine:
-    """Caches bidegree spaces and invariant data for one n."""
+    """Caches bidegree spaces, coinvariant blocks and invariant data for
+    one n.
+
+    :meth:`report` reads the page off the coinvariants
+    (:meth:`coinvariants`, :meth:`d_rank`).  :meth:`invariants` and
+    :meth:`invariant_d_rank` compute the same dimensions from the fixed
+    space, by a kernel and its back-substitution; they are the reference
+    the tests compare against, and they serve :func:`invariant_basis`.
+    """
 
     def __init__(self, n):
         self.n = n
         self.layout = Layout(n)
         self._spaces = {}
+        self._coinvariants = {}  # (p, q) -> {(a, b): coinvariant basis masks}
+        self._relations = {}  # (p, q) -> {(a, b): echelon rows}, dropped once read
         self._invariants = {}
         # bit tables for (1 2) and the n-cycle, which generate S_n
         perms = []
@@ -128,20 +151,85 @@ class SpectralEngine:
             self._spaces[key] = BidegreeSpace(self.n, p, q, layout=self.layout)
         return self._spaces[key]
 
-    # -- invariants ------------------------------------------------------------
+    def _hodge_blocks(self, space):
+        blocks = {}
+        for mask in space.quotient_basis:
+            blocks.setdefault(self.layout.hodge_bidegree(mask), []).append(mask)
+        return sorted(blocks.items())
+
+    # -- coinvariants: the report's E2 source -----------------------------------
+
+    def _eliminate(self, p, q):
+        space = self.space(p, q)
+        lay = self.layout
+        coinvariants, relations = {}, {}
+        for ab, masks in self._hodge_blocks(space):
+            rows = []
+            for mask in masks:
+                for table in self._perm_tables:
+                    s, img = lay.apply_perm(table, mask)
+                    row = space.reduce_mask(img, s)
+                    row[mask] = row.get(mask, 0) - 1
+                    rows.append(row)
+            # shortest first keeps fill-in down; the pivot set, and so the
+            # basis, does not depend on the order
+            ech = SparseEchelon()
+            for row in sorted(rows, key=len):
+                ech.add_row(row)
+            basis = [mask for mask in masks if mask not in ech.rows]
+            if basis:
+                coinvariants[ab] = basis
+            relations[ab] = ech.rows
+        self._coinvariants[(p, q)] = coinvariants
+        self._relations[(p, q)] = relations
+
+    def coinvariants(self, p, q):
+        """Coinvariant basis of bidegree (p, q): {(a, b): basis masks}.
+
+        One forward echelon per Hodge block holds the rows
+        ``reduce(sigma . m) - m`` for every basis mask m and each generating
+        permutation sigma; the masks that are not pivots span the quotient
+        by those rows, the S_n-coinvariants.  Blocks with no coinvariant
+        are left out."""
+        if (p, q) not in self._coinvariants:
+            self._eliminate(p, q)
+        return self._coinvariants[(p, q)]
+
+    def _block_rows(self, p, q, ab):
+        if (p, q) not in self._relations:
+            self._eliminate(p, q)
+        return self._relations[(p, q)].get(ab, {})
+
+    def d_rank(self, p, q, ab):
+        """Rank of d on coinvariants, from block (p, q, ab) to (p+2, q-1, ab):
+        the rank the d-images of the source coinvariant basis, in target
+        quotient coordinates, add to the target block's echelon rows."""
+        source = self.coinvariants(p, q).get(ab)
+        if not source:
+            return 0
+        target = self.space(p + 2, q - 1)
+        images = []
+        for mask in source:
+            img = {}
+            for m2, c2 in self.layout.differential_mask(mask):
+                add_terms(img, target.reduce_mask(m2, c2).items())
+            if img:
+                images.append(img)
+        return rank_of_rows(images, self._block_rows(p + 2, q - 1, ab))
+
+    # -- invariants: the reference E2 source ------------------------------------
 
     def invariants(self, p, q) -> InvariantSpace:
+        """The fixed space of bidegree (p, q), as the kernel of the two
+        generating permutations on quotient coordinates."""
         key = (p, q)
         if key in self._invariants:
             return self._invariants[key]
         space = self.space(p, q)
         lay = self.layout
-        blocks_cols = {}
-        for mask in space.quotient_basis:
-            blocks_cols.setdefault(lay.hodge_bidegree(mask), []).append(mask)
         blocks = {}
         tables = self._perm_tables
-        for ab, cols in sorted(blocks_cols.items()):
+        for ab, cols in self._hodge_blocks(space):
             if not tables:
                 blocks[ab] = [{mask: Fraction(1)} for mask in cols]
                 continue
@@ -164,15 +252,14 @@ class SpectralEngine:
         self._invariants[key] = inv
         return inv
 
-    # -- differential ranks -----------------------------------------------------
-
-    def _d_image_rows(self, inv: InvariantSpace, ab):
-        """Images of the (a,b)-block basis under d, as integer rows over the
-        target quotient coordinates."""
-        target = self.space(inv.p + 2, inv.q - 1)
+    def invariant_d_rank(self, p, q, ab):
+        """Rank of d on the fixed space, from block (p, q, ab) to
+        (p+2, q-1, ab): the rank of the images of the invariant basis, as
+        integer rows over the target quotient coordinates."""
+        target = self.space(p + 2, q - 1)
         rows = []
         dcache = {}
-        for vec in inv.blocks.get(ab, []):
+        for vec in self.invariants(p, q).blocks.get(ab, []):
             img = {}
             for mask, c in vec.items():
                 if mask not in dcache:
@@ -183,52 +270,57 @@ class SpectralEngine:
                 add_terms(img, ((m3, c * v) for m3, v in dcache[mask].items()))
             if img:
                 rows.append(integer_row(img))
-        return rows
-
-    def d_rank(self, p, q, ab):
-        rows = self._d_image_rows(self.invariants(p, q), ab)
-        return rank_of_rows(rows) if rows else 0
+        return rank_of_rows(rows)
 
     # -- the report ---------------------------------------------------------------
 
     def report(self) -> SpectralReport:
+        """The page read off the coinvariants, through :func:`assemble_page`.
+
+        Bidegrees are visited by falling q, so the source (p-2, q+1) of the
+        arrow into (p, q) is known when (p, q) is eliminated; that arrow is
+        the only d-rank that reads the rows of (p, q), which are dropped
+        once it is taken.  The row q = -1 and the columns p > 2n are empty;
+        visiting them takes the arrows that leave the algebra."""
         n = self.n
-        lay = self.layout
-        rep = SpectralReport(n=n)
-        bidegrees = [
-            (p, q)
-            for q in range(lay.npairs + 1)
-            for p in range(2 * n + 1)
-        ]
-        rank_out = {}
-        for p, q in bidegrees:
-            for ab, vecs in self.invariants(p, q).blocks.items():
-                if vecs:
-                    rank_out[(p, q, ab)] = self.d_rank(p, q, ab)
-        e2_inv, e3_inv, e3_hodge = {}, {}, {}
-        for p, q in bidegrees:
-            inv = self.invariants(p, q)
-            if inv.dim == 0:
-                continue
-            e2_inv[(p, q)] = inv.dim
-            for ab, vecs in inv.blocks.items():
-                if not vecs:
-                    continue
-                out = rank_out.get((p, q, ab), 0)
-                into = rank_out.get((p - 2, q + 1, ab), 0)
-                e3 = len(vecs) - out - into
-                if e3 < 0:
-                    raise NegativeE3Error(
-                        f"negative E3 dimension at n={n}, (p, q) = ({p}, {q}), "
-                        f"(a, b) = {ab}"
-                    )
-                if e3:
-                    e3_inv[(p, q)] = e3_inv.get((p, q), 0) + e3
-                    e3_hodge[(p, q, ab)] = e3
-        rep.e2_inv, rep.e3_inv, rep.e3_hodge = e2_inv, e3_inv, e3_hodge
-        rep.purity_ok, rep.violations = purity_check(rep)
-        rep.betti, rep.hodge = betti_and_hodge(rep)
-        return rep
+        e2, ranks = {}, {}
+        for q in range(self.layout.npairs, -2, -1):
+            for p in range(2 * n + 3):
+                for ab, basis in self.coinvariants(p, q).items():
+                    e2[(p, q, ab)] = len(basis)
+                for ab in self.coinvariants(p - 2, q + 1):
+                    ranks[(p - 2, q + 1, ab)] = self.d_rank(p - 2, q + 1, ab)
+                self._relations.pop((p, q), None)
+        return assemble_page(n, e2, lambda p, q, ab: ranks[(p, q, ab)])
+
+
+def assemble_page(n, e2, d_rank) -> SpectralReport:
+    """The report of one n from its E2 page and its d-ranks.
+
+    ``e2`` maps (p, q, (a, b)) to the nonzero E2 dimension of that Hodge
+    block; ``d_rank(p, q, ab)`` is the rank of d out of a block of ``e2``,
+    into (p + 2, q - 1, ab).  Per block, E3 = E2 - out - into; a negative
+    value raises :class:`NegativeE3Error`.  Blocks are visited by q, then
+    p, then (a, b), and the first negative one is named.
+    """
+    order = sorted(e2, key=lambda key: (key[1], key[0], key[2]))
+    rank_out = {key: d_rank(*key) for key in order}
+    rep = SpectralReport(n=n)
+    for key in order:
+        p, q, ab = key
+        rep.e2_inv[(p, q)] = rep.e2_inv.get((p, q), 0) + e2[key]
+        e3 = e2[key] - rank_out[key] - rank_out.get((p - 2, q + 1, ab), 0)
+        if e3 < 0:
+            raise NegativeE3Error(
+                f"negative E3 dimension at n={n}, (p, q) = ({p}, {q}), "
+                f"(a, b) = {ab}"
+            )
+        if e3:
+            rep.e3_inv[(p, q)] = rep.e3_inv.get((p, q), 0) + e3
+            rep.e3_hodge[key] = e3
+    rep.purity_ok, rep.violations = purity_check(rep)
+    rep.betti, rep.hodge = betti_and_hodge(rep)
+    return rep
 
 
 # ---------------------------------------------------------------------------

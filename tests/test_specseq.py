@@ -1,5 +1,6 @@
-"""Spectral engine: invariant bases, surviving dimensions, purity, decoded
-Betti/Hodge tables, and the cross-check against the series module."""
+"""Spectral engine: invariant bases, the coinvariant E2 source against the
+kernel reference, surviving dimensions, purity, decoded Betti/Hodge tables,
+and the cross-check against the series module."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftorus.linalg import integer_row, rank_of_rows
 from conftorus.series import w
 from conftorus.specseq import (
     SpectralEngine,
+    assemble_page,
     betti_and_hodge,
     e3_dims,
     invariant_basis,
@@ -66,6 +68,65 @@ def test_spaces_outside_the_algebra_are_empty_n3():
         assert space.dim == 0 and space.quotient_basis == []
         inv = eng.invariants(p, q)
         assert inv.dim == 0 and inv.space is space
+
+
+# -- the two E2 sources ------------------------------------------------------
+
+
+def bidegrees(eng):
+    return [(p, q) for q in range(eng.layout.npairs + 1) for p in range(2 * eng.n + 1)]
+
+
+def kernel_e2(eng):
+    return {
+        (p, q, ab): len(vecs)
+        for p, q in bidegrees(eng)
+        for ab, vecs in eng.invariants(p, q).blocks.items()
+        if vecs
+    }
+
+
+def coinvariant_e2(eng):
+    return {
+        (p, q, ab): len(basis)
+        for p, q in bidegrees(eng)
+        for ab, basis in eng.coinvariants(p, q).items()
+    }
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_coinvariant_and_kernel_sources_give_one_page(n):
+    """The report (coinvariants) and the kernel reference, both fed through
+    assemble_page, agree on every E2 and E3 block and byte for byte."""
+    eng = SpectralEngine(n)
+    e2 = kernel_e2(eng)
+    assert coinvariant_e2(eng) == e2
+    rep = eng.report()
+    ref = assemble_page(n, e2, eng.invariant_d_rank)
+    assert rep.e3_hodge == ref.e3_hodge
+    assert rep.to_json() == ref.to_json()
+
+
+def test_coinvariant_d_ranks_match_and_repeat_n4():
+    """Each coinvariant d-rank equals the kernel d-rank of its block, and
+    taking it again gives the same value: the target rows it is seeded with
+    are left as they were."""
+    eng = SpectralEngine(4)
+    blocks = coinvariant_e2(eng)
+    ranks = {key: eng.d_rank(*key) for key in blocks}
+    assert any(ranks.values())
+    assert ranks == {key: eng.invariant_d_rank(*key) for key in blocks}
+    assert ranks == {key: eng.d_rank(*key) for key in blocks}
+
+
+def test_coinvariants_of_one_transposition_fail_the_e2_comparison_n3():
+    # the rows of (1 2) alone give the coinvariants of a smaller group
+    eng = SpectralEngine(3)
+    eng._perm_tables = eng._perm_tables[:1]
+    e2 = coinvariant_e2(eng)
+    want = kernel_e2(SpectralEngine(3))
+    assert e2 != want
+    assert all(e2[key] >= d for key, d in want.items())
 
 
 # -- E3 dimensions -----------------------------------------------------------
