@@ -16,7 +16,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import oracle, series
-from .specseq import NegativeE3Error, e3_dims, verify_against_series
+from .specseq import NegativeE3Error, e3_dims, hodge_json, verify_against_series
 
 N_CAP = 5
 
@@ -76,12 +76,6 @@ class _Numbers(NamedTuple):
     cells: Callable  # value -> table cells
 
 
-def _hodge_json(hodge):
-    return [
-        {"i": i, "a": a, "b": b, "dim": d} for (i, a, b), d in sorted(hodge.items())
-    ]
-
-
 _NUMBERS = {
     "betti": _Numbers(
         "conf_series_betti", "decode_betti", "betti", list, "n,i,h_i",
@@ -89,7 +83,7 @@ _NUMBERS = {
         lambda betti: "h = " + ",".join(map(str, betti)),
     ),
     "hodge": _Numbers(
-        "conf_series_hodge", "decode_hodge", "hodge", _hodge_json, "n,i,a,b,dim",
+        "conf_series_hodge", "decode_hodge", "hodge", hodge_json, "n,i,a,b,dim",
         lambda hodge: (f"{i},{a},{b},{d}" for (i, a, b), d in sorted(hodge.items())),
         lambda hodge: " ".join(
             f"h^{{{a},{b}}}(H^{i})={d}" for (i, a, b), d in sorted(hodge.items())

@@ -50,7 +50,6 @@ elimination of every relation multiple for small n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -634,23 +633,6 @@ class BidegreeSpace:
                 )
             add_terms(acc, self.reduce_mask(lay.encode(m), c).items())
         return acc
-
-    def dump_json(self):
-        lay = self.layout
-        return json.dumps(
-            {
-                "n": self.n,
-                "p": self.p,
-                "q": self.q,
-                "free_basis": [
-                    str(lay.decode(m)) for m in lay.enumerate_masks(self.p, self.q)
-                ],
-                "relation_rank": self.relation_rank,
-                "quotient_dim": self.dim,
-                "quotient_basis": [str(lay.decode(m)) for m in self.quotient_basis],
-            },
-            sort_keys=True,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ scaled by the pivot entry and divided by its content (gcd) only when that
 entry is not 1.  Every installed row is divided by its content and has a
 positive pivot entry, so it is the same row however it was reached.
 
+No vector is reduced to a normal form.  ``rank_of_rows(rows, base)`` seeds
+an echelon with the rows of another one and counts the rank the new rows
+add; it serves the engine's d-ranks, modulo a target block's relations,
+and the genus-zero oracle's S_n-coinvariants, modulo a degree's relations.
+
 ``kernel_of_columns`` eliminates its equations shortest first (most have
 two terms) and back-substitutes sparsely: each column is indexed to the
 pivot rows that hold it, and a kernel vector visits only the rows it can
@@ -100,20 +105,6 @@ class SparseEchelon:
                 row = self._normalize(row)
         return False
 
-    def reduce_vector(self, vec):
-        """Return the normal form of a Fraction-valued vector mod the rows."""
-        vec = {c: Fraction(v) for c, v in vec.items() if v}
-        while True:
-            hit = None
-            for c in vec:
-                if c in self.rows and (hit is None or c > hit):
-                    hit = c
-            if hit is None:
-                return vec
-            row = self.rows[hit]
-            factor = vec[hit] / row[hit]
-            add_terms(vec, ((c, -factor * v) for c, v in row.items()))
-
 
 def rank_of_rows(rows, base=()):
     """Rank of an iterable of integer rows; with ``base``, the echelon rows
@@ -130,10 +121,11 @@ def rank_of_rows(rows, base=()):
 def kernel_of_columns(columns, dim):
     """Kernel of the linear map sending basis vector ``j`` to ``columns[j]``.
 
-    ``columns`` is a list of dicts (row index -> coefficient); the result is
-    a list of Fraction-valued dicts over ``range(dim)`` spanning the kernel,
-    one per free column: 1 there, 0 on the other free columns, with keys
-    in the order free column, then pivots ascending (zeros left out).
+    ``columns`` is a list of integer columns, dicts (row index -> int); the
+    result is a list of Fraction-valued dicts over ``range(dim)`` spanning
+    the kernel, one per free column: 1 there, 0 on the other free columns,
+    with keys in the order free column, then pivots ascending (zeros left
+    out).
 
     The equations are eliminated shortest first, which keeps the rows short
     while they are reduced.  The pivot set of a max-column echelon does not
@@ -149,9 +141,6 @@ def kernel_of_columns(columns, dim):
                 equations.setdefault(r, {})[j] = v
     ech = SparseEchelon()
     for row in sorted(equations.values(), key=len):
-        # add_row copies the row; only a Fraction entry needs integer_row
-        if not all(type(v) is int for v in row.values()):
-            row = integer_row(row)
         ech.add_row(row)
     rows = ech.rows
     holders = {}  # column -> pivots of the rows that hold it off the pivot

@@ -122,6 +122,19 @@ class ArnoldAlgebra:
             self._wedges[self.bit[(i, k)]].append((eij, ejk))
             self._wedges[self.bit[(j, k)]] += [(eij, eik), (eik, eij)]
         self._degrees = {}
+        # bit tables for (1 2) and the n-cycle, which generate S_n
+        perms = []
+        if n >= 2:
+            perms.append((2, 1, *range(3, n + 1)))
+        if n > 2:
+            perms.append((*range(2, n + 1), 1))
+        self._perm_tables = [
+            [
+                self.bit[tuple(sorted((sigma[i - 1], sigma[j - 1])))]
+                for i, j in self.pairs
+            ]
+            for sigma in perms
+        ]
 
     # independent sign bookkeeping: for each bit of m2, the bits of m1 above it
     def _merge(self, m1, m2):
@@ -198,52 +211,33 @@ class ArnoldAlgebra:
             return 0
         return self.degree(q).dim
 
-    def _reduce_mask(self, deg: _Degree, mask, coeff):
-        # mask relabels a basis monomial, so it is triangle-free like it
-        if mask in deg.zero:
-            return {}
-        return deg.ech.reduce_vector({mask: coeff})
+    def _relabel(self, table, mask):
+        """sigma . mask as (sign, mask), for the bit table of sigma: the
+        images of the edges of mask multiplied in increasing order."""
+        sign, out = 1, 0
+        for b in _bits(mask):
+            s, out = self._merge(out, 1 << table[b])
+            sign *= s
+        return sign, out
 
     def invariant_dim(self, q):
-        """Dimension of the fixed space of (1 2) and the n-cycle."""
+        """Dimension of the S_n-coinvariants of degree q: the basis masks m
+        modulo the rows sigma . m - m, for sigma in {(1 2), n-cycle}, which
+        generate S_n.  In characteristic zero averaging maps the fixed space
+        isomorphically onto the coinvariants, so this is also the dimension
+        of the fixed space.  The rows are reduced against the degree's own
+        echelon, and the rank they add to it is the codimension of the
+        coinvariants in the quotient."""
         deg = self.degree(q)
-        if deg.dim == 0:
-            return 0
-        n = self.n
-        if n < 2:
-            return deg.dim
-        perms = [tuple([2, 1] + list(range(3, n + 1)))]
-        if n > 2:
-            perms.append(tuple(list(range(2, n + 1)) + [1]))
-        tables = []
-        for sigma in perms:
-            table = {}
-            for b, (i, j) in enumerate(self.pairs):
-                table[b] = self.bit[tuple(sorted((sigma[i - 1], sigma[j - 1])))]
-            tables.append(table)
         rows = []
         for mask in deg.basis:
-            row = {}
-            for tno, table in enumerate(tables):
-                imgs = [table[b] for b in _bits(mask)]
-                inv = sum(
-                    1
-                    for s in range(len(imgs))
-                    for t in range(s + 1, len(imgs))
-                    if imgs[s] > imgs[t]
-                )
-                out = 0
-                for b in imgs:
-                    out |= 1 << b
-                sgn = -1 if inv % 2 else 1
-                vec = self._reduce_mask(deg, out, sgn)
-                vec[mask] = vec.get(mask, 0) - 1
-                for m, v in vec.items():
-                    if v:
-                        row[(tno, m)] = v
-            if row:
-                rows.append(integer_row(row))
-        return deg.dim - rank_of_rows(rows)
+            for table in self._perm_tables:
+                # sigma is an automorphism, so sigma . m is never a zero monomial
+                sign, img = self._relabel(table, mask)
+                row = {img: sign}
+                row[mask] = row.get(mask, 0) - 1
+                rows.append(row)
+        return deg.dim - rank_of_rows(rows, deg.ech.rows)
 
 
 def _bits(mask):

@@ -48,6 +48,7 @@ __all__ = [
     "e3_dims",
     "purity_check",
     "betti_and_hodge",
+    "hodge_json",
     "verify_against_series",
 ]
 
@@ -83,6 +84,14 @@ class InvariantSpace:
             yield from block
 
 
+def hodge_json(hodge):
+    """A Hodge table {(i, a, b): dim} in its JSON shape: one
+    {"i", "a", "b", "dim"} record per entry, in key order."""
+    return [
+        {"i": i, "a": a, "b": b, "dim": d} for (i, a, b), d in sorted(hodge.items())
+    ]
+
+
 @dataclass
 class SpectralReport:
     n: int
@@ -101,10 +110,7 @@ class SpectralReport:
             "e2_inv": {f"{p},{q}": d for (p, q), d in sorted(self.e2_inv.items()) if d},
             "e3_inv": {f"{p},{q}": d for (p, q), d in sorted(self.e3_inv.items()) if d},
             "betti": list(self.betti),
-            "hodge": [
-                {"i": i, "a": a, "b": b, "dim": d}
-                for (i, a, b), d in sorted(self.hodge.items())
-            ],
+            "hodge": hodge_json(self.hodge),
             "purity": self.purity_ok,
             "violations": [list(v) for v in self.violations],
             "series_match": self.series_match,

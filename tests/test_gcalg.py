@@ -526,13 +526,3 @@ def test_n0_and_n1_spaces():
     assert s1.dim == 2
     assert BidegreeSpace(1, 2, 0).dim == 0  # x1 y1 = 0
     assert BidegreeSpace(0, 0, 1).dim == 0  # no pairs to carry a g
-
-
-def test_dump_json_shape():
-    import json as j
-
-    doc = j.loads(BidegreeSpace(2, 1, 1).dump_json())
-    assert doc["quotient_dim"] == 2
-    assert doc["relation_rank"] == 2
-    assert set(doc["free_basis"]) == {"g12.x1", "g12.x2", "g12.y1", "g12.y2"}
-

@@ -149,23 +149,6 @@ def test_both_pivot_branches_run(monkeypatch):
     assert len(calls) > installed
 
 
-def test_reduce_vector_is_a_normal_form_mod_the_rows():
-    """The result holds no pivot column, differs from the input by a vector
-    in the row span, and the input is left as it was."""
-    for seed in SEEDS:
-        rng = random.Random(seed)
-        rows, ncols = random_matrix(rng)
-        ech = echelon(rows)
-        vec = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for c in range(ncols)}
-        before = dict(vec)
-        out = ech.reduce_vector(vec)
-        assert vec == before, seed
-        assert not set(out) & set(ech.rows), seed
-        assert all(out.values()), seed
-        diff = [vec[c] - out.get(c, 0) for c in range(ncols)]
-        assert len(dense_rref(rows + [diff], ncols)) == len(ech.rows), seed
-
-
 def test_reduction_against_unit_pivot_keeps_caller_row():
     ech = SparseEchelon()
     assert ech.add_row({3: 1, 1: 2})

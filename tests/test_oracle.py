@@ -60,7 +60,9 @@ def _holds_triangle(alg, mask):
 
 def test_arnold_echelon_holds_no_zero_monomial():
     """Every relation row left in the echelon is free of zero monomials, so
-    each degree splits into basis, zero monomials and pivots."""
+    each degree splits into basis, zero monomials and pivots; and no basis
+    monomial relabels into a zero monomial, so the coinvariant rows hold
+    none either."""
     for n in range(1, 7):
         alg = ArnoldAlgebra(n)
         for q in range(alg.npairs + 1):
@@ -68,6 +70,9 @@ def test_arnold_echelon_holds_no_zero_monomial():
             for row in deg.ech.rows.values():
                 assert deg.zero.isdisjoint(row), (n, q)
             assert deg.zero.isdisjoint(deg.ech.rows), (n, q)
+            for table in alg._perm_tables:
+                for mask in deg.basis:
+                    assert alg._relabel(table, mask)[1] not in deg.zero, (n, q, mask)
             free = sum(
                 1
                 for sel in combinations(range(alg.npairs), q)
