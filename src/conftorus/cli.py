@@ -56,11 +56,6 @@ def _check_cap(ns, allow_n6, usage_error):
             f"n={max(big)} exceeds the default cap of {N_CAP}; "
             "pass --allow-n6 to proceed"
         )
-    if big:
-        print(
-            f"warning: n={max(big)} needs substantial memory and time",
-            file=sys.stderr,
-        )
 
 
 class _Numbers(NamedTuple):

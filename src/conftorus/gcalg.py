@@ -130,9 +130,6 @@ class Monomial:
         body = ".".join(str(g) for g in self.gens) if self.gens else "1"
         return ("-" if self.sign < 0 else "") + body
 
-    def __mul__(self, other):
-        return normalize(self.gens + other.gens, self.sign * other.sign)
-
 
 def normalize(gens, sign=1) -> Optional[Monomial]:
     """Sort a generator sequence, tracking the Koszul sign.
@@ -379,10 +376,6 @@ class Layout:
             inv += (m1 >> (b + 1)).bit_count()
             m &= m - 1
         return (-1 if inv & 1 else 1), m1 | m2
-
-    def bidegree(self, mask):
-        q = (mask & self.gfull).bit_count()
-        return (mask.bit_count() - q, q)
 
     def hodge_bidegree(self, mask):
         q = (mask & self.gfull).bit_count()

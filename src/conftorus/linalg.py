@@ -24,7 +24,9 @@ pivot rows that hold it, and a kernel vector visits only the rows it can
 reach, in increasing pivot order.
 
 ``add_terms`` is the one sparse accumulate (add, drop zeros) the engine and
-the oracles share; ``integer_row`` clears the denominators of a row.
+the oracles share.  ``integer_row`` clears the denominators of a
+``Fraction`` row; it serves the reference invariant d-ranks and the
+identity suite, the two places where rows are rational.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ class SparseEchelon:
 
     def __init__(self, rows=()):
         self.rows = dict(rows)  # pivot column -> normalized row (dict col -> int)
-
-    @property
-    def rank(self):
-        return len(self.rows)
 
     @staticmethod
     def _normalize(row):
@@ -174,13 +172,10 @@ def kernel_of_columns(columns, dim):
 
 
 def integer_row(row):
-    """``row`` times the lcm of its denominators: an integer row with the
-    zero entries left out.  An all-int row is returned without going
-    through ``Fraction``."""
-    if all(type(v) is int for v in row.values()):
-        return {c: v for c, v in row.items() if v}
+    """``row``, a dict of ``int`` and ``Fraction`` values, times the lcm of
+    its denominators: an integer row with the zero entries left out."""
     denom = 1
     for v in row.values():
-        d = Fraction(v).denominator
+        d = v.denominator
         denom = denom * d // gcd(denom, d)
-    return {c: int(Fraction(v) * denom) for c, v in row.items() if v}
+    return {c: int(v * denom) for c, v in row.items() if v}

@@ -1,10 +1,10 @@
 """Exact expansion of the rational generating functions and coefficient
 decoders for Betti and mixed Hodge numbers.
 
-Everything lives in the polynomial ring Q[u, x, y] with an outer formal
-variable t.  Arithmetic is exact: a coefficient is an ``int``, and a
-``fractions.Fraction`` only for a value that is not an integer, which never
-arises in the series of the paper.  A truncated series is a plain list of
+Everything lives in the polynomial ring Z[u, x, y] with an outer formal
+variable t.  Arithmetic is exact: every coefficient is an ``int``, as every
+coefficient of the paper's series is; anything else, a ``Fraction`` or a
+float, is a ``TypeError``.  A truncated series is a plain list of
 :class:`MultiPoly`, entry ``k`` being the coefficient of ``t^k``.  Rational
 functions are kept in factored form: a polynomial numerator over a product
 of binomial factors ``(1 - c * monomial)`` with positive t-degree, each
@@ -29,8 +29,6 @@ Hodge numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from numbers import Rational
 
 __all__ = [
     "MultiPoly",
@@ -45,7 +43,6 @@ __all__ = [
     "decode_betti",
     "decode_hodge",
     "coefficient_json",
-    "coefficient_from_json",
     "PUNCTURED_TORUS_HC",
     "TORUS_HC",
     "POINT_HC",
@@ -77,15 +74,11 @@ def _key(u=0, x=0, y=0, t=0):
 
 
 def _exact(v):
-    """``v`` as an ``int`` when it is integral, else as a ``Fraction``; a
-    value that is not a ``numbers.Rational`` (a float, say) is a
-    ``TypeError``, since every coefficient is exact."""
-    if type(v) is int:
-        return v
-    if not isinstance(v, Rational):
-        raise TypeError(f"coefficient {v!r} is not rational")
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
+    """``v`` itself when it is an ``int``; anything else, a ``Fraction`` or
+    a float, is a ``TypeError``, since every coefficient is an integer."""
+    if type(v) is not int:
+        raise TypeError(f"coefficient {v!r} is not an int")
+    return v
 
 
 def _accumulate(out, c, a, b):
@@ -104,20 +97,19 @@ def _accumulate(out, c, a, b):
 
 
 def _poly(out):
-    """A :class:`MultiPoly` owning the term dict ``out``, zeros dropped and
-    integral values stored as ``int``."""
+    """A :class:`MultiPoly` owning the term dict ``out``, zeros dropped."""
     res = MultiPoly()
-    res.terms = {k: _exact(v) for k, v in out.items() if v}
+    res.terms = {k: v for k, v in out.items() if v}
     return res
 
 
 class MultiPoly:
-    """Polynomial in u, x, y, t with exact rational coefficients.
+    """Polynomial in u, x, y, t with ``int`` coefficients: an element of
+    Z[u, x, y, t].
 
     Terms are held sparsely as exponent-tuple -> coefficient; zero
-    coefficients are never stored.  A coefficient is an ``int`` whenever it is
-    integral and a ``Fraction`` otherwise, so products of integer polynomials
-    stay on plain ``int`` arithmetic.
+    coefficients are never stored.  A coefficient that is not an ``int``, a
+    ``Fraction`` or a float, is a ``TypeError``.
     """
 
     __slots__ = ("terms",)
@@ -177,9 +169,6 @@ class MultiPoly:
 
     def __eq__(self, other):
         return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -390,10 +379,9 @@ def decode_betti(coeff_n, n, weight_inverse=None):
                 f"u-exponent {k[_U]} at t^{n} has no weight preimage"
             )
         val = v if i % 2 == 0 else -v
-        if val < 0 or val.denominator != 1:
+        if val < 0:
             raise DecodeError(f"decoded h^{i} = {val} is not a Betti number")
-        if val:
-            h[i] = int(val)
+        h[i] = val
     top = max(h, default=0)
     return [h.get(i, 0) for i in range(top + 1)]
 
@@ -418,16 +406,15 @@ def decode_hodge(coeff_n, n):
         if a < 0 or b < 0:
             raise DecodeError(f"x/y exponent exceeds n at t^{n}")
         val = v if i % 2 == 0 else -v
-        if val < 0 or val.denominator != 1:
+        if val < 0:
             raise DecodeError(
                 f"decoded h^{{{a},{b}}}(H^{i}) = {val} is not a dimension"
             )
-        if val:
-            if a + b != w(i):
-                raise DecodeError(
-                    f"entry ({i},{a},{b}) off the weight line a+b=w(i)"
-                )
-            table[(i, a, b)] = int(val)
+        if a + b != w(i):
+            raise DecodeError(
+                f"entry ({i},{a},{b}) off the weight line a+b=w(i)"
+            )
+        table[(i, a, b)] = val
     return table
 
 
@@ -435,23 +422,13 @@ def decode_hodge(coeff_n, n):
 
 
 def coefficient_json(poly, n):
-    """Serialize one series coefficient; exact integer strings only."""
+    """Serialize one series coefficient; values as exact integer strings."""
     coeffs = []
     for k in sorted(poly.terms, key=lambda k: (k[_U], k[_X], k[_Y])):
-        v = poly.terms[k]
-        if v.denominator != 1:
-            raise ValueError("non-integer coefficient cannot be serialized")
         coeffs.append(
-            {"x": k[_X], "y": k[_Y], "u": k[_U], "value": str(v.numerator)}
+            {"x": k[_X], "y": k[_Y], "u": k[_U], "value": str(poly.terms[k])}
         )
     return {"n": n, "coefficients": coeffs}
-
-
-def coefficient_from_json(doc):
-    poly = MultiPoly()
-    for c in doc["coefficients"]:
-        poly.terms[(c["u"], c["x"], c["y"], 0)] = int(c["value"])
-    return doc["n"], poly
 
 
 # -- the concrete varieties ------------------------------------------------

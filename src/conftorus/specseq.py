@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import series as series_mod
 from .gcalg import BidegreeSpace, Layout
@@ -78,10 +77,6 @@ class InvariantSpace:
     @property
     def dim(self):
         return sum(len(v) for v in self.blocks.values())
-
-    def vectors(self):
-        for block in self.blocks.values():
-            yield from block
 
 
 def hodge_json(hodge):
@@ -210,9 +205,7 @@ class SpectralEngine:
         """Rank of d on coinvariants, from block (p, q, ab) to (p+2, q-1, ab):
         the rank the d-images of the source coinvariant basis, in target
         quotient coordinates, add to the target block's echelon rows."""
-        source = self.coinvariants(p, q).get(ab)
-        if not source:
-            return 0
+        source = self.coinvariants(p, q).get(ab, ())
         target = self.space(p + 2, q - 1)
         images = []
         for mask in source:
@@ -234,15 +227,11 @@ class SpectralEngine:
         space = self.space(p, q)
         lay = self.layout
         blocks = {}
-        tables = self._perm_tables
         for ab, cols in self._hodge_blocks(space):
-            if not tables:
-                blocks[ab] = [{mask: Fraction(1)} for mask in cols]
-                continue
             constraint_cols = []
             for mask in cols:
                 col = {}
-                for tno, table in enumerate(tables):
+                for tno, table in enumerate(self._perm_tables):
                     s, img = lay.apply_perm(table, mask)
                     vec = space.reduce_mask(img, s)
                     vec[mask] = vec.get(mask, 0) - 1

@@ -91,11 +91,20 @@ def test_n_cap_requires_flag(capsys):
     assert err.value.code == 2
 
 
-def test_series_only_run_ignores_the_n_cap(capsys):
-    code, out = run(capsys, "betti", "--n", "12", "--engine", "series")
+def test_allowed_n6_runs_without_a_warning(capsys):
+    code = cli.main(["purity", "--n", "6", "--allow-n6"])
+    captured = capsys.readouterr()
     assert code == 0
-    assert out == "n=12: h = 1,2,4,5,7,8,10,11,13,14,16,17,7\n"
-    assert capsys.readouterr().err == ""
+    assert captured.out == "n=6: pure\n"
+    assert captured.err == ""
+
+
+def test_series_only_run_ignores_the_n_cap(capsys):
+    code = cli.main(["betti", "--n", "12", "--engine", "series"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "n=12: h = 1,2,4,5,7,8,10,11,13,14,16,17,7\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(
@@ -245,6 +254,11 @@ def test_genus_zero_verdict_is_reported_not_raised(capsys, monkeypatch):
     code, out = run(capsys, "selftest", "--n", "3")
     assert code == 1
     assert "FAIL genus_zero_table" in out
+    # a wrong table, with no AssertionError, is recorded the same way
+    monkeypatch.setattr(oracle, "arnold_conf_betti", lambda n: [1, 2])
+    code, out = run(capsys, "selftest", "--n", "2")
+    assert code == 1
+    assert "FAIL genus_zero_table n=2: [1, 2]" in out.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -346,9 +346,16 @@ def test_reduce_sums_reduce_mask_over_terms():
 
 
 def test_reduce_rejects_wrong_bidegree():
+    """An element, a bidegree or a generator outside the algebra is a
+    ValueError."""
     space = BidegreeSpace(2, 1, 1)
     with pytest.raises(ValueError):
         space.reduce(Element.from_generators(X(1)))
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="bidegree must be nonnegative"):
+            free_basis(n, -1, 0)
+    with pytest.raises(ValueError, match="g_ii is not a generator"):
+        G(1, 1)
 
 
 # -- differential --------------------------------------------------------------------

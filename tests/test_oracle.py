@@ -78,7 +78,7 @@ def test_arnold_echelon_holds_no_zero_monomial():
                 for sel in combinations(range(alg.npairs), q)
                 if not _holds_triangle(alg, sum(1 << b for b in sel))
             )
-            assert deg.dim + len(deg.zero) + deg.ech.rank == free, (n, q)
+            assert deg.dim + len(deg.zero) + len(deg.ech.rows) == free, (n, q)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

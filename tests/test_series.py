@@ -20,7 +20,6 @@ from conftorus.series import (
     POINT_HODGE,
     TORUS_HC,
     cheah_zeta,
-    coefficient_from_json,
     coefficient_json,
     conf_gf_betti,
     conf_gf_hodge,
@@ -188,7 +187,10 @@ def test_macdonald_full_torus_against_invariant_count():
 
 
 def test_cheah_punctured_torus_closed_form():
-    assert cheah_zeta(PUNCTURED_TORUS_HODGE, 8) == expand(sym_gf_hodge(), 8)
+    want = expand(sym_gf_hodge(), 8)
+    assert cheah_zeta(PUNCTURED_TORUS_HODGE, 8) == want
+    # an entry of dimension 0 contributes nothing, in either parity
+    assert cheah_zeta(PUNCTURED_TORUS_HODGE + ((2, 0, 0, 0), (1, 0, 0, 0)), 8) == want
 
 
 def test_cheah_point():
@@ -337,15 +339,9 @@ def test_coefficient_json_round_trip_and_sorting():
     assert doc["n"] == 2
     assert [c["u"] for c in doc["coefficients"]] == [1, 3, 4]
     assert all(isinstance(c["value"], str) for c in doc["coefficients"])
-    n, back = coefficient_from_json(json.loads(json.dumps(doc)))
-    assert n == 2 and back == poly
-    assert all(type(v) is int for v in back.terms.values())
-
-
-def test_coefficient_json_rejects_non_integer():
-    poly = MultiPoly({(0, 0, 0, 0): Fraction(1, 2)})
-    with pytest.raises(ValueError):
-        coefficient_json(poly, 0)
+    back = json.loads(json.dumps(doc))
+    terms = {(c["u"], c["x"], c["y"], 0): int(c["value"]) for c in back["coefficients"]}
+    assert back["n"] == 2 and MultiPoly(terms) == poly
 
 
 def test_property_checks_all_pass():
@@ -369,21 +365,11 @@ def test_series_coefficients_are_plain_ints():
         assert all(type(v) is int for c in coeffs for v in c.terms.values())
 
 
-def test_integral_fraction_values_are_stored_as_int():
-    half = MultiPoly({(1, 0, 0, 0): Fraction(1, 2)})
-    assert type(half.terms[(1, 0, 0, 0)]) is Fraction
-    assert MultiPoly({(0, 0, 0, 0): Fraction(1, 2)}) * 2 == MultiPoly.one()
-    assert hash(MultiPoly({(0, 0, 0, 0): Fraction(1, 2)}) * 2) == hash(MultiPoly.one())
-    for product in (
-        half * 2,
-        half.scale(Fraction(4)),
-        half * MultiPoly.monomial(2, x=1),
-        half + half,
-        MultiPoly({(1, 0, 0, 0): Fraction(6, 3)}),
-    ):
-        assert all(type(v) is int for v in product.terms.values())
-    assert (half + half) == MultiPoly.monomial(u=1)
-    assert half * 2 * Fraction(1, 2) == half
+def test_int_scalar_multiples():
+    p = MultiPoly.monomial(2, x=1) - MultiPoly.monomial(u=1)
+    want = MultiPoly({(0, 1, 0, 0): 6, (1, 0, 0, 0): -3})
+    assert p.scale(3) == p * 3 == 3 * p == want
+    assert not p.scale(0).terms
 
 
 @pytest.mark.parametrize(
@@ -392,9 +378,57 @@ def test_integral_fraction_values_are_stored_as_int():
         lambda: MultiPoly({(0, 0, 0, 0): 0.1}),
         lambda: MultiPoly.one().scale(0.1),
         lambda: MultiPoly.one() * 0.5,
+        lambda: MultiPoly({(0, 0, 0, 0): Fraction(1, 2)}),
+        lambda: MultiPoly({(0, 0, 0, 0): Fraction(2)}),
+        lambda: MultiPoly.one().scale(Fraction(4)),
+        lambda: MultiPoly.one() * Fraction(1, 2),
     ],
-    ids=["init", "scale", "mul"],
+    ids=["init", "scale", "mul", "init-fraction", "init-integral-fraction",
+         "scale-fraction", "mul-fraction"],
 )
 def test_float_coefficients_are_rejected(build):
-    with pytest.raises(TypeError, match="not rational"):
+    """Coefficients live in Z: a float or a ``Fraction``, even an integral
+    one, is a ``TypeError``."""
+    with pytest.raises(TypeError, match="is not an int"):
         build()
+
+
+# -- guards on reachable bad input ----------------------------------------------
+
+
+def _k4(n):
+    return conf_series_hodge(n)[n]
+
+
+@pytest.mark.parametrize(
+    "call, exc, fragment",
+    [
+        (lambda: MultiPoly({(1, -1, 0, 0): 1}), ValueError, "negative exponent"),
+        (lambda: FactoredRatFun(MultiPoly.one(), [(MultiPoly.monomial(t=1), 0)]),
+         ValueError, "multiplicity must be positive"),
+        (lambda: expand(genus0_gf(), -1), ValueError, "t_order must be >= 0"),
+        (lambda: cheah_zeta([(1, 1, 0, -1)], 3), ValueError, "negative Betti or Hodge"),
+        (lambda: vakil_wood_conf(macdonald_zeta(PUNCTURED_TORUS_HC, 3), 4),
+         ValueError, "too short"),
+        (lambda: w(-1), ValueError, "negative degree"),
+        (lambda: decode_betti(_k4(2), 2), DecodeError, "other than u"),
+        (lambda: decode_hodge(_k4(2) + MultiPoly.monomial(u=1, t=1), 2),
+         DecodeError, "still involves t"),
+        # x y at t^1: 2n - e = 2 is not a weight
+        (lambda: decode_hodge(MultiPoly.monomial(x=1, y=1), 1),
+         DecodeError, "no weight preimage"),
+        # x^2 at t^1: a = n - 2 < 0
+        (lambda: decode_hodge(MultiPoly.monomial(u=2, x=2), 1),
+         DecodeError, "exceeds n"),
+        # u^2 x y at t^1 is h^{0,0}(H^0); -1 is not a dimension
+        (lambda: decode_hodge(MultiPoly.monomial(-1, u=2, x=1, y=1), 1),
+         DecodeError, "is not a dimension"),
+    ],
+    ids=["negative-exponent", "multiplicity", "t-order", "negative-dimension",
+         "short-series", "w-negative", "betti-holds-x", "hodge-holds-t",
+         "hodge-no-preimage", "hodge-exponent-above-n", "hodge-negative"],
+)
+def test_reachable_guards_name_the_problem(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()
+

@@ -40,7 +40,7 @@ def test_invariant_vectors_are_fixed_n2():
         Element.from_generators(X(1), Y(2))
         - Element.from_generators(Y(1), X(2))
     )
-    (vec,) = list(inv.vectors())
+    (vec,) = [vec for block in inv.blocks.values() for vec in block]
     assert want and set(vec) == set(want)
     assert len({vec[mask] / want[mask] for mask in want}) == 1
 
@@ -252,6 +252,14 @@ def test_verify_against_series_sees_an_entry_only_the_series_has(reports):
     i, a, b = key
     assert verdict["mismatches"] == [
         {"what": f"hodge i={i} a={a} b={b}", "engine": 0, "series": want}
+    ]
+    # the Betti comparison on its own: the Hodge table is left intact
+    doctored = copy.deepcopy(reports[2])
+    doctored.betti[-1] += 1
+    verdict = verify_against_series(2, doctored)
+    assert not verdict["match"]
+    assert verdict["mismatches"] == [
+        {"what": "betti", "engine": doctored.betti, "series": reports[2].betti}
     ]
 
 
