@@ -290,7 +290,7 @@ def symmetrize(e: Element, n: int) -> Element:
     total = Element()
     count = 0
     for perm in permutations(range(1, n + 1)):
-        total = total + sn_act(perm, e)
+        add_terms(total.coeffs, sn_act(perm, e).coeffs.items())
         count += 1
     return total.scale(Fraction(1, count))
 

@@ -2,11 +2,20 @@
 
 Rows are dicts mapping a column key to a nonzero coefficient.  Columns are
 integers (bitmask-encoded monomials) so keys are totally ordered.
+
+``SignedUnionFind`` absorbs the rows that only identify two columns up to
+sign (``a = +-b``) in near-linear time, with path compression; a class
+whose members must equal their own negative is zero.  The root of a class
+is its smallest key, so :meth:`SignedUnionFind.project` rewrites a row
+onto the small monomials, as the echelon's pivots would.  It serves the
+spectral engine's coinvariant blocks, where most rows (87% at n = 6) are
+such identifications.
+
 ``SparseEchelon`` is a forward-only integer echelon form; it serves the
 genus-zero oracle's quotient elimination
-(:class:`conftorus.oracle.ArnoldAlgebra`), the spectral engine's
-coinvariant blocks, its reference invariant kernels and the differential
-ranks.  Pivot = largest column key of the row, so the
+(:class:`conftorus.oracle.ArnoldAlgebra`), the rows of the coinvariant
+blocks the union-find cannot absorb, the reference invariant kernels and
+the differential ranks.  Pivot = largest column key of the row, so the
 surviving coset representatives are the small monomials.  Elimination is
 fraction-free: a row is reduced against a pivot entry 1 in place, and is
 scaled by the pivot entry and divided by its content (gcd) only when that
@@ -46,6 +55,59 @@ def add_terms(acc, pairs):
         elif k in acc:
             del acc[k]
     return acc
+
+
+class SignedUnionFind:
+    """Union-find on column keys where each union carries a sign.
+
+    ``union(a, b, s)`` records ``a = s * b`` with ``s`` in {+1, -1}.  The
+    root of a class is its smallest key.  A class is zero when a union
+    closes a cycle whose signs say a member equals its own negative, or
+    when it is merged with a zero class.  ``parent`` holds the keys that
+    are not roots; a key it does not hold is the root of its own class.
+    """
+
+    def __init__(self):
+        self.parent = {}  # key -> (parent, sign) with key == sign * parent
+        self.zero = set()  # roots of the zero classes
+
+    def find(self, k):
+        """``(root, sign)`` with ``k == sign * root``; compresses the path."""
+        path = []
+        cur, sign = k, 1
+        while cur in self.parent:
+            nxt, s = self.parent[cur]
+            path.append((cur, sign))
+            sign *= s
+            cur = nxt
+        if len(path) > 1:
+            for node, pref in path:
+                self.parent[node] = (cur, pref * sign)
+        return cur, sign
+
+    def union(self, a, b, s):
+        """Impose ``a = s * b``."""
+        ra, sa = self.find(a)
+        rb, sb = self.find(b)
+        rel = sa * s * sb  # ra = rel * rb
+        if ra == rb:
+            if rel != 1:
+                self.zero.add(ra)
+            return
+        if rb < ra:
+            ra, rb = rb, ra
+        # the larger root goes under the smaller one, and so does its zero
+        self.parent[rb] = (ra, rel)
+        if rb in self.zero:
+            self.zero.discard(rb)
+            self.zero.add(ra)
+
+    def project(self, pairs):
+        """The ``(key, value)`` pairs summed onto the roots of their
+        classes, as a new row: a key in a zero class drops out, any other
+        counts ``sign * value`` on its root."""
+        found = (self.find(k) + (v,) for k, v in pairs)
+        return add_terms({}, ((r, s * v) for r, s, v in found if r not in self.zero))
 
 
 class SparseEchelon:

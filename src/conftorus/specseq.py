@@ -4,12 +4,15 @@ The S_n-invariant part of the E2 page is read off through coinvariants.  In
 characteristic zero the averaging map V^{S_n} -> V -> V_{S_n} is an
 isomorphism of complexes, so invariants and coinvariants have the same
 dimensions and the same d-ranks, and taking either commutes with
-cohomology.  For each bidegree (p, q) the engine eliminates the rows
-reduce(sigma . m) - m, over the quotient basis masks m and the two
-generating permutations sigma, in one forward integer echelon per Hodge
-block; the basis masks that are not pivots are a coinvariant basis.  A
-d-rank reduces the d-images of a source coinvariant basis modulo the target
-block's rows.  :func:`assemble_page` then reads off the surviving
+cohomology.  For each bidegree (p, q) and Hodge block the engine takes the
+rows reduce(sigma . m) - m, over the quotient basis masks m and the two
+generating permutations sigma.  A row that only says m = +-m' goes to a
+signed union-find, whose classes are represented by their smallest mask;
+the other rows, rewritten onto the representatives, go to one forward
+integer echelon.  The live representatives that are not pivots are a
+coinvariant basis.  A d-rank projects the d-images of a source coinvariant
+basis onto the target block's representatives and reduces them modulo its
+echelon rows.  :func:`assemble_page` then reads off the surviving
 dimensions
 
     e3(p, q) = dim ker(d: (p,q) -> (p+2,q-1)) - dim im(d: (p-2,q+1) -> (p,q)),
@@ -35,7 +38,14 @@ from dataclasses import dataclass, field
 
 from . import series as series_mod
 from .gcalg import BidegreeSpace, Layout
-from .linalg import SparseEchelon, add_terms, integer_row, kernel_of_columns, rank_of_rows
+from .linalg import (
+    SignedUnionFind,
+    SparseEchelon,
+    add_terms,
+    integer_row,
+    kernel_of_columns,
+    rank_of_rows,
+)
 
 __all__ = [
     "NegativeE3Error",
@@ -132,7 +142,8 @@ class SpectralEngine:
         self.layout = Layout(n)
         self._spaces = {}
         self._coinvariants = {}  # (p, q) -> {(a, b): coinvariant basis masks}
-        self._relations = {}  # (p, q) -> {(a, b): echelon rows}, dropped once read
+        # (p, q) -> {(a, b): (sign classes, echelon rows)}, dropped once read
+        self._relations = {}
         self._invariants = {}
         # bit tables for (1 2) and the n-cycle, which generate S_n
         perms = []
@@ -165,56 +176,81 @@ class SpectralEngine:
         lay = self.layout
         coinvariants, relations = {}, {}
         for ab, masks in self._hodge_blocks(space):
-            rows = []
+            members = set(masks)
+            classes = SignedUnionFind()
+            rest = []
             for mask in masks:
                 for table in self._perm_tables:
                     s, img = lay.apply_perm(table, mask)
-                    row = space.reduce_mask(img, s)
-                    row[mask] = row.get(mask, 0) - 1
-                    rows.append(row)
+                    if img in members:
+                        # a basis mask is its own normal form: mask = s * img
+                        classes.union(mask, img, s)
+                        continue
+                    row = add_terms(space.reduce_mask(img, s), ((mask, -1),))
+                    if len(row) == 2:
+                        (a, ca), (b, cb) = row.items()
+                        if ca * cb in (1, -1):
+                            classes.union(a, b, -ca * cb)
+                            continue
+                    if row:
+                        rest.append(row)
             # shortest first keeps fill-in down; the pivot set, and so the
             # basis, does not depend on the order
             ech = SparseEchelon()
-            for row in sorted(rows, key=len):
+            for row in sorted((classes.project(row.items()) for row in rest), key=len):
                 ech.add_row(row)
-            basis = [mask for mask in masks if mask not in ech.rows]
+            basis = [
+                mask for mask in masks
+                if mask not in classes.parent and mask not in classes.zero
+                and mask not in ech.rows
+            ]
             if basis:
                 coinvariants[ab] = basis
-            relations[ab] = ech.rows
+            relations[ab] = (classes, ech.rows)
         self._coinvariants[(p, q)] = coinvariants
         self._relations[(p, q)] = relations
 
     def coinvariants(self, p, q):
         """Coinvariant basis of bidegree (p, q): {(a, b): basis masks}.
 
-        One forward echelon per Hodge block holds the rows
-        ``reduce(sigma . m) - m`` for every basis mask m and each generating
-        permutation sigma; the masks that are not pivots span the quotient
-        by those rows, the S_n-coinvariants.  Blocks with no coinvariant
-        are left out."""
+        The coinvariants of a Hodge block are its quotient by the rows
+        ``reduce(sigma . m) - m``, for every basis mask m and each
+        generating permutation sigma.  A row that says ``m = +-m'`` (most
+        of them: sigma . m is often a basis mask itself) goes to a signed
+        union-find, whose classes are represented by their smallest mask; a
+        class whose masks must equal their own negative is zero.  The other
+        rows, rewritten onto the representatives, go to one forward
+        echelon.  The live representatives that are not pivots span the
+        quotient; they are the masks a single echelon of every row would
+        leave, since the max-column pivot set depends only on the span of
+        the rows.  Blocks with no coinvariant are left out."""
         if (p, q) not in self._coinvariants:
             self._eliminate(p, q)
         return self._coinvariants[(p, q)]
 
-    def _block_rows(self, p, q, ab):
+    def _block_relations(self, p, q, ab):
         if (p, q) not in self._relations:
             self._eliminate(p, q)
-        return self._relations[(p, q)].get(ab, {})
+        return self._relations[(p, q)].get(ab, (SignedUnionFind(), {}))
 
     def d_rank(self, p, q, ab):
         """Rank of d on coinvariants, from block (p, q, ab) to (p+2, q-1, ab):
-        the rank the d-images of the source coinvariant basis, in target
-        quotient coordinates, add to the target block's echelon rows."""
+        the d-images of the source coinvariant basis, in target quotient
+        coordinates and projected onto the target's class representatives,
+        and the rank they add to the target block's echelon rows."""
         source = self.coinvariants(p, q).get(ab, ())
         target = self.space(p + 2, q - 1)
+        classes, rows = self._block_relations(p + 2, q - 1, ab)
         images = []
         for mask in source:
-            img = {}
-            for m2, c2 in self.layout.differential_mask(mask):
-                add_terms(img, target.reduce_mask(m2, c2).items())
+            img = classes.project(
+                term
+                for m2, c2 in self.layout.differential_mask(mask)
+                for term in target.reduce_mask(m2, c2).items()
+            )
             if img:
                 images.append(img)
-        return rank_of_rows(images, self._block_rows(p + 2, q - 1, ab))
+        return rank_of_rows(images, rows)
 
     # -- invariants: the reference E2 source ------------------------------------
 
@@ -274,9 +310,10 @@ class SpectralEngine:
 
         Bidegrees are visited by falling q, so the source (p-2, q+1) of the
         arrow into (p, q) is known when (p, q) is eliminated; that arrow is
-        the only d-rank that reads the rows of (p, q), which are dropped
-        once it is taken.  The row q = -1 and the columns p > 2n are empty;
-        visiting them takes the arrows that leave the algebra."""
+        the only d-rank that reads the sign classes and echelon rows of
+        (p, q), which are dropped once it is taken.  The row q = -1 and the
+        columns p > 2n are empty; visiting them takes the arrows that leave
+        the algebra."""
         n = self.n
         e2, ranks = {}, {}
         for q in range(self.layout.npairs, -2, -1):

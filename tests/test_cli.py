@@ -186,6 +186,32 @@ def test_selftest_cross_checks_every_requested_n(capsys, monkeypatch):
     ]
 
 
+def test_selftest_reports_an_engine_series_disagreement(capsys, monkeypatch):
+    # no d-rank at n = 2: g12 and its d-image both survive, in degrees 1 and 2
+    monkeypatch.setattr(oracle, "run_selftest", lambda n_max: [])
+    monkeypatch.setattr(series, "property_checks", lambda: [])
+    d_rank = SpectralEngine.d_rank
+    monkeypatch.setattr(
+        SpectralEngine, "d_rank",
+        lambda self, p, q, ab: 0 if self.n == 2 else d_rank(self, p, q, ab),
+    )
+    code, out = run(capsys, "selftest", "--n", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(" ", 2)[:2] for line in lines[:-1]] == [
+        ["PASS", "engine_matches_series_n0"],
+        ["PASS", "engine_matches_series_n1"],
+        ["FAIL", "engine_matches_series_n2"],
+        ["PASS", "engine_matches_series_n3"],
+    ]
+    assert json.loads(lines[2].split(" ", 2)[2]) == [
+        {"what": "betti", "engine": [1, 3, 3], "series": [1, 2, 2]},
+        {"what": "hodge i=1 a=1 b=1", "engine": 1, "series": 0},
+        {"what": "hodge i=2 a=1 b=1", "engine": 1, "series": 0},
+    ]
+    assert lines[-1] == "3/4 passed"
+
+
 def test_purity_violation_is_reported_not_raised(capsys, monkeypatch):
     monkeypatch.setattr(SpectralEngine, "d_rank", lambda self, p, q, ab: 0)
     code, out = run(capsys, "purity", "--n", "3")

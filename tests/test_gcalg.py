@@ -421,6 +421,18 @@ def test_differential_bidegree_shift():
     assert e.bidegree() == (3, 1)
 
 
+def test_element_display_and_bidegree_guard():
+    e = Element.from_generators(X(1), Y(2)).scale(2) - Element.from_generators(
+        X(2), Y(1)
+    ).scale(Fraction(1, 3))
+    assert str(e) == repr(e) == "2*x1.y2 - 1/3*x2.y1"
+    assert str(Element()) == "0"
+    assert e.bidegree() == (2, 0)
+    for bad in (Element(), e + Element.from_generators(G(1, 2))):
+        with pytest.raises(ValueError, match="zero or not homogeneous"):
+            bad.bidegree()
+
+
 def test_differential_mask_matches_element_path():
     # the engine's bitmask d, term by term against the tuple-based one
     for n in range(5):

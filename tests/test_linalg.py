@@ -4,7 +4,13 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from conftorus.linalg import SparseEchelon, integer_row, kernel_of_columns, rank_of_rows
+from conftorus.linalg import (
+    SignedUnionFind,
+    SparseEchelon,
+    integer_row,
+    kernel_of_columns,
+    rank_of_rows,
+)
 
 SEEDS = range(40)
 
@@ -73,6 +79,14 @@ def test_rank_and_kernel_match_dense_oracle():
         rows, ncols = random_matrix(random.Random(seed))
         pivots = dense_rref(rows, ncols)
         assert rank_of_rows([sparse(r) for r in rows]) == len(pivots), seed
+        # seeded with the rows of an echelon of a prefix, the rank the rest
+        # adds, and the seed rows are left as they were
+        k = len(rows) // 2
+        base = echelon(rows[:k]).rows
+        kept = {p: dict(row) for p, row in base.items()}
+        added = rank_of_rows([sparse(r) for r in rows[k:]], base)
+        assert added == len(pivots) - len(dense_rref(rows[:k], ncols)), seed
+        assert base == kept, seed
         columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
         kernel = kernel_of_columns(columns, ncols)
         assert kernel == dense_kernel(rows, ncols), seed
@@ -177,3 +191,70 @@ def test_integer_row_clears_denominators():
     assert integer_row({0: Fraction(1, 2), 1: 3, 2: 0, 5: Fraction(-2, 3)}) == {
         0: 3, 1: 18, 5: -4
     }
+
+
+# -- signed union-find -------------------------------------------------------
+
+
+def dense_rank(rows, ncols):
+    return len(dense_rref(rows, ncols))
+
+
+def test_signed_union_find_matches_dense_rank():
+    """Each union a = s * b is the row a - s * b over the keys.  The live
+    roots are exactly the columns that are not max-column pivots of those
+    rows, ``k = sign * root`` (or ``k = 0`` in a zero class) lies in their
+    span, and a projected row differs from the row by the span.  The seeds
+    close cycles with a sign conflict and merge zero classes into live
+    ones."""
+    conflicts = zero_merges = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        keys = sorted(rng.sample(range(40), rng.randint(1, 10)))
+        col = {k: i for i, k in enumerate(keys)}
+        uf = SignedUnionFind()
+        rows = []
+        for _ in range(rng.randint(0, 12)):
+            a, b, s = rng.choice(keys), rng.choice(keys), rng.choice((1, -1))
+            (ra, _), (rb, _) = uf.find(a), uf.find(b)
+            zero_before = {ra, rb} & uf.zero
+            uf.union(a, b, s)
+            if ra != rb and len(zero_before) == 1:
+                zero_merges += 1
+            row = [0] * len(keys)
+            row[col[a]] += 1
+            row[col[b]] -= s
+            rows.append(row)
+        conflicts += bool(uf.zero)
+        ncols = len(keys)
+        rank = dense_rank(rows, ncols)
+        live = [k for k in keys if k not in uf.parent and k not in uf.zero]
+        pivots = dense_rref(rows, ncols)
+        assert live == [k for k in keys if col[k] not in pivots], seed
+        for k in keys:
+            root, sign = uf.find(k)
+            assert root <= k, seed
+            row = [0] * ncols
+            row[col[k]] += 1
+            if root not in uf.zero:
+                row[col[root]] -= sign
+            assert dense_rank(rows + [row], ncols) == rank, (seed, k)
+        vec = {k: rng.randint(-3, 3) for k in keys}
+        got = uf.project(vec.items())
+        assert set(got) <= set(live), seed
+        diff = [vec[k] - got.get(k, 0) for k in keys]
+        assert dense_rank(rows + [diff], ncols) == rank, seed
+    assert conflicts > 10 and zero_merges > 10
+
+
+def test_signed_union_find_zero_class_merges_into_a_live_one():
+    uf = SignedUnionFind()
+    uf.union(5, 3, 1)
+    uf.union(3, 5, -1)  # 3 = 5 = -3
+    assert uf.zero == {3}
+    uf.union(2, 1, -1)
+    uf.union(7, 2, 1)
+    assert uf.find(7) == (1, -1) and uf.zero == {3}
+    uf.union(2, 5, 1)  # the zero class {3, 5} joins {1, 2, 7}
+    assert uf.find(5)[0] == 1 and uf.zero == {1}
+    assert uf.project({2: 4, 7: 1, 8: -2}.items()) == {8: -2}

@@ -344,6 +344,14 @@ def test_coefficient_json_round_trip_and_sorting():
     assert back["n"] == 2 and MultiPoly(terms) == poly
 
 
+def test_display_and_truth_of_polys():
+    p = MultiPoly({(0, 1, 0, 2): 3, (1, 0, 0, 0): -1})
+    assert p and not MultiPoly() and not p - p
+    assert p.as_string() == "3*x.t^2 - u"
+    assert repr(p) == "MultiPoly(3*x.t^2 - u)"
+    assert MultiPoly().as_string() == "0" and repr(MultiPoly()) == "MultiPoly(0)"
+
+
 def test_property_checks_all_pass():
     results = property_checks()
     assert results and all(r["passed"] for r in results)

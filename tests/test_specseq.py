@@ -5,7 +5,7 @@ and the cross-check against the series module."""
 import pytest
 
 from conftorus.gcalg import Element, X, Y, symmetrize
-from conftorus.linalg import integer_row, rank_of_rows
+from conftorus.linalg import SparseEchelon, integer_row, rank_of_rows
 from conftorus.series import w
 from conftorus.specseq import (
     SpectralEngine,
@@ -117,6 +117,65 @@ def test_coinvariant_d_ranks_match_and_repeat_n4():
     assert any(ranks.values())
     assert ranks == {key: eng.invariant_d_rank(*key) for key in blocks}
     assert ranks == {key: eng.d_rank(*key) for key in blocks}
+
+
+def single_echelon_coinvariants(eng, p, q):
+    """The coinvariant basis of (p, q) with no union-find: every row
+    reduce(sigma . m) - m of a Hodge block goes to one echelon, and the
+    masks that are not pivots are the basis."""
+    space, lay, n = eng.space(p, q), eng.layout, eng.n
+    perms = [(2, 1, *range(3, n + 1))] if n >= 2 else []
+    if n > 2:
+        perms.append((*range(2, n + 1), 1))
+    tables = [lay.perm_table(sigma) for sigma in perms]
+    blocks = {}
+    for mask in space.quotient_basis:
+        blocks.setdefault(lay.hodge_bidegree(mask), []).append(mask)
+    out = {}
+    for ab, masks in sorted(blocks.items()):
+        rows = []
+        for mask in masks:
+            for table in tables:
+                s, img = lay.apply_perm(table, mask)
+                row = space.reduce_mask(img, s)
+                row[mask] = row.get(mask, 0) - 1
+                rows.append(row)
+        ech = SparseEchelon()
+        for row in sorted(rows, key=len):
+            ech.add_row(row)
+        basis = [mask for mask in masks if mask not in ech.rows]
+        if basis:
+            out[ab] = basis
+    return out
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_coinvariant_bases_match_a_single_echelon(n):
+    """The union-find of sign identifications leaves the same basis masks,
+    in the same order, as one echelon of every row: its classes are
+    represented by their smallest mask, as the max-column pivots are."""
+    eng = SpectralEngine(n)
+    for q in range(-1, eng.layout.npairs + 2):
+        for p in range(-1, 2 * n + 3):
+            assert eng.coinvariants(p, q) == single_echelon_coinvariants(eng, p, q), (p, q)
+
+
+def test_d_rank_of_whole_blocks_is_the_coinvariant_d_rank_n5(monkeypatch):
+    """d is S_n-equivariant, so a whole source block and its coinvariant
+    basis have one image in the target's coinvariants: fed every basis mask
+    of each block, d_rank gives the coinvariant d-ranks.  The extra images
+    are dependent, and at (0, 4, (4, 4)) only the target's echelon rows,
+    not its sign classes, show it."""
+    eng = SpectralEngine(5)
+    lay = eng.layout
+    whole = {}
+    for p, q in bidegrees(eng):
+        for mask in eng.space(p, q).quotient_basis:
+            whole.setdefault((p, q), {}).setdefault(lay.hodge_bidegree(mask), []).append(mask)
+    want = {(p, q, ab): eng.d_rank(p, q, ab) for (p, q), blocks in whole.items() for ab in blocks}
+    monkeypatch.setattr(eng, "coinvariants", lambda p, q: whole.get((p, q), {}))
+    assert {key: eng.d_rank(*key) for key in want} == want
+    assert want[(0, 1, (1, 1))] == 1 and want[(0, 4, (4, 4))] == 0
 
 
 def test_coinvariants_of_one_transposition_fail_the_e2_comparison_n3():
