@@ -152,15 +152,19 @@ def normalize(gens, sign=1) -> Optional[Monomial]:
 
 
 def _rational(v):
-    """``v`` as a ``Fraction``; a value that is not a ``numbers.Rational``
-    (a float, say) is a ``TypeError``, since the algebra is exact."""
+    """``v`` itself when it is an ``int``, else ``v`` as a ``Fraction``; a
+    value that is not a ``numbers.Rational`` (a float, say) is a
+    ``TypeError``, since the algebra is exact."""
+    if type(v) is int:
+        return v
     if not isinstance(v, Rational):
         raise TypeError(f"coefficient {v!r} is not rational")
     return Fraction(v)
 
 
 class Element:
-    """Sparse rational combination of normal-form monomials."""
+    """Sparse rational combination of normal-form monomials; a coefficient
+    stays an ``int`` while every input to it is one, else a ``Fraction``."""
 
     __slots__ = ("coeffs",)
 
@@ -286,7 +290,8 @@ def sn_act(sigma, e: Element) -> Element:
 
 
 def symmetrize(e: Element, n: int) -> Element:
-    """Averaging operator (1/n!) sum over all permutations of 1..n."""
+    """Averaging operator (1/n!) sum over all permutations of 1..n; the n!
+    images of an integer element add up as ints before the final scale."""
     total = Element()
     count = 0
     for perm in permutations(range(1, n + 1)):
@@ -322,14 +327,16 @@ class Layout:
         self.gfull = (1 << self.npairs) - 1  # all pair bits
         self._forms = {}  # g-part -> forest_form(g-part)
         # per pair bit of g_ij: the letter masks of x_j y_i and of x_i y_j,
-        # each followed by the mask of the bits strictly between its letters
+        # each paired with the mask of the bits strictly between its letters
         self._d_terms = {}
         for b, (i, j) in enumerate(self.pairs):
-            row = ()
-            for xi, yi in ((j, i), (i, j)):
-                bx, by = self.xbit0 + xi - 1, self.ybit0 + yi - 1
-                row += ((1 << bx) | (1 << by), (1 << by) - (2 << bx))
-            self._d_terms[1 << b] = row
+            self._d_terms[1 << b] = [
+                ((1 << bx) | (1 << by), (1 << by) - (2 << bx))
+                for bx, by in ((self.xbit0 + j - 1, self.ybit0 + i - 1),
+                               (self.xbit0 + i - 1, self.ybit0 + j - 1))
+            ]
+        self._gy = self.gfull | (((1 << n) - 1) << self.ybit0)  # g- and y-bits
+        self._d_last = (-1, [])  # (g- and y-bits of a mask, their d-terms)
 
     # -- encoding ----------------------------------------------------------
 
@@ -432,21 +439,35 @@ class Layout:
         the Koszul sign of moving its two letters into place, (-1)^(letters
         of the mask strictly between them).  Distinct (g-bit, term) pairs
         give distinct masks, so no two terms combine.
+
+        The terms of the mask's g-part and y-letters (term mask without the
+        x-letters, its letters, the bits between them, the sign parity of
+        the g-bits below and the y-letters between) are kept for the last
+        such pair only.  A sweep over one g-part's letter sets with the
+        x-letters varying fastest reuses them, and the memo never grows.
         """
-        out = []
-        pos = 0  # g-bits of the mask below the current one
-        m = mask & self.gfull
-        while m:
-            low = m & -m
-            m ^= low
-            rest = mask ^ low
-            add1, between1, add2, between2 = self._d_terms[low]
-            if not mask & add1:
-                out.append((rest | add1, _SIGN[(pos + (mask & between1).bit_count()) & 1]))
-            if not mask & add2:
-                out.append((rest | add2, _SIGN[(pos + (mask & between2).bit_count()) & 1]))
-            pos += 1
-        return out
+        key = mask & self._gy
+        if self._d_last[0] != key:
+            g = mask & self.gfull
+            ys = key ^ g
+            terms = []
+            pos = 0  # parity of the g-bits below the current one
+            m = g
+            while m:
+                low = m & -m
+                m ^= low
+                for add, between in self._d_terms[low]:
+                    if not ys & add:
+                        par = pos + (ys & between).bit_count()
+                        terms.append((key ^ low | add, add, between, par))
+                pos ^= 1
+            self._d_last = (key, terms)
+        xs = mask ^ key
+        return [
+            (t | xs, _SIGN[(par + (xs & between).bit_count()) & 1])
+            for t, add, between, par in self._d_last[1]
+            if not xs & add
+        ]
 
     def enumerate_masks(self, p, q):
         """All free-basis masks of bidegree (p, q) in lex enumeration order."""

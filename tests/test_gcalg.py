@@ -444,6 +444,27 @@ def test_differential_mask_matches_element_path():
             assert {lay.decode(m).gens: c for m, c in got} == want.coeffs, mask
 
 
+def test_differential_mask_memo_holds_in_any_call_order():
+    # differential_mask keeps the d-terms of the last g-part and y-letters
+    # it saw; calls grouped by g-part reuse them, shuffled calls replace
+    # them almost every time, and both must give the Element path's d
+    rng = random.Random(16)
+    for n in range(5):
+        lay = Layout(n)
+        want = {
+            mask: {
+                lay.encode(Monomial(gens)): c
+                for gens, c in differential(Element.from_monomial(lay.decode(mask))).coeffs.items()
+            }
+            for mask in range(1 << lay.nbits)
+        }
+        letters = [k << lay.xbit0 for k in range(1 << (2 * n))]
+        g_major = [g | lmask for g in range(lay.gfull + 1) for lmask in letters]
+        shuffled = rng.sample(g_major, len(g_major))
+        for mask in g_major + shuffled:
+            assert dict(lay.differential_mask(mask)) == want[mask], mask
+
+
 # -- group action ----------------------------------------------------------------------
 
 
@@ -533,6 +554,31 @@ def test_sort_bits_sign_and_mask():
 def test_float_coefficients_are_rejected(build):
     with pytest.raises(TypeError, match="not rational"):
         build()
+
+
+def test_integer_coefficients_stay_int():
+    e = Element({(X(1),): 2, (G(1, 2), Y(2)): -3})
+    assert all(type(c) is int for c in e.coeffs.values())
+    assert all(type(c) is int for c in Element.from_generators(Y(1), X(1)).coeffs.values())
+    assert type(Element({(X(1),): Fraction(1, 2)}).coeffs[(X(1),)]) is Fraction
+    with pytest.raises(TypeError, match="not rational"):
+        Element({(X(1),): 0.5})
+
+
+def test_symmetrize_of_int_and_fraction_coefficients_agree():
+    rng = random.Random(7)
+    for n in range(2, 5):
+        pool = [G(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        pool += [X(i) for i in range(1, n + 1)] + [Y(i) for i in range(1, n + 1)]
+        for _ in range(10):
+            coeffs = {}
+            for _ in range(3):
+                m = normalize(tuple(rng.sample(pool, 2)))
+                if m is not None:
+                    coeffs[m.gens] = rng.randint(-3, 3)
+            as_int = Element(coeffs)
+            as_fraction = Element({k: Fraction(v) for k, v in coeffs.items()})
+            assert symmetrize(as_int, n) == symmetrize(as_fraction, n)
 
 
 # -- degenerate sizes --------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -280,6 +281,44 @@ def test_dd_zero_catches_dropped_four_letter_terms(monkeypatch):
     assert not result["passed"] and result["counterexample"]
 
 
+def test_dd_zero_calls_differential_mask_once_per_free_mask(monkeypatch):
+    # part (b) takes every free mask once; part (a) adds d(G) and d of each
+    # of its terms for every pure g-part G
+    seen = Counter()
+    original = Layout.differential_mask
+
+    def counted(self, mask):
+        seen[self.n, mask] += 1
+        return original(self, mask)
+
+    monkeypatch.setattr(Layout, "differential_mask", counted)
+    suite = _Suite(4)
+    suite.check_dd_zero()
+    assert suite.results[-1]["passed"]
+    for n in range(2, 5):
+        lay = Layout(n)
+        masks = {mask for nn, mask in seen if nn == n}
+        assert masks == set(range(1 << lay.nbits))
+        calls = sum(seen[n, mask] for mask in masks)
+        assert calls == (1 << lay.nbits) + (1 << lay.npairs) * (1 + lay.npairs)
+
+
+def test_dd_zero_catches_a_dropped_leibniz_sign_on_a_pure_g_part(monkeypatch):
+    # the same fault on every mask: d(G|L) = d(G).L still holds, so only
+    # part (a), d(d(G)) = 0 on the pure g-parts, can see it
+    def unsigned(lay, mask, terms):
+        out = []
+        for m, c in terms:
+            low = mask & ~m  # the g-bit this term replaced
+            out.append((m, -c if (mask & (low - 1) & lay.gfull).bit_count() & 1 else c))
+        return out
+
+    result = _dd_zero_with(monkeypatch, unsigned)
+    assert result["name"] == "d_squared_zero"
+    assert not result["passed"]
+    assert not set(result["counterexample"]) & set("xy"), result["counterexample"]
+
+
 # -- negative controls for the symmetrizer and d identity checks ----------------
 
 
@@ -309,3 +348,8 @@ def test_doubled_differential_fails_the_d_checks(monkeypatch):
     assert _verdicts(
         _Suite.check_kernel_dichotomy, _Suite.check_boundary_property
     ) == {"canonical_kernel_dichotomy": False, "boundary_property": False}
+
+
+def test_identity_symmetrizer_fails_path_annihilation(monkeypatch):
+    monkeypatch.setattr(oracle, "symmetrize", lambda e, n: e)
+    assert _verdicts(_Suite.check_path_annihilation) == {"path_annihilation": False}
