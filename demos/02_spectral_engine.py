@@ -56,9 +56,10 @@ print("\nRelabelling acts with Koszul signs and commutes with d:")
 e = Element.from_generators(G(1, 2), X(3))
 print(f"  (1 2 3) . g12.x3 = {sn_act((2, 3, 1), e)}")
 
-print("\nAveraging over the group projects onto invariants:")
-print(f"  e(g12) at n=2: {symmetrize(Element.from_generators(G(1, 2)), 2)}")
-print(f"  e(x1.x2) at n=2: {symmetrize(Element.from_generators(X(1), X(2)), 2)}")
+print("\nSumming over the group, n! times averaging, maps onto invariants:")
+g12, x1x2 = Element.from_generators(G(1, 2)), Element.from_generators(X(1), X(2))
+print(f"  sum of sigma.g12 at n=2: {symmetrize(g12, 2)}")
+print(f"  sum of sigma.x1.x2 at n=2: {symmetrize(x1x2, 2)}")
 
 print("\nPutting it together: invariants, then cohomology of d.")
 for n in range(4):

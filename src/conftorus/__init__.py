@@ -9,8 +9,8 @@ Two independent computations of the same numbers:
   (:mod:`conftorus.series`) with Betti / mixed-Hodge decoders,
 
 cross-verified against each other and against the auxiliary structures in
-:mod:`conftorus.oracle`.  All arithmetic is exact rational; there is no
-floating point anywhere.
+:mod:`conftorus.oracle`.  All arithmetic is exact: every coefficient is an
+``int``, and there is no ``Fraction`` and no floating point anywhere.
 """
 
 from .gcalg import (

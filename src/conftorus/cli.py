@@ -38,6 +38,18 @@ def _parse_n(spec_str):
     return list(range(lo, hi + 1))
 
 
+def _glue_negative_n(argv):
+    """``argv`` with ``--n -<digit>...`` glued into ``--n=-<digit>...``, so
+    that argparse does not take a spec such as ``-1..3`` for a flag."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--n" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--n={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _parse_t_order(text):
     """``--t-order`` converter: an integer >= 0."""
     try:
@@ -238,7 +250,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_n(sys.argv[1:] if argv is None else argv))
     # the cap guards engine runs; a series-only run is cheap for any n
     if hasattr(args, "ns") and getattr(args, "engine", None) != "series":
         _check_cap(args.ns, args.allow_n6, args.usage_error)

@@ -51,10 +51,8 @@ elimination of every relation multiple for small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
-from numbers import Rational
 from typing import NamedTuple, Optional
 
 from .linalg import add_terms
@@ -151,20 +149,16 @@ def normalize(gens, sign=1) -> Optional[Monomial]:
     return Monomial(tuple(seq), sign)
 
 
-def _rational(v):
-    """``v`` itself when it is an ``int``, else ``v`` as a ``Fraction``; a
-    value that is not a ``numbers.Rational`` (a float, say) is a
-    ``TypeError``, since the algebra is exact."""
-    if type(v) is int:
-        return v
-    if not isinstance(v, Rational):
-        raise TypeError(f"coefficient {v!r} is not rational")
-    return Fraction(v)
+def _exact(v):
+    """``v`` itself when it is an ``int``; anything else, a ``Fraction``, a
+    float or a ``bool``, is a ``TypeError``."""
+    if type(v) is not int:
+        raise TypeError(f"coefficient {v!r} is not an int")
+    return v
 
 
 class Element:
-    """Sparse rational combination of normal-form monomials; a coefficient
-    stays an ``int`` while every input to it is one, else a ``Fraction``."""
+    """Sparse integer combination of normal-form monomials."""
 
     __slots__ = ("coeffs",)
 
@@ -172,7 +166,7 @@ class Element:
         self.coeffs = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = _rational(v)
+                v = _exact(v)
                 if v:
                     self.coeffs[k] = v
 
@@ -184,7 +178,7 @@ class Element:
     def from_monomial(cls, m: Optional[Monomial], coeff=1):
         e = cls()
         if m is not None:
-            c = _rational(coeff) * m.sign
+            c = _exact(coeff) * m.sign
             if c:
                 e.coeffs[m.gens] = c
         return e
@@ -207,7 +201,7 @@ class Element:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = _rational(c)
+        c = _exact(c)
         out = Element()
         if c:
             out.coeffs = {k: v * c for k, v in self.coeffs.items()}
@@ -290,14 +284,12 @@ def sn_act(sigma, e: Element) -> Element:
 
 
 def symmetrize(e: Element, n: int) -> Element:
-    """Averaging operator (1/n!) sum over all permutations of 1..n; the n!
-    images of an integer element add up as ints before the final scale."""
+    """Sum of sigma . e over the permutations sigma of 1..n: n! times the
+    averaging projector, so the coefficients stay integers."""
     total = Element()
-    count = 0
     for perm in permutations(range(1, n + 1)):
         add_terms(total.coeffs, sn_act(perm, e).coeffs.items())
-        count += 1
-    return total.scale(Fraction(1, count))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +600,8 @@ class BidegreeSpace:
     # -- quotient coordinates ------------------------------------------------
 
     def reduce_mask(self, mask, coeff=1):
-        """Quotient coordinates {basis mask: coefficient} of one monomial,
-        as a new dict; integer coefficients when ``coeff`` is an integer."""
+        """Quotient coordinates {basis mask: coefficient} of ``coeff`` times
+        one monomial, as a new dict of integers."""
         lay = self.layout
         form = lay.forest_form(mask & lay.gfull)
         if form is None:

@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the integers.
 
 Rows are dicts mapping a column key to a nonzero coefficient.  Columns are
 integers (bitmask-encoded monomials) so keys are totally ordered.
@@ -33,14 +33,12 @@ pivot rows that hold it, and a kernel vector visits only the rows it can
 reach, in increasing pivot order.
 
 ``add_terms`` is the one sparse accumulate (add, drop zeros) the engine and
-the oracles share.  ``integer_row`` clears the denominators of a
-``Fraction`` row; it serves the reference invariant d-ranks and the
-identity suite, the two places where rows are rational.
+the oracles share.  Every value is an ``int``: a kernel vector is scaled
+to integers as it is back-substituted, so no rational number is formed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -182,16 +180,17 @@ def kernel_of_columns(columns, dim):
     """Kernel of the linear map sending basis vector ``j`` to ``columns[j]``.
 
     ``columns`` is a list of integer columns, dicts (row index -> int); the
-    result is a list of Fraction-valued dicts over ``range(dim)`` spanning
-    the kernel, one per free column: 1 there, 0 on the other free columns,
-    with keys in the order free column, then pivots ascending (zeros left
-    out).
+    result is a list of integer dicts over ``range(dim)`` spanning the
+    kernel, one per free column: positive there and 0 on the other free
+    columns, with keys in the order free column, then pivots ascending
+    (zeros left out).
 
     The equations are eliminated shortest first, which keeps the rows short
     while they are reduced.  The pivot set of a max-column echelon does not
     depend on the order of its rows, so neither does the basis.
     Back-substitution visits, in increasing pivot order, only the pivot rows
-    that hold a column the vector already holds.
+    that hold a column the vector already holds, and scales the vector by
+    the least factor that lets a row's pivot entry divide it.
     """
     # Equations: for every row index r, sum_j columns[j][r] * v_j = 0.
     equations = {}
@@ -212,7 +211,7 @@ def kernel_of_columns(columns, dim):
     for free in range(dim):
         if free in rows:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         # a row's pivot is larger than its other columns, so every pivot
         # pushed is larger than the one popped: each row is reached after
         # all the entries of vec it reads are final
@@ -224,20 +223,14 @@ def kernel_of_columns(columns, dim):
             row = rows[p]
             s = sum(v * vec[c] for c, v in row.items() if c in vec)
             if s:
-                vec[p] = -s / row[p]
+                a = row[p]  # positive: installed rows have positive pivots
+                k = a // gcd(a, s)
+                if k != 1:
+                    vec = {c: v * k for c, v in vec.items()}
+                vec[p] = -s * k // a
                 for h in holders.get(p, ()):
                     if h not in queued:
                         queued.add(h)
                         heappush(heap, h)
         basis.append(vec)
     return basis
-
-
-def integer_row(row):
-    """``row``, a dict of ``int`` and ``Fraction`` values, times the lcm of
-    its denominators: an integer row with the zero entries left out."""
-    denom = 1
-    for v in row.values():
-        d = v.denominator
-        denom = denom * d // gcd(denom, d)
-    return {c: int(v * denom) for c, v in row.items() if v}

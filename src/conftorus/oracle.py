@@ -24,7 +24,6 @@ JSON-ready summary.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -46,7 +45,6 @@ from .gcalg import (
 from .linalg import (
     SparseEchelon,
     add_terms,
-    integer_row,
     rank_of_rows,
 )
 
@@ -404,7 +402,7 @@ def psi(m: Monomial):
 
 
 def psi_element(e: Element):
-    """Linear extension of :func:`psi`; returns {VMonomial: int or Fraction}."""
+    """Linear extension of :func:`psi`; returns {VMonomial: int}."""
     hits = ((psi(Monomial(gens)), c) for gens, c in e.coeffs.items())
     return add_terms({}, ((hit[0], c * hit[1]) for hit, c in hits if hit is not None))
 
@@ -496,11 +494,6 @@ def _dd_counterexample(lay):
                 if got != want and add_terms({}, got) != dict(want):
                     return g | lmask
     return None
-
-
-def _rank_of_vectors(vectors):
-    rows = (integer_row(vec) for vec in vectors)
-    return rank_of_rows([row for row in rows if row])
 
 
 class _Suite:
@@ -600,7 +593,7 @@ class _Suite:
                     sp.reduce(Element.from_monomial(m))
                     for m in _path_products(nn, q)
                 ]
-                if _rank_of_vectors(vecs) != sp.dim:
+                if rank_of_rows(vecs) != sp.dim:
                     bad = f"path span deficient at n={nn} q={q}"
         self.record("tree_to_path", "n<=5", bad is None, bad or detail)
 
@@ -641,7 +634,7 @@ class _Suite:
                 for p in range(2 * n + 1):
                     inv = eng.invariants(p, q)
                     vecs = [inv.space.reduce(symmetrize(e, n)) for e in elements(inv)]
-                    if _rank_of_vectors(vecs) != inv.dim:
+                    if rank_of_rows(vecs) != inv.dim:
                         return f"n={n} (p,q)=({p},{q})"
         return None
 
@@ -758,9 +751,10 @@ class _Suite:
                 # the preimage puts g on the single indices: x_j y_k -> g_{jk}
                 vm = shape["vm"]
                 pre = _g_times_phi(vm.xs + vm.ys, vm._replace(xs=(), ys=()))
-                pre = symmetrize(pre, n).scale(Fraction(-1, 2))
+                pre = symmetrize(pre, n)
                 sp = eng.space(p, q)
-                if sp.reduce(e) != sp.reduce(differential(pre)):
+                # e = -d(pre)/2, doubled to stay in the integers
+                if sp.reduce(e.scale(-2)) != sp.reduce(differential(pre)):
                     bad = f"n={n} b={shape['b']} c={shape['c']}"
         self.record("boundary_property", "n<=5", bad is None, bad)
 

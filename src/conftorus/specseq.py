@@ -42,7 +42,6 @@ from .linalg import (
     SignedUnionFind,
     SparseEchelon,
     add_terms,
-    integer_row,
     kernel_of_columns,
     rank_of_rows,
 )
@@ -73,9 +72,9 @@ class InvariantSpace:
     reference E2 source, from :meth:`SpectralEngine.invariants`.
 
     ``blocks`` maps a Hodge bidegree (a, b) to a list of basis vectors, each
-    a dict {basis mask: Fraction} over ``space.quotient_basis``, the format
-    of :meth:`BidegreeSpace.reduce`.  Outside the algebra the space is
-    empty and so is ``blocks``.
+    a dict {basis mask: int} over ``space.quotient_basis``, the format of
+    :meth:`BidegreeSpace.reduce`.  Outside the algebra the space is empty
+    and so is ``blocks``.
     """
 
     n: int
@@ -299,8 +298,7 @@ class SpectralEngine:
                         add_terms(acc, target.reduce_mask(m2, c2).items())
                     dcache[mask] = acc
                 add_terms(img, ((m3, c * v) for m3, v in dcache[mask].items()))
-            if img:
-                rows.append(integer_row(img))
+            rows.append(img)
         return rank_of_rows(rows)
 
     # -- the report ---------------------------------------------------------------

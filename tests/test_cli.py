@@ -127,8 +127,12 @@ def test_usage_errors_name_the_subcommand(capsys, argv):
 
 
 def test_bad_range_rejected(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["betti", "--n", "-1"])
+    # "-1..3" looks like a flag to argparse; it must still reach --n's check
+    for spec in ("-1", "-1..3", "-2..-1"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["betti", "--n", spec])
+        assert err.value.code == 2, spec
+        assert "n must be nonnegative" in capsys.readouterr().err, spec
 
 
 def test_reversed_range_names_the_empty_range(capsys):

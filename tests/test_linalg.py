@@ -7,7 +7,6 @@ from math import gcd
 from conftorus.linalg import (
     SignedUnionFind,
     SparseEchelon,
-    integer_row,
     kernel_of_columns,
     rank_of_rows,
 )
@@ -89,8 +88,14 @@ def test_rank_and_kernel_match_dense_oracle():
         assert base == kept, seed
         columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
         kernel = kernel_of_columns(columns, ncols)
-        assert kernel == dense_kernel(rows, ncols), seed
-        assert len(kernel) == ncols - len(pivots), seed
+        dense = dense_kernel(rows, ncols)
+        assert len(kernel) == len(dense) == ncols - len(pivots), seed
+        # each vector is the dense one times its own free-column entry
+        for vec, want in zip(kernel, dense):
+            free = next(iter(want))
+            assert next(iter(vec)) == free and vec[free] > 0, seed
+            assert all(type(v) is int for v in vec.values()), seed
+            assert vec == {c: v * vec[free] for c, v in want.items()}, seed
         for vec in kernel:
             for r in rows:
                 assert sum(r[c] * v for c, v in vec.items()) == 0, seed
@@ -172,25 +177,6 @@ def test_reduction_against_unit_pivot_keeps_caller_row():
     assert ech.rows == {3: {3: 1, 1: 2}, 2: {2: 1}}
     assert not ech.add_row({3: -3, 2: 7, 1: -6})
     assert len(ech.rows) == 2
-
-
-def test_integer_row_same_on_int_fraction_and_mixed():
-    for seed in SEEDS:
-        rng = random.Random(seed)
-        ints = {c: rng.randint(-3, 3) for c in range(rng.randint(0, 6))}
-        want = {c: v for c, v in ints.items() if v}
-        fracs = {c: Fraction(v) for c, v in ints.items()}
-        mixed = {c: Fraction(v) if c % 2 else v for c, v in ints.items()}
-        for row in (ints, fracs, mixed):
-            got = integer_row(row)
-            assert got == want, seed
-            assert all(type(v) is int for v in got.values()), seed
-
-
-def test_integer_row_clears_denominators():
-    assert integer_row({0: Fraction(1, 2), 1: 3, 2: 0, 5: Fraction(-2, 3)}) == {
-        0: 3, 1: 18, 5: -4
-    }
 
 
 # -- signed union-find -------------------------------------------------------

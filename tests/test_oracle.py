@@ -3,14 +3,23 @@
 import ast
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from conftorus import oracle
-from conftorus.gcalg import Element, G, Layout, Monomial, X, Y, multiply, normalize
+from conftorus.gcalg import (
+    BidegreeSpace,
+    Element,
+    G,
+    Layout,
+    Monomial,
+    X,
+    Y,
+    multiply,
+    normalize,
+)
 from conftorus.oracle import (
     ArnoldAlgebra,
     _Suite,
@@ -166,7 +175,7 @@ def test_v_monomial_rejects_repeated_index():
 def test_phi_examples():
     vm = make_v_monomial(xpairs=((1, 2),))
     assert phi(vm) == Element.from_generators(G(1, 2), X(1))
-    assert phi(make_v_monomial()) == Element({(): Fraction(1)})
+    assert phi(make_v_monomial()) == Element({(): 1})
     vm = make_v_monomial(xs=(1,), ys=(2,), xpairs=((3, 4),))
     want = Element.from_monomial(
         normalize((X(1), Y(2), G(3, 4), X(3)))
@@ -353,3 +362,45 @@ def test_doubled_differential_fails_the_d_checks(monkeypatch):
 def test_identity_symmetrizer_fails_path_annihilation(monkeypatch):
     monkeypatch.setattr(oracle, "symmetrize", lambda e, n: e)
     assert _verdicts(_Suite.check_path_annihilation) == {"path_annihilation": False}
+
+
+def _counterexample(n_max, check):
+    suite = _Suite(n_max)
+    check(suite)
+    (result,) = suite.results
+    assert not result["passed"]
+    return result["counterexample"]
+
+
+@pytest.mark.parametrize(
+    "n_max, want",
+    [(3, "e(x1x2) != 0 at n=3"), (4, "e(g12g34) != 0 at n=4")],
+)
+def test_identity_symmetrizer_fails_symmetrizer_annihilation(monkeypatch, n_max, want):
+    # x1x2 is checked from n = 2, g12g34 from n = 4, and g12g34 is last
+    monkeypatch.setattr(oracle, "symmetrize", lambda e, n: e)
+    assert _counterexample(n_max, _Suite.check_symmetrizer_annihilation) == want
+
+
+def test_identity_symmetrizer_leaves_a_class_not_closed(monkeypatch):
+    # g12 x3 is closed only once symmetrized; (1, 1, 0) is the last shape
+    monkeypatch.setattr(oracle, "symmetrize", lambda e, n: e)
+    assert (
+        _counterexample(3, _Suite.check_kernel_dichotomy)
+        == "n=3 (1, 1, 0) class not closed"
+    )
+
+
+def test_quotient_losing_g_degree_zero_closes_the_g_class(monkeypatch):
+    # d(e(g12)) lands in q = 0, where this quotient sees nothing, while the
+    # image formula still holds there (both sides reduce to zero)
+    original = BidegreeSpace.reduce
+
+    def blind_below_q1(self, e):
+        return {} if self.q == 0 else original(self, e)
+
+    monkeypatch.setattr(BidegreeSpace, "reduce", blind_below_q1)
+    assert (
+        _counterexample(2, _Suite.check_kernel_dichotomy)
+        == "n=2 (1,0,0) class unexpectedly closed"
+    )

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftorus import series
 from conftorus.series import (
     DecodeError,
     FactoredRatFun,
@@ -355,6 +356,50 @@ def test_display_and_truth_of_polys():
 def test_property_checks_all_pass():
     results = property_checks()
     assert results and all(r["passed"] for r in results)
+
+
+# -- negative controls: each property check fails under one planted fault --
+
+
+def failed_property_checks():
+    """{name: counterexample} of the failing property checks; all six run."""
+    results = property_checks()
+    assert len(results) == 6
+    return {r["name"]: r["counterexample"] for r in results if not r["passed"]}
+
+
+def test_denominator_without_multiplicity_fails_the_round_trip(monkeypatch):
+    # each factor applied once: only conf has a squared factor, (1 - u t^2)^2
+    def once(self):
+        den = MultiPoly.one()
+        for m, _ in self.denominator_factors:
+            den = den * (MultiPoly.one() - m)
+        return den
+
+    monkeypatch.setattr(FactoredRatFun, "denominator_poly", once)
+    assert failed_property_checks() == {"expand_round_trip": "conf"}
+
+
+def test_u_set_to_minus_one_fails_the_euler_law(monkeypatch):
+    original = MultiPoly.substitute_one
+
+    def faulty(self, var):
+        if var == "u":  # u = -1: odd u-exponents change sign first
+            self = MultiPoly({k: -v if k[0] % 2 else v for k, v in self.terms.items()})
+        return original(self, var)
+
+    monkeypatch.setattr(MultiPoly, "substitute_one", faulty)
+    assert failed_property_checks() == {"euler_characteristic_law": "t^10: 9"}
+
+
+def test_symmetric_power_series_fails_the_genus_zero_decode(monkeypatch):
+    # 1 / (1 - u^2 t), the numerator (1 - u^2 t^2) dropped: Z, not K
+    monkeypatch.setattr(
+        series,
+        "genus0_gf",
+        lambda: FactoredRatFun(MultiPoly.one(), [(MultiPoly.monomial(u=2, t=1), 1)]),
+    )
+    assert failed_property_checks() == {"genus_zero_table_decode": "n=10: [1]"}
 
 
 # -- integer coefficients -------------------------------------------------------
