@@ -33,7 +33,7 @@ print("\n   psi classifies free monomials back; composites return home:")
 print(f"   psi(g12.x1) = {psi(normalize((G(1, 2), X(1))))}")
 print(f"   psi(g12.x3) = {psi(normalize((G(1, 2), X(3))))}   (bare g dies)")
 for n in (2, 3, 4, 5):
-    ok, _ = check_left_inverse(n)
+    ok = check_left_inverse(n) is None
     print(f"   psi o phi = id on all of V({n}): {ok}")
 
 print("\n3. The full identity suite at n <= 4:")

@@ -183,18 +183,8 @@ def cmd_selftest(args):
     results += oracle.run_selftest(n_max)
     for n in range(0, n_max + 1):
         verdict = verify_against_series(n)
-        results.append(
-            {
-                "name": f"engine_matches_series_n{n}",
-                "n_range": str(n),
-                "passed": verdict["match"],
-                **(
-                    {}
-                    if verdict["match"]
-                    else {"counterexample": json.dumps(verdict["mismatches"])}
-                ),
-            }
-        )
+        cex = None if verdict["match"] else json.dumps(verdict["mismatches"])
+        results.append(oracle.check_result(f"engine_matches_series_n{n}", str(n), cex))
     failed = [r for r in results if not r["passed"]]
     if args.format == "json":
         print(json.dumps({"n_max": n_max, "results": results,

@@ -18,7 +18,8 @@ proves the disjoint-pair classes linearly independent; the engine's rank
 computations are cross-checked against this.
 
 :func:`run_selftest` executes the whole identity suite and returns a
-JSON-ready summary.
+JSON-ready summary.  Every check returns its first counterexample, or None,
+and :func:`check_result` builds every record of ``conftorus selftest``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "psi",
     "psi_element",
     "check_left_inverse",
+    "check_result",
     "run_selftest",
 ]
 
@@ -408,12 +410,12 @@ def psi_element(e: Element):
 
 
 def check_left_inverse(n):
-    """psi(phi(m)) == m for every V(n) basis monomial."""
+    """The first V(n) basis monomial m with psi(phi(m)) != m, as a string,
+    or None when psi(phi(m)) == m for all of them."""
     for vm in v_basis(n):
-        img = psi_element(phi(vm))
-        if img != {vm: 1}:
-            return False, str(vm)
-    return True, None
+        if psi_element(phi(vm)) != {vm: 1}:
+            return str(vm)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +498,25 @@ def _dd_counterexample(lay):
     return None
 
 
+def check_result(name, n_range, counterexample, detail=None):
+    """The JSON-ready record of one check.  It passed exactly when
+    ``counterexample`` is None, and a failed record names the
+    counterexample; ``detail`` is a note kept only on a pass."""
+    entry = {"name": name, "n_range": n_range, "passed": counterexample is None}
+    if counterexample is not None:
+        entry["counterexample"] = counterexample
+    elif detail:
+        entry["detail"] = detail
+    return entry
+
+
 class _Suite:
+    """The identity suite.  Each ``check_*`` returns its first
+    counterexample, in its own iteration order, as a string, or None when
+    the identity holds; :meth:`run` turns them into result records."""
+
     def __init__(self, n_max):
         self.n_max = n_max
-        self.results = []
         self._engines = {}
 
     def engine(self, n):
@@ -508,12 +525,6 @@ class _Suite:
         if n not in self._engines:
             self._engines[n] = SpectralEngine(n)
         return self._engines[n]
-
-    def record(self, name, n_range, passed, detail=None):
-        entry = {"name": name, "n_range": n_range, "passed": bool(passed)}
-        if detail:
-            entry["counterexample" if not passed else "detail"] = str(detail)
-        self.results.append(entry)
 
     # -- individual checks ---------------------------------------------------
 
@@ -531,18 +542,15 @@ class _Suite:
                       = d(d(G)).L      by (b) for each term of d(G),
                       = 0              by (a).
         """
-        bad = None
         for n in range(2, min(self.n_max, 5) + 1):
             lay = Layout(n)
             mask = _dd_counterexample(lay)
             if mask is not None:
-                bad = str(lay.decode(mask))
-                break
-        self.record("d_squared_zero", f"n<=min({self.n_max},5)", bad is None, bad)
+                return str(lay.decode(mask))
+        return None
 
     def check_equivariance(self):
         rng = random.Random(20210405)
-        bad = None
         for n in range(2, min(self.n_max, 5) + 1):
             gens = [G(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
             gens += [X(i) for i in range(1, n + 1)]
@@ -555,11 +563,10 @@ class _Suite:
                 rng.shuffle(sigma)
                 sigma = tuple(sigma)
                 if sn_act(sigma, differential(e)) != differential(sn_act(sigma, e)):
-                    bad = f"sigma={sigma} m={m}"
-        self.record("equivariance_of_d", "n<=5", bad is None, bad)
+                    return f"sigma={sigma} m={m}"
+        return None
 
     def check_cycle_vanishing(self):
-        bad = None
         for n in range(2, min(self.n_max, 5) + 1):
             lay = Layout(n)
             for r in range(2, n + 1):
@@ -569,21 +576,17 @@ class _Suite:
                     continue
                 sp = BidegreeSpace(n, 0, r, layout=lay)
                 if sp.reduce(Element.from_monomial(m)):
-                    bad = f"n={n} r={r}"
-        self.record("cycle_vanishing", "2<=r<=n<=5", bad is None, bad)
+                    return f"n={n} r={r}"
+        return None
 
     def check_tree_to_path(self):
-        n = min(self.n_max, 4)
-        if n < 4:
-            self.record("tree_to_path", "n=4..5", True, "skipped below n=4")
-            return
+        """The 3-star identity at n = 4, so n_max >= 4, then the path span."""
         sp = BidegreeSpace(4, 0, 3)
         lhs = Element.from_monomial(normalize((G(1, 2), G(2, 3), G(2, 4))))
         p1 = Element.from_monomial(normalize((G(1, 2), G(2, 3), G(3, 4))))
         p2 = Element.from_monomial(normalize((G(1, 2), G(2, 4), G(4, 3))))
-        ok = not sp.reduce(lhs - (p1 - p2))
-        detail = "g(1,2)g(2,3)g(2,4) = g_{1,2,3,4} - g_{1,2,4,3}"
-        bad = None if ok else "3-star identity failed"
+        if sp.reduce(lhs - (p1 - p2)):
+            return "3-star identity failed"
         # spanning-rank equality: path products span every pure-g bidegree
         for nn in range(2, min(self.n_max, 5) + 1):
             lay = Layout(nn)
@@ -594,23 +597,18 @@ class _Suite:
                     for m in _path_products(nn, q)
                 ]
                 if rank_of_rows(vecs) != sp.dim:
-                    bad = f"path span deficient at n={nn} q={q}"
-        self.record("tree_to_path", "n<=5", bad is None, bad or detail)
+                    return f"path span deficient at n={nn} q={q}"
+        return None
 
     def check_symmetrizer_annihilation(self):
-        bad = None
         for n in range(2, min(self.n_max, 5) + 1):
-            e = symmetrize(Element.from_generators(X(1), X(2)), n)
-            if e:
-                bad = f"e(x1x2) != 0 at n={n}"
-            if n >= 4:
-                e = symmetrize(Element.from_generators(G(1, 2), G(3, 4)), n)
-                if e:
-                    bad = f"e(g12g34) != 0 at n={n}"
-        self.record("symmetrizer_annihilation", "n<=5", bad is None, bad)
+            if symmetrize(Element.from_generators(X(1), X(2)), n):
+                return f"e(x1x2) != 0 at n={n}"
+            if n >= 4 and symmetrize(Element.from_generators(G(1, 2), G(3, 4)), n):
+                return f"e(g12g34) != 0 at n={n}"
+        return None
 
     def check_path_annihilation(self):
-        bad = None
         for n in range(3, min(self.n_max, 5) + 1):
             lay = Layout(n)
             for r in range(3, n + 1):
@@ -622,8 +620,8 @@ class _Suite:
                     m = normalize(gens)
                     e = symmetrize(Element.from_monomial(m), n)
                     if sp.reduce(e):
-                        bad = f"n={n} path={tup}"
-        self.record("path_annihilation", "r>=3, n<=5", bad is None, bad)
+                        return f"n={n} path={tup}"
+        return None
 
     def _first_deficient_bidegree(self, elements):
         """The first invariant space of the engine, n <= min(n_max, 4), that
@@ -645,27 +643,24 @@ class _Suite:
                 by_bidegree.setdefault((n, shape["bidegree"]), []).append(
                     shape["element"]
                 )
-        bad = self._first_deficient_bidegree(
+        return self._first_deficient_bidegree(
             lambda inv: by_bidegree.get((inv.n, (inv.p, inv.q)), [])
         )
-        self.record("canonical_spanning", "n<=4", bad is None, bad)
 
     def check_fixed_space_agreement(self):
-        bad = self._first_deficient_bidegree(
+        return self._first_deficient_bidegree(
             lambda inv: [
                 Element.from_monomial(inv.space.layout.decode(mask))
                 for mask in inv.space.quotient_basis
             ]
         )
-        self.record("symmetrizer_image_is_fixed_space", "n<=4", bad is None, bad)
 
     def check_rel6(self):
-        bad = None
         rng = random.Random(997)
         for n in range(0, min(self.n_max, 5) + 1):
-            ok, cex = check_left_inverse(n)
-            if not ok:
-                bad = f"psi(phi(m)) != m at n={n}: {cex}"
+            cex = check_left_inverse(n)
+            if cex is not None:
+                return f"psi(phi(m)) != m at n={n}: {cex}"
             if n < 3:
                 continue
             gens = [G(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
@@ -690,12 +685,10 @@ class _Suite:
                 ]
                 for fam_no, e in enumerate(fams):
                     if psi_element(e):
-                        bad = f"psi(relation family {fam_no}) != 0, n={n}, mu={mu}"
-        self.record("left_inverse_and_relation_annihilation", "n<=5",
-                    bad is None, bad)
+                        return f"psi(relation family {fam_no}) != 0, n={n}, mu={mu}"
+        return None
 
     def check_rel7_nonvanishing(self):
-        bad = None
         for n in range(2, min(self.n_max, 5) + 1):
             eng = self.engine(n)
             for shape in _canonical_shapes(n):
@@ -707,14 +700,13 @@ class _Suite:
                 engine_nonzero = bool(sp.reduce(total))
                 oracle_nonzero = bool(psi_element(total))
                 if not (engine_nonzero and oracle_nonzero):
-                    bad = (
+                    return (
                         f"n={n} shape b={shape['b']} c={shape['c']}: "
                         f"engine={engine_nonzero} oracle={oracle_nonzero}"
                     )
-        self.record("disjoint_pair_classes_nonzero", "n<=5", bad is None, bad)
+        return None
 
     def check_kernel_dichotomy(self):
-        bad = None
         for n in range(2, min(self.n_max, 5) + 1):
             eng = self.engine(n)
             for shape in _canonical_shapes(n):
@@ -728,19 +720,18 @@ class _Suite:
                 key = (shape["r"], shape["s1"], shape["s2"])
                 if key == (1, 0, 0):
                     if is_zero and eng.space(p, q).reduce(e):
-                        bad = f"n={n} (1,0,0) class unexpectedly closed"
+                        return f"n={n} (1,0,0) class unexpectedly closed"
                     # d(e(alpha)) = -2 e(x_i1 y_i2 * rest)
                     i1, i2 = shape["gpair"]
                     rest = phi(shape["vm"]._replace(xs=(i1,), ys=(i2,)))
                     cmp = symmetrize(rest, n).scale(-2)
                     if img != target.reduce(cmp):
-                        bad = f"n={n} (1,0,0) image formula failed"
+                        return f"n={n} (1,0,0) image formula failed"
                 elif not is_zero:
-                    bad = f"n={n} {key} class not closed"
-        self.record("canonical_kernel_dichotomy", "n<=5", bad is None, bad)
+                    return f"n={n} {key} class not closed"
+        return None
 
     def check_boundary_property(self):
-        bad = None
         for n in range(2, min(self.n_max, 5) + 1):
             eng = self.engine(n)
             for shape in _canonical_shapes(n):
@@ -755,11 +746,10 @@ class _Suite:
                 sp = eng.space(p, q)
                 # e = -d(pre)/2, doubled to stay in the integers
                 if sp.reduce(e.scale(-2)) != sp.reduce(differential(pre)):
-                    bad = f"n={n} b={shape['b']} c={shape['c']}"
-        self.record("boundary_property", "n<=5", bad is None, bad)
+                    return f"n={n} b={shape['b']} c={shape['c']}"
+        return None
 
     def check_d_descends(self):
-        bad = None
         for n in range(2, min(self.n_max, 3) + 1):
             lay = Layout(n)
             for q in range(lay.npairs + 1):
@@ -770,41 +760,53 @@ class _Suite:
                         if not de:
                             continue
                         if target.reduce(de):
-                            bad = f"n={n} (p,q)=({p},{q}) row={row}"
-        self.record("differential_descends_to_quotient", "n<=3",
-                    bad is None, bad)
+                            return f"n={n} (p,q)=({p},{q}) row={row}"
+        return None
 
     def check_arnold(self):
-        bad = None
-        top = min(self.n_max, 7)
-        for n in range(2, top + 1):
+        for n in range(2, min(self.n_max, 7) + 1):
             try:
                 dims = arnold_conf_betti(n)
             except AssertionError as err:
-                bad = str(err)
-                continue
+                return str(err)
             expected = [1, 1] + [0] * (len(dims) - 2)
             if dims != expected:
-                bad = f"n={n}: {dims}"
-        self.record("genus_zero_table", f"2<=n<={top}", bad is None, bad)
+                return f"n={n}: {dims}"
+        return None
 
     def run(self, include_arnold=True):
-        self.check_dd_zero()
-        self.check_equivariance()
-        self.check_cycle_vanishing()
-        self.check_tree_to_path()
-        self.check_symmetrizer_annihilation()
-        self.check_path_annihilation()
-        self.check_canonical_spanning()
-        self.check_fixed_space_agreement()
-        self.check_rel6()
-        self.check_rel7_nonvanishing()
-        self.check_kernel_dichotomy()
-        self.check_boundary_property()
-        self.check_d_descends()
+        """The result records, in this order.  The 3-star identity lives at
+        n = 4, so below that tree_to_path passes as skipped."""
+        n_max = self.n_max
+        if n_max >= 4:
+            tree = ("n<=5", self.check_tree_to_path,
+                    "g(1,2)g(2,3)g(2,4) = g_{1,2,3,4} - g_{1,2,4,3}")
+        else:
+            tree = ("n=4..5", lambda: None, "skipped below n=4")
+        checks = [
+            ("d_squared_zero", f"n<=min({n_max},5)", self.check_dd_zero),
+            ("equivariance_of_d", "n<=5", self.check_equivariance),
+            ("cycle_vanishing", "2<=r<=n<=5", self.check_cycle_vanishing),
+            ("tree_to_path", *tree),
+            ("symmetrizer_annihilation", "n<=5", self.check_symmetrizer_annihilation),
+            ("path_annihilation", "r>=3, n<=5", self.check_path_annihilation),
+            ("canonical_spanning", "n<=4", self.check_canonical_spanning),
+            ("symmetrizer_image_is_fixed_space", "n<=4",
+             self.check_fixed_space_agreement),
+            ("left_inverse_and_relation_annihilation", "n<=5", self.check_rel6),
+            ("disjoint_pair_classes_nonzero", "n<=5", self.check_rel7_nonvanishing),
+            ("canonical_kernel_dichotomy", "n<=5", self.check_kernel_dichotomy),
+            ("boundary_property", "n<=5", self.check_boundary_property),
+            ("differential_descends_to_quotient", "n<=3", self.check_d_descends),
+        ]
         if include_arnold:
-            self.check_arnold()
-        return self.results
+            checks.append(
+                ("genus_zero_table", f"2<=n<={min(n_max, 7)}", self.check_arnold)
+            )
+        return [
+            check_result(name, n_range, check(), *detail)
+            for name, n_range, check, *detail in checks
+        ]
 
 
 def _path_products(n, q):
@@ -835,6 +837,8 @@ def _path_products(n, q):
 
 
 def run_selftest(n_max, include_arnold=True):
-    """Execute the identity suite; returns a JSON-ready list of results."""
+    """Execute the identity suite; returns a JSON-ready list of results, one
+    :func:`check_result` record per check.  A failing check stops at its
+    first counterexample and names it."""
     suite = _Suite(n_max)
     return suite.run(include_arnold=include_arnold)

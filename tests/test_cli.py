@@ -263,7 +263,7 @@ def test_hodge_mismatch_gives_nonzero_exit(capsys, monkeypatch):
 
 
 def test_failed_selftest_check_gives_nonzero_exit(capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "check_left_inverse", lambda n: (False, "injected"))
+    monkeypatch.setattr(oracle, "check_left_inverse", lambda n: "injected")
     code, out = run(capsys, "selftest", "--n", "2")
     assert code == 1
     assert "FAIL left_inverse_and_relation_annihilation" in out

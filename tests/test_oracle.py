@@ -25,6 +25,7 @@ from conftorus.oracle import (
     _Suite,
     arnold_conf_betti,
     check_left_inverse,
+    check_result,
     make_v_monomial,
     phi,
     psi,
@@ -242,8 +243,7 @@ def test_psi_annihilates_relation_multiples():
 
 def test_left_inverse():
     for n in (0, 2, 4):
-        ok, cex = check_left_inverse(n)
-        assert ok, cex
+        assert check_left_inverse(n) is None
 
 
 # -- suite -------------------------------------------------------------------------
@@ -265,9 +265,7 @@ def _dd_zero_with(monkeypatch, fault):
     monkeypatch.setattr(
         Layout, "differential_mask", lambda self, mask: fault(self, mask, original(self, mask))
     )
-    suite = _Suite(4)
-    suite.check_dd_zero()
-    return suite.results[-1]
+    return _Suite(4).check_dd_zero()
 
 
 def test_dd_zero_catches_sign_flip_on_x1(monkeypatch):
@@ -276,18 +274,14 @@ def test_dd_zero_catches_sign_flip_on_x1(monkeypatch):
             return [(m, -c) for m, c in terms]
         return terms
 
-    result = _dd_zero_with(monkeypatch, flip)
-    assert result["name"] == "d_squared_zero"
-    assert not result["passed"] and result["counterexample"]
+    assert _dd_zero_with(monkeypatch, flip)
 
 
 def test_dd_zero_catches_dropped_four_letter_terms(monkeypatch):
     def drop(lay, mask, terms):
         return [(m, c) for m, c in terms if (m & ~lay.gfull).bit_count() < 4]
 
-    result = _dd_zero_with(monkeypatch, drop)
-    assert result["name"] == "d_squared_zero"
-    assert not result["passed"] and result["counterexample"]
+    assert _dd_zero_with(monkeypatch, drop)
 
 
 def test_dd_zero_calls_differential_mask_once_per_free_mask(monkeypatch):
@@ -301,9 +295,7 @@ def test_dd_zero_calls_differential_mask_once_per_free_mask(monkeypatch):
         return original(self, mask)
 
     monkeypatch.setattr(Layout, "differential_mask", counted)
-    suite = _Suite(4)
-    suite.check_dd_zero()
-    assert suite.results[-1]["passed"]
+    assert _Suite(4).check_dd_zero() is None
     for n in range(2, 5):
         lay = Layout(n)
         masks = {mask for nn, mask in seen if nn == n}
@@ -322,10 +314,8 @@ def test_dd_zero_catches_a_dropped_leibniz_sign_on_a_pure_g_part(monkeypatch):
             out.append((m, -c if (mask & (low - 1) & lay.gfull).bit_count() & 1 else c))
         return out
 
-    result = _dd_zero_with(monkeypatch, unsigned)
-    assert result["name"] == "d_squared_zero"
-    assert not result["passed"]
-    assert not set(result["counterexample"]) & set("xy"), result["counterexample"]
+    cex = _dd_zero_with(monkeypatch, unsigned)
+    assert cex and not set(cex) & set("xy"), cex
 
 
 # -- negative controls for the symmetrizer and d identity checks ----------------
@@ -333,9 +323,7 @@ def test_dd_zero_catches_a_dropped_leibniz_sign_on_a_pure_g_part(monkeypatch):
 
 def _verdicts(*checks):
     suite = _Suite(4)
-    for check in checks:
-        check(suite)
-    return {r["name"]: r["passed"] for r in suite.results}
+    return {check.__name__: check(suite) is None for check in checks}
 
 
 def test_zero_symmetrizer_fails_the_spanning_checks(monkeypatch):
@@ -345,9 +333,9 @@ def test_zero_symmetrizer_fails_the_spanning_checks(monkeypatch):
         _Suite.check_fixed_space_agreement,
         _Suite.check_rel7_nonvanishing,
     ) == {
-        "canonical_spanning": False,
-        "symmetrizer_image_is_fixed_space": False,
-        "disjoint_pair_classes_nonzero": False,
+        "check_canonical_spanning": False,
+        "check_fixed_space_agreement": False,
+        "check_rel7_nonvanishing": False,
     }
 
 
@@ -356,38 +344,58 @@ def test_doubled_differential_fails_the_d_checks(monkeypatch):
     monkeypatch.setattr(oracle, "differential", lambda e: original(e).scale(2))
     assert _verdicts(
         _Suite.check_kernel_dichotomy, _Suite.check_boundary_property
-    ) == {"canonical_kernel_dichotomy": False, "boundary_property": False}
+    ) == {"check_kernel_dichotomy": False, "check_boundary_property": False}
 
 
 def test_identity_symmetrizer_fails_path_annihilation(monkeypatch):
     monkeypatch.setattr(oracle, "symmetrize", lambda e, n: e)
-    assert _verdicts(_Suite.check_path_annihilation) == {"path_annihilation": False}
+    assert _verdicts(_Suite.check_path_annihilation) == {
+        "check_path_annihilation": False
+    }
 
 
 def _counterexample(n_max, check):
-    suite = _Suite(n_max)
-    check(suite)
-    (result,) = suite.results
-    assert not result["passed"]
-    return result["counterexample"]
+    cex = check(_Suite(n_max))
+    assert cex is not None
+    return cex
+
+
+def _kinds(e):
+    """The generator kinds, of "g", "x" and "y", that ``e`` holds."""
+    return {gen.kind for gens in e.coeffs for gen in gens}
 
 
 @pytest.mark.parametrize(
-    "n_max, want",
-    [(3, "e(x1x2) != 0 at n=3"), (4, "e(g12g34) != 0 at n=4")],
+    "g_only, n_max, want",
+    [(False, 3, "e(x1x2) != 0 at n=2"), (True, 4, "e(g12g34) != 0 at n=4")],
 )
-def test_identity_symmetrizer_fails_symmetrizer_annihilation(monkeypatch, n_max, want):
-    # x1x2 is checked from n = 2, g12g34 from n = 4, and g12g34 is last
-    monkeypatch.setattr(oracle, "symmetrize", lambda e, n: e)
+def test_identity_symmetrizer_fails_symmetrizer_annihilation(
+    monkeypatch, g_only, n_max, want
+):
+    # x1x2 is checked from n = 2 and comes first, g12g34 from n = 4: an
+    # identity only on elements holding a g lets x1x2 pass and fails g12g34
+    original = oracle.symmetrize
+    monkeypatch.setattr(
+        oracle, "symmetrize",
+        lambda e, n: e if "g" in _kinds(e) or not g_only else original(e, n),
+    )
     assert _counterexample(n_max, _Suite.check_symmetrizer_annihilation) == want
 
 
 def test_identity_symmetrizer_leaves_a_class_not_closed(monkeypatch):
-    # g12 x3 is closed only once symmetrized; (1, 1, 0) is the last shape
-    monkeypatch.setattr(oracle, "symmetrize", lambda e, n: e)
+    # g12 y3 is closed only once symmetrized.  An identity on the elements
+    # that mix a g and a letter leaves the (1, 0, 0) shapes intact: a bare
+    # g12 and its letter-only image formula come before (1, 0, 1)
+    original = oracle.symmetrize
+
+    def identity_on_mixed(e, n):
+        kinds = _kinds(e)
+        return e if "g" in kinds and kinds != {"g"} else original(e, n)
+
+    monkeypatch.setattr(oracle, "symmetrize", identity_on_mixed)
     assert (
         _counterexample(3, _Suite.check_kernel_dichotomy)
-        == "n=3 (1, 1, 0) class not closed"
+        == "n=3 (1, 0, 1) class not closed"
     )
 
 
@@ -404,3 +412,84 @@ def test_quotient_losing_g_degree_zero_closes_the_g_class(monkeypatch):
         _counterexample(2, _Suite.check_kernel_dichotomy)
         == "n=2 (1,0,0) class unexpectedly closed"
     )
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_vanishing_differential_reports_the_closed_g_class_first(monkeypatch, n_max):
+    # with d = 0 the (1, 0, 0) image formula fails too, but later
+    monkeypatch.setattr(oracle, "differential", lambda e: Element())
+    assert (
+        _counterexample(n_max, _Suite.check_kernel_dichotomy)
+        == "n=2 (1,0,0) class unexpectedly closed"
+    )
+
+
+# -- negative controls for the other identity checks ---------------------------
+
+
+def test_differential_losing_x1_fails_equivariance_and_descent(monkeypatch):
+    original = oracle.differential
+
+    def without_x1(e):
+        return Element(
+            {gens: c for gens, c in original(e).coeffs.items() if X(1) not in gens}
+        )
+
+    monkeypatch.setattr(oracle, "differential", without_x1)
+    assert _counterexample(2, _Suite.check_equivariance) == "sigma=(2, 1) m=g12.y2"
+    assert (
+        _counterexample(3, _Suite.check_d_descends)
+        == "n=3 (p,q)=(0,2) row=g12.g13 - g12.g23 + g13.g23"
+    )
+
+
+def test_quotient_without_relations_fails_cycles_and_the_3_star(monkeypatch):
+    # free coordinates: neither the circuit relation nor anything else holds
+    monkeypatch.setattr(BidegreeSpace, "reduce", lambda self, e: dict(e.coeffs))
+    assert _counterexample(3, _Suite.check_cycle_vanishing) == "n=3 r=3"
+    assert _counterexample(4, _Suite.check_tree_to_path) == "3-star identity failed"
+
+
+def test_path_products_missing_one_fail_the_path_span(monkeypatch):
+    original = oracle._path_products
+    monkeypatch.setattr(oracle, "_path_products", lambda n, q: original(n, q)[:-1])
+    assert (
+        _counterexample(4, _Suite.check_tree_to_path)
+        == "path span deficient at n=2 q=1"
+    )
+
+
+def test_psi_keeping_what_it_should_kill_fails_the_relation_families(monkeypatch):
+    # a dying monomial goes to the empty V-monomial 1, not to 0; no phi(m)
+    # dies, so the left inverse still holds and the families fail at n = 3
+    original = oracle.psi
+    monkeypatch.setattr(oracle, "psi", lambda m: original(m) or (make_v_monomial(), 1))
+    assert check_left_inverse(3) is None
+    assert (
+        _counterexample(3, _Suite.check_rel6)
+        == "psi(relation family 1) != 0, n=3, mu=-g23.x2.y2"
+    )
+
+
+def test_psi_with_a_wrong_sign_on_g_fails_the_left_inverse(monkeypatch):
+    original = oracle.psi
+
+    def flipped(m):
+        hit = original(m)
+        if hit and any(gen.kind == "g" for gen in m.gens):
+            return hit[0], -hit[1]
+        return hit
+
+    monkeypatch.setattr(oracle, "psi", flipped)
+    # V(2) lists the index-disjoint letters before the pair symbols
+    assert check_left_inverse(2) == "x12"
+    assert _counterexample(2, _Suite.check_rel6) == "psi(phi(m)) != m at n=2: x12"
+
+
+def test_result_record_keeps_a_detail_only_on_a_pass():
+    assert check_result("t", "n<=5", None, "note") == {
+        "name": "t", "n_range": "n<=5", "passed": True, "detail": "note"
+    }
+    assert check_result("t", "n<=5", "cex", "note") == {
+        "name": "t", "n_range": "n<=5", "passed": False, "counterexample": "cex"
+    }
