@@ -184,7 +184,7 @@ def cmd_selftest(args):
     for n in range(0, n_max + 1):
         verdict = verify_against_series(n)
         cex = None if verdict["match"] else json.dumps(verdict["mismatches"])
-        results.append(oracle.check_result(f"engine_matches_series_n{n}", str(n), cex))
+        results.append(series.check_result(f"engine_matches_series_n{n}", str(n), cex))
     failed = [r for r in results if not r["passed"]]
     if args.format == "json":
         print(json.dumps({"n_max": n_max, "results": results,

@@ -19,7 +19,8 @@ computations are cross-checked against this.
 
 :func:`run_selftest` executes the whole identity suite and returns a
 JSON-ready summary.  Every check returns its first counterexample, or None,
-and :func:`check_result` builds every record of ``conftorus selftest``.
+and :func:`conftorus.series.check_result` builds every record of
+``conftorus selftest``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .linalg import (
     add_terms,
     rank_of_rows,
 )
+from .series import check_result
 
 __all__ = [
     "ArnoldAlgebra",
@@ -59,7 +61,6 @@ __all__ = [
     "psi",
     "psi_element",
     "check_left_inverse",
-    "check_result",
     "run_selftest",
 ]
 
@@ -498,18 +499,6 @@ def _dd_counterexample(lay):
     return None
 
 
-def check_result(name, n_range, counterexample, detail=None):
-    """The JSON-ready record of one check.  It passed exactly when
-    ``counterexample`` is None, and a failed record names the
-    counterexample; ``detail`` is a note kept only on a pass."""
-    entry = {"name": name, "n_range": n_range, "passed": counterexample is None}
-    if counterexample is not None:
-        entry["counterexample"] = counterexample
-    elif detail:
-        entry["detail"] = detail
-    return entry
-
-
 class _Suite:
     """The identity suite.  Each ``check_*`` returns its first
     counterexample, in its own iteration order, as a string, or None when
@@ -838,7 +827,7 @@ def _path_products(n, q):
 
 def run_selftest(n_max, include_arnold=True):
     """Execute the identity suite; returns a JSON-ready list of results, one
-    :func:`check_result` record per check.  A failing check stops at its
+    :func:`conftorus.series.check_result` record per check.  A failing check stops at its
     first counterexample and names it."""
     suite = _Suite(n_max)
     return suite.run(include_arnold=include_arnold)

@@ -57,6 +57,7 @@ __all__ = [
     "genus0_gf",
     "genus0_weight_inverse",
     "multiply_series",
+    "check_result",
     "property_checks",
 ]
 
@@ -514,64 +515,66 @@ def genus0_weight_inverse(v):
 # -- module-level property checks ------------------------------------------
 
 
+def check_result(name, n_range, counterexample, detail=None):
+    """The JSON-ready record of one check.  It passed exactly when
+    ``counterexample`` is None, and a failed record names the
+    counterexample; ``detail`` is a note kept only on a pass."""
+    entry = {"name": name, "n_range": n_range, "passed": counterexample is None}
+    if counterexample is not None:
+        entry["counterexample"] = counterexample
+    elif detail:
+        entry["detail"] = detail
+    return entry
+
+
+def _first_mismatch(cases):
+    """The label of the first ``(label, got, want)`` case with got != want,
+    or None; the cases are drawn one at a time."""
+    return next((label for label, got, want in cases if got != want), None)
+
+
+def _first_term_mismatch(got, want):
+    """``t^k`` at the first coefficient where two series differ, or None."""
+    return _first_mismatch((f"t^{k}", a, b) for k, (a, b) in enumerate(zip(got, want)))
+
+
 def property_checks(t_order=10):
-    """The series-side invariants, as result dicts of the same shape as
-    :func:`conftorus.oracle.check_result`; a scanning check stops at its
-    first counterexample."""
-    results = []
-
-    def record(name, passed, detail=None):
-        entry = {"name": name, "n_range": f"t<={t_order}", "passed": passed}
-        if detail and not passed:
-            entry["counterexample"] = str(detail)
-        results.append(entry)
-
-    # round trip: expansion times denominator reproduces the numerator
-    bad = None
-    for name, f in (
-        ("sym", sym_gf_betti()),
-        ("sym4", sym_gf_hodge()),
-        ("conf", conf_gf_betti()),
-        ("conf4", conf_gf_hodge()),
-        ("genus0", genus0_gf()),
-    ):
-        coeffs = expand(f, t_order)
-        den = f.denominator_poly().t_coefficients(t_order)
-        num = f.numerator.t_coefficients(t_order)
-        if multiply_series(coeffs, den, t_order) != num:
-            bad = name
-            break
-    record("expand_round_trip", bad is None, bad)
-
-    # the quotient identity: K built from Z equals its closed form
+    """The series-side invariants, one :func:`check_result` record each; a
+    failing check names its first counterexample."""
+    gfs = {"sym": sym_gf_betti(), "sym4": sym_gf_hodge(), "conf": conf_gf_betti(),
+           "conf4": conf_gf_hodge(), "genus0": genus0_gf()}
     z = macdonald_zeta(PUNCTURED_TORUS_HC, t_order)
     k = vakil_wood_conf(z, t_order)
-    record("vakil_wood_identity", k == expand(conf_gf_betti(), t_order))
     z4 = cheah_zeta(PUNCTURED_TORUS_HODGE, t_order)
-    k4 = vakil_wood_conf(z4, t_order)
-    record("vakil_wood_identity_4var", k4 == expand(conf_gf_hodge(), t_order))
-
-    # specialization x = y = 1 collapses the refined series
-    collapsed = [c.substitute_one("x").substitute_one("y") for c in z4]
-    record("specialization_coherence", collapsed == z)
-
-    # u = 1 turns the configuration series into (-1)^n
-    bad = None
-    for n, c in enumerate(k):
-        val = c.substitute_one("u").substitute_one("x").substitute_one("y")
-        want = MultiPoly.monomial(coeff=(-1) ** n)
-        if val != want:
-            bad = f"t^{n}: {val.as_string()}"
-            break
-    record("euler_characteristic_law", bad is None, bad)
-
-    # the genus-zero series decodes to the classical table
-    bad = None
-    for n, c in enumerate(expand(genus0_gf(), t_order)):
-        got = decode_betti(c, n, weight_inverse=genus0_weight_inverse)
-        want = [1] if n < 2 else [1, 1]
-        if got != want:
-            bad = f"n={n}: {got}"
-            break
-    record("genus_zero_table_decode", bad is None, bad)
-    return results
+    at_u1 = (c.substitute_one("u").substitute_one("x").substitute_one("y") for c in k)
+    genus0 = (decode_betti(c, n, weight_inverse=genus0_weight_inverse)
+              for n, c in enumerate(expand(gfs["genus0"], t_order)))
+    checks = {
+        # expansion times denominator reproduces the numerator
+        "expand_round_trip": _first_mismatch(
+            (name, multiply_series(expand(f, t_order),
+                                   f.denominator_poly().t_coefficients(t_order), t_order),
+             f.numerator.t_coefficients(t_order))
+            for name, f in gfs.items()
+        ),
+        # the quotient identity: K built from Z equals its closed form
+        "vakil_wood_identity": _first_term_mismatch(k, expand(gfs["conf"], t_order)),
+        "vakil_wood_identity_4var": _first_term_mismatch(
+            vakil_wood_conf(z4, t_order), expand(gfs["conf4"], t_order)
+        ),
+        # specialization x = y = 1 collapses the refined series
+        "specialization_coherence": _first_term_mismatch(
+            [c.substitute_one("x").substitute_one("y") for c in z4], z
+        ),
+        # u = 1 turns the configuration series into (-1)^n
+        "euler_characteristic_law": _first_mismatch(
+            (f"t^{n}: {val.as_string()}", val, MultiPoly.monomial(coeff=(-1) ** n))
+            for n, val in enumerate(at_u1)
+        ),
+        # the genus-zero series decodes to the classical table
+        "genus_zero_table_decode": _first_mismatch(
+            (f"n={n}: {got}", got, [1] if n < 2 else [1, 1])
+            for n, got in enumerate(genus0)
+        ),
+    }
+    return [check_result(name, f"t<={t_order}", cex) for name, cex in checks.items()]

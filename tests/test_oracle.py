@@ -25,7 +25,6 @@ from conftorus.oracle import (
     _Suite,
     arnold_conf_betti,
     check_left_inverse,
-    check_result,
     make_v_monomial,
     phi,
     psi,
@@ -321,6 +320,41 @@ def test_dd_zero_catches_a_dropped_leibniz_sign_on_a_pure_g_part(monkeypatch):
 # -- negative controls for the symmetrizer and d identity checks ----------------
 
 
+_RECORD_CHECKS = [
+    ("d_squared_zero", "check_dd_zero"),
+    ("equivariance_of_d", "check_equivariance"),
+    ("cycle_vanishing", "check_cycle_vanishing"),
+    ("tree_to_path", "check_tree_to_path"),
+    ("symmetrizer_annihilation", "check_symmetrizer_annihilation"),
+    ("path_annihilation", "check_path_annihilation"),
+    ("canonical_spanning", "check_canonical_spanning"),
+    ("symmetrizer_image_is_fixed_space", "check_fixed_space_agreement"),
+    ("left_inverse_and_relation_annihilation", "check_rel6"),
+    ("disjoint_pair_classes_nonzero", "check_rel7_nonvanishing"),
+    ("canonical_kernel_dichotomy", "check_kernel_dichotomy"),
+    ("boundary_property", "check_boundary_property"),
+    ("differential_descends_to_quotient", "check_d_descends"),
+    ("genus_zero_table", "check_arnold"),
+]
+
+
+@pytest.mark.parametrize("n_max", [3, 4])
+def test_each_record_reports_its_own_check(monkeypatch, n_max):
+    # every check fails with its own name, so a failed record names the
+    # method that ran under it; below n = 4 tree_to_path is skipped
+    for attr in dir(_Suite):
+        if attr.startswith("check_"):
+            monkeypatch.setattr(_Suite, attr, lambda self, attr=attr: attr)
+    want = [
+        (name, None if n_max < 4 and name == "tree_to_path" else check)
+        for name, check in _RECORD_CHECKS
+    ]
+    assert [(r["name"], r.get("counterexample")) for r in _Suite(n_max).run()] == want
+    assert {check for _, check in _RECORD_CHECKS} == {
+        attr for attr in dir(_Suite) if attr.startswith("check_")
+    }
+
+
 def _verdicts(*checks):
     suite = _Suite(4)
     return {check.__name__: check(suite) is None for check in checks}
@@ -366,14 +400,17 @@ def _kinds(e):
 
 
 @pytest.mark.parametrize(
-    "n_max, want", [(3, "e(x1x2) != 0 at n=3"), (4, "e(g12g34) != 0 at n=4")]
+    "n_max, kind, want",
+    [
+        pytest.param(3, "x", "e(x1x2) != 0 at n=3", id="3-e(x1x2) != 0 at n=3"),
+        pytest.param(4, "g", "e(g12g34) != 0 at n=4", id="4-e(g12g34) != 0 at n=4"),
+    ],
 )
-def test_identity_symmetrizer_fails_symmetrizer_annihilation(monkeypatch, n_max, want):
-    # an identity at n = n_max only, on the elements holding the generator
-    # kind that ``want`` names: x1x2 is checked from n = 2 and before g12g34,
-    # which is checked from n = 4, so each case fails at its own element
+def test_identity_symmetrizer_fails_symmetrizer_annihilation(monkeypatch, n_max, kind, want):
+    # an identity at n = n_max only, on the elements holding a generator of
+    # the given kind: x1x2 is checked from n = 2 and before g12g34, which is
+    # checked from n = 4, so each case fails at its own element
     original = oracle.symmetrize
-    kind = want[2]
     monkeypatch.setattr(
         oracle, "symmetrize",
         lambda e, n: e if n == n_max and kind in _kinds(e) else original(e, n),
@@ -483,12 +520,3 @@ def test_psi_with_a_wrong_sign_on_g_fails_the_left_inverse(monkeypatch):
     # V(2) lists the index-disjoint letters before the pair symbols
     assert check_left_inverse(2) == "x12"
     assert _counterexample(2, _Suite.check_rel6) == "psi(phi(m)) != m at n=2: x12"
-
-
-def test_result_record_keeps_a_detail_only_on_a_pass():
-    assert check_result("t", "n<=5", None, "note") == {
-        "name": "t", "n_range": "n<=5", "passed": True, "detail": "note"
-    }
-    assert check_result("t", "n<=5", "cex", "note") == {
-        "name": "t", "n_range": "n<=5", "passed": False, "counterexample": "cex"
-    }

@@ -21,6 +21,7 @@ from conftorus.series import (
     POINT_HODGE,
     TORUS_HC,
     cheah_zeta,
+    check_result,
     coefficient_json,
     conf_gf_betti,
     conf_gf_hodge,
@@ -400,6 +401,39 @@ def test_symmetric_power_series_fails_the_genus_zero_decode(monkeypatch):
         lambda: FactoredRatFun(MultiPoly.one(), [(MultiPoly.monomial(u=2, t=1), 1)]),
     )
     assert failed_property_checks() == {"genus_zero_table_decode": "n=2: [1]"}
+
+
+def test_doubled_top_coefficient_fails_the_configuration_series_checks(monkeypatch):
+    original = series.vakil_wood_conf
+
+    def doubled_top(z, t_order):
+        k = original(z, t_order)
+        return k[:-1] + [k[-1] + k[-1]]
+
+    monkeypatch.setattr(series, "vakil_wood_conf", doubled_top)
+    assert failed_property_checks() == {
+        "vakil_wood_identity": "t^10",
+        "vakil_wood_identity_4var": "t^10",
+        "euler_characteristic_law": "t^10: 2",
+    }
+
+
+def test_lost_h1_class_fails_the_refined_checks(monkeypatch):
+    # the (0, 1) class of H^1 dropped: x = y = 1 no longer gives Z
+    monkeypatch.setattr(series, "PUNCTURED_TORUS_HODGE", ((1, 1, 0, 1), (2, 1, 1, 1)))
+    assert failed_property_checks() == {
+        "vakil_wood_identity_4var": "t^1",
+        "specialization_coherence": "t^1",
+    }
+
+
+def test_result_record_keeps_a_detail_only_on_a_pass():
+    assert check_result("t", "n<=5", None, "note") == {
+        "name": "t", "n_range": "n<=5", "passed": True, "detail": "note"
+    }
+    assert check_result("t", "n<=5", "cex", "note") == {
+        "name": "t", "n_range": "n<=5", "passed": False, "counterexample": "cex"
+    }
 
 
 # -- integer coefficients -------------------------------------------------------
