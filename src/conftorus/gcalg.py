@@ -73,6 +73,7 @@ __all__ = [
     "symmetrize",
     "multiply",
     "Layout",
+    "Relabelling",
 ]
 
 
@@ -329,6 +330,7 @@ class Layout:
             ]
         self._gy = self.gfull | (((1 << n) - 1) << self.ybit0)  # g- and y-bits
         self._d_last = (-1, [])  # (g- and y-bits of a mask, their d-terms)
+        self._forests = (None, [])  # (q, increasing_forests(q)) last built
 
     # -- encoding ----------------------------------------------------------
 
@@ -403,9 +405,9 @@ class Layout:
 
         One pass: each position adds the number of earlier positions above
         it, read off the mask of the earlier ones.  The positions must be
-        distinct (a repeat would be lost in the mask); both callers,
-        ``apply_perm`` and ``BidegreeSpace.reduce_mask``, pass distinct
-        ones."""
+        distinct (a repeat would be lost in the mask); every caller
+        (``apply_perm``, the letter table of :class:`Relabelling` and
+        ``BidegreeSpace.reduce_mask``) passes distinct ones."""
         inv = mask = 0
         for b in bits:
             inv += (mask >> b).bit_count()
@@ -414,7 +416,8 @@ class Layout:
 
     @staticmethod
     def apply_perm(table, mask):
-        """Relabel a mask; returns (sign, mask')."""
+        """Relabel a mask bit by bit; returns (sign, mask').  The reference
+        for :class:`Relabelling`, which fills its g-part memo with it."""
         imgs = []
         m = mask
         while m:
@@ -525,7 +528,13 @@ class Layout:
 
     def increasing_forests(self, q):
         """Every forest with q edges in which each vertex has at most one
-        smaller neighbour, as (g-mask, component minima, 0-based)."""
+        smaller neighbour, as (g-mask, component minima, 0-based).
+
+        The list of the last q is kept and returned again, so callers must
+        not mutate it; the engine's report asks by falling q, for every p,
+        and so builds each q once."""
+        if self._forests[0] == q:
+            return self._forests[1]
         n = self.n
         forests = [(0, ())]
         for v in range(n):
@@ -540,7 +549,49 @@ class Layout:
                         for u in range(v)
                     )
             forests = grown
+        self._forests = (q, forests)
         return forests
+
+
+class Relabelling:
+    """A permutation ``sigma`` of 1..n acting on the masks of a layout.
+
+    ``table`` is its bit image table, for :meth:`Layout.apply_perm`.
+    Calling the object gives the same ``(sign, sigma . mask)`` from three
+    lookups.  sigma sends pair bits to pair bits and each letter to a letter
+    of its own kind, and the blocks are ordered g < x < y, so no two blocks
+    interleave: the image is the OR of the three block images, and the sign
+    is the product of the three block signs.  The x- and y-blocks share one
+    table of 2^n entries, a letter set to (sign, image).  The g-part comes
+    from a memo filled by :meth:`Layout.apply_perm`.  It holds the g-parts
+    of one edge count q at a time, as the engine's report visits q in
+    falling order; those of basis masks are the c(n, n - q) increasing
+    forests with q edges.
+    """
+
+    def __init__(self, layout, sigma):
+        n = layout.n
+        self.table = layout.perm_table(sigma)
+        self._gfull, self._xbit0, self._ybit0 = layout.gfull, layout.xbit0, layout.ybit0
+        self._low = (1 << n) - 1
+        self._letters = [
+            Layout.sort_bits([sigma[v] - 1 for v in range(n) if s >> v & 1])
+            for s in range(1 << n)
+        ]
+        self._q, self._gparts = None, {}  # g-parts with q edges -> (sign, image)
+
+    def __call__(self, mask):
+        g = mask & self._gfull
+        gpart = self._gparts.get(g)
+        if gpart is None:
+            if g.bit_count() != self._q:
+                self._q = g.bit_count()
+                self._gparts.clear()
+            gpart = self._gparts[g] = Layout.apply_perm(self.table, g)
+        sg, ig = gpart
+        sx, ix = self._letters[mask >> self._xbit0 & self._low]
+        sy, iy = self._letters[mask >> self._ybit0]
+        return sg * sx * sy, ig | ix << self._xbit0 | iy << self._ybit0
 
 
 def _basis_size(n, p, q):

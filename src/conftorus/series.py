@@ -75,8 +75,9 @@ def _key(u=0, x=0, y=0, t=0):
 
 
 def _exact(v):
-    """``v`` itself when it is an ``int``; anything else, a ``Fraction`` or
-    a float, is a ``TypeError``, since every coefficient is an integer."""
+    """``v`` itself when it is an ``int``; anything else, a ``Fraction``, a
+    float or a ``bool``, is a ``TypeError``, since every coefficient is an
+    integer."""
     if type(v) is not int:
         raise TypeError(f"coefficient {v!r} is not an int")
     return v

@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import series as series_mod
-from .gcalg import BidegreeSpace, Layout
+from .gcalg import BidegreeSpace, Layout, Relabelling
 from .linalg import (
     SignedUnionFind,
     SparseEchelon,
@@ -144,13 +144,14 @@ class SpectralEngine:
         # (p, q) -> {(a, b): (sign classes, echelon rows)}, dropped once read
         self._relations = {}
         self._invariants = {}
-        # bit tables for (1 2) and the n-cycle, which generate S_n
+        # (1 2) and the n-cycle, which generate S_n: the coinvariants read
+        # their block tables, the kernel reference their bit tables
         perms = []
         if n >= 2:
             perms.append((2, 1, *range(3, n + 1)))
         if n > 2:
             perms.append((*range(2, n + 1), 1))
-        self._perm_tables = [self.layout.perm_table(sigma) for sigma in perms]
+        self._perm_tables = [Relabelling(self.layout, sigma) for sigma in perms]
 
     # -- spaces --------------------------------------------------------------
 
@@ -172,15 +173,14 @@ class SpectralEngine:
 
     def _eliminate(self, p, q):
         space = self.space(p, q)
-        lay = self.layout
         coinvariants, relations = {}, {}
         for ab, masks in self._hodge_blocks(space):
             members = set(masks)
             classes = SignedUnionFind()
             rest = []
             for mask in masks:
-                for table in self._perm_tables:
-                    s, img = lay.apply_perm(table, mask)
+                for relabel in self._perm_tables:
+                    s, img = relabel(mask)
                     if img in members:
                         # a basis mask is its own normal form: mask = s * img
                         classes.union(mask, img, s)
@@ -266,8 +266,8 @@ class SpectralEngine:
             constraint_cols = []
             for mask in cols:
                 col = {}
-                for tno, table in enumerate(self._perm_tables):
-                    s, img = lay.apply_perm(table, mask)
+                for tno, relabel in enumerate(self._perm_tables):
+                    s, img = lay.apply_perm(relabel.table, mask)
                     vec = space.reduce_mask(img, s)
                     vec[mask] = vec.get(mask, 0) - 1
                     for m, v in vec.items():

@@ -26,6 +26,7 @@ from conftorus.gcalg import (
     G,
     Layout,
     Monomial,
+    Relabelling,
     X,
     Y,
     differential,
@@ -548,6 +549,50 @@ def test_sort_bits_sign_and_mask():
         ))
         sign, mask = lay.apply_perm(table, lay.encode(normalize(gens)))
         assert (sign, mask) == (want.sign, lay.encode(want))
+
+
+def engine_generators(n):
+    """(1 2) and the n-cycle, the generators of S_n the engine relabels by."""
+    perms = [(2, 1, *range(3, n + 1))] if n >= 2 else []
+    if n > 2:
+        perms.append((*range(2, n + 1), 1))
+    return perms
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_block_relabel_matches_apply_perm_on_the_quotient_basis(n):
+    # both generators on one layout, taken in turn on each mask, as the
+    # engine does: neither may read the other's g-part images
+    lay = Layout(n)
+    relabels = [Relabelling(lay, sigma) for sigma in engine_generators(n)]
+    for q in range(lay.npairs, -1, -1):
+        for p in range(2 * n + 1):
+            for mask in BidegreeSpace(n, p, q, layout=lay).quotient_basis:
+                for rel in relabels:
+                    assert rel(mask) == lay.apply_perm(rel.table, mask), (p, q, mask)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_block_relabel_matches_apply_perm_on_every_free_mask(n):
+    lay = Layout(n)
+    for sigma in permutations(range(1, n + 1)):
+        rel = Relabelling(lay, sigma)
+        bad = next(
+            (m for m in range(1 << lay.nbits) if rel(m) != lay.apply_perm(rel.table, m)),
+            None,
+        )
+        assert bad is None, (sigma, lay.decode(bad))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_block_relabel_matches_sn_act(n):
+    lay = Layout(n)
+    for sigma in permutations(range(1, n + 1)):
+        rel = Relabelling(lay, sigma)
+        for mask in range(1 << lay.nbits):
+            s, img = rel(mask)
+            want = sn_act(sigma, Element.from_monomial(lay.decode(mask)))
+            assert Element.from_monomial(lay.decode(img, s)) == want, (sigma, mask)
 
 
 # -- exact coefficients ------------------------------------------------------------------

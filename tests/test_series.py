@@ -469,13 +469,16 @@ def test_int_scalar_multiples():
         lambda: MultiPoly({(0, 0, 0, 0): Fraction(2)}),
         lambda: MultiPoly.one().scale(Fraction(4)),
         lambda: MultiPoly.one() * Fraction(1, 2),
+        lambda: MultiPoly({(0, 0, 0, 0): True}),
+        lambda: MultiPoly.one().scale(True),
+        lambda: MultiPoly.one() * True,
     ],
     ids=["init", "scale", "mul", "init-fraction", "init-integral-fraction",
-         "scale-fraction", "mul-fraction"],
+         "scale-fraction", "mul-fraction", "init-bool", "scale-bool", "mul-bool"],
 )
 def test_float_coefficients_are_rejected(build):
-    """Coefficients live in Z: a float or a ``Fraction``, even an integral
-    one, is a ``TypeError``."""
+    """Coefficients live in Z: a float, a ``Fraction`` (even an integral
+    one) or a ``bool`` is a ``TypeError``."""
     with pytest.raises(TypeError, match="is not an int"):
         build()
 

@@ -2,9 +2,11 @@
 kernel reference, surviving dimensions, purity, decoded Betti/Hodge tables,
 and the cross-check against the series module."""
 
+from collections import Counter
+
 import pytest
 
-from conftorus.gcalg import Element, X, Y, symmetrize
+from conftorus.gcalg import Element, Layout, X, Y, symmetrize
 from conftorus.linalg import SparseEchelon, rank_of_rows
 from conftorus.series import w
 from conftorus.specseq import (
@@ -185,6 +187,36 @@ def test_coinvariants_of_one_transposition_fail_the_e2_comparison_n3():
     want = kernel_e2(SpectralEngine(3))
     assert e2 != want
     assert all(e2[key] >= d for key, d in want.items())
+
+
+def test_report_relabels_each_g_part_once_and_builds_each_forest_list_once(monkeypatch):
+    """The coinvariant step relabels letters by table, not bit by bit: over
+    a report, Layout.apply_perm runs once per generator and g-part of a
+    basis mask, and the forests of each q are built once for all its p."""
+    calls, forests = Counter(), {}
+    apply_perm, increasing_forests = Layout.apply_perm, Layout.increasing_forests
+
+    def counted_apply_perm(table, mask):
+        calls[(id(table), mask)] += 1
+        return apply_perm(table, mask)
+
+    def recorded_forests(lay, q):
+        out = increasing_forests(lay, q)
+        forests.setdefault(q, []).append(out)
+        return out
+
+    monkeypatch.setattr(Layout, "apply_perm", staticmethod(counted_apply_perm))
+    monkeypatch.setattr(Layout, "increasing_forests", recorded_forests)
+    eng = SpectralEngine(5)
+    eng.report()
+    gfull = eng.layout.gfull
+    gparts = {m & gfull for p, q in bidegrees(eng) for m in eng.space(p, q).quotient_basis}
+    assert calls == Counter(
+        {(id(rel.table), g): 1 for rel in eng._perm_tables for g in gparts}
+    )
+    assert sorted(forests) == list(range(eng.layout.npairs + 1))
+    for q, built in forests.items():
+        assert len(built) == 2 * eng.n + 1 and all(out is built[0] for out in built), q
 
 
 # -- E3 dimensions -----------------------------------------------------------
