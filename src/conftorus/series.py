@@ -320,17 +320,31 @@ def cheah_zeta(h, t_order):
 
 
 def vakil_wood_conf(z, t_order):
-    """Configuration series K with ``K(t) * Z(t^2) = Z(t)``."""
+    """Configuration series K with ``K(t) * Z(t^2) = Z(t)``.
+
+    K is the product ``Z(t) * W(t^2)`` with ``W = 1/Z``, which needs
+    ``z_0 = 1``.  First ``W_0 = 1`` and ``W_r = -sum_{i=1..r} z_i W_{r-i}``
+    up to ``r = t_order // 2``; then ``K_j = sum_{r <= j/2} z_{j-2r} W_r``.
+    Every operand is a coefficient of Z or of W, never of K, and those stay
+    small: for the punctured torus z_j has at most four terms and W_r at most
+    2r + 1, while K4's coefficient of t^56 has 869.  Solving for K directly
+    would multiply each earlier K_m by a coefficient of Z.
+    """
     if len(z) <= t_order:
         raise ValueError("input series too short for requested order")
     if not z[0].is_one():
         raise ValueError("series must have constant term 1")
-    k = [MultiPoly.one()]
-    for j in range(1, t_order + 1):
-        acc = dict(z[j].terms)
-        # subtract sum_{m<j} K_m * Z2_{j-m}; Z2 has z_r at t^{2r}
-        for m in range(j % 2, j, 2):
-            _accumulate(acc, -1, k[m].terms, z[(j - m) // 2].terms)
+    inv = [z[0]]
+    for r in range(1, t_order // 2 + 1):
+        acc = {}
+        for i in range(1, r + 1):
+            _accumulate(acc, -1, z[i].terms, inv[r - i].terms)
+        inv.append(_poly(acc))
+    k = []
+    for j in range(t_order + 1):
+        acc = {}
+        for r in range(j // 2 + 1):
+            _accumulate(acc, 1, z[j - 2 * r].terms, inv[r].terms)
         k.append(_poly(acc))
     return k
 
@@ -358,6 +372,12 @@ def w_inverse(v):
 # -- decoders --------------------------------------------------------------
 
 
+def _weight_preimages(coeff_n, n, weight_inverse):
+    """u-exponent e -> the i with ``w(i) = 2n - e``, or None, for every
+    exponent of ``coeff_n``: one weight inversion per distinct exponent."""
+    return {e: weight_inverse(2 * n - e) for e in {k[_U] for k in coeff_n.terms}}
+
+
 def decode_betti(coeff_n, n, weight_inverse=None):
     """Betti numbers hidden in the t^n coefficient of the K series.
 
@@ -369,13 +389,12 @@ def decode_betti(coeff_n, n, weight_inverse=None):
     ``weight_inverse`` defaults to the punctured-torus weight; the genus-zero
     sanity series decodes with the pure weight 2i instead.
     """
-    if weight_inverse is None:
-        weight_inverse = w_inverse
+    preimage = _weight_preimages(coeff_n, n, weight_inverse or w_inverse)
     h = {}
     for k, v in coeff_n.terms.items():
         if k[_X] or k[_Y] or k[_T]:
             raise DecodeError("coefficient involves variables other than u")
-        i = weight_inverse(2 * n - k[_U])
+        i = preimage[k[_U]]
         if i is None:
             raise DecodeError(
                 f"u-exponent {k[_U]} at t^{n} has no weight preimage"
@@ -395,11 +414,12 @@ def decode_hodge(coeff_n, n):
     ``h^{n-p, n-q}`` of the i-th cohomology, where ``e = 2n - w(i)``;
     every entry must sit on the weight line a + b = w(i).
     """
+    preimage = _weight_preimages(coeff_n, n, w_inverse)
     table = {}
     for k, v in coeff_n.terms.items():
         if k[_T]:
             raise DecodeError("coefficient still involves t")
-        i = w_inverse(2 * n - k[_U])
+        i = preimage[k[_U]]
         if i is None:
             raise DecodeError(
                 f"u-exponent {k[_U]} at t^{n} has no weight preimage"

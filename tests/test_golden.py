@@ -9,6 +9,9 @@ The cases are:
   ``hodge --n 0..4 --engine series --format json`` and
   ``betti --n 0..3 --engine spectral`` (table);
 * ``series --which K4 --t-order 4`` in table, JSON and CSV format;
+* ``series --which K --t-order 30`` (table) and ``series --which K4
+  --t-order 30`` in JSON and CSV format, deep enough that many terms of the
+  Vakil–Wood quotient cancel;
 * ``selftest --n 3`` (table), and ``selftest --n 3`` and ``--n 4`` in JSON
   format, which pin every ``n_range`` and the ``detail`` of ``tree_to_path``
   both when it is skipped (below n = 4) and when it runs.

@@ -6,6 +6,7 @@ inverting factors one at a time.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,47 @@ def test_vakil_wood_u_equal_one_gives_alternating_signs():
         assert val == MultiPoly.monomial((-1) ** n)
 
 
+def random_zeta(seed, order):
+    """A seeded series with constant term 1 and up to four terms in u, x and
+    y per coefficient, so that 1/Z has dense coefficients."""
+    rng = random.Random(seed)
+    z = [MultiPoly.one()]
+    for _ in range(order):
+        terms = {}
+        for _ in range(rng.randrange(5)):
+            key = (rng.randrange(4), rng.randrange(3), rng.randrange(3), 0)
+            terms[key] = rng.choice((-3, -2, -1, 1, 2, 3))
+        z.append(MultiPoly(terms))
+    return z
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 8])
+def test_vakil_wood_satisfies_its_defining_identity_on_random_input(order):
+    for seed in range(5):
+        z = random_zeta(seed, order)
+        before = [dict(c.terms) for c in z]
+        k = vakil_wood_conf(z, order)
+        z_of_t2 = [z[j // 2] if j % 2 == 0 else MultiPoly.zero() for j in range(order + 1)]
+        assert multiply_series(k, z_of_t2, order) == z, seed
+        assert [c.terms for c in z] == before, seed
+
+
+def test_vakil_wood_operands_stay_small(monkeypatch):
+    # K's own coefficients are never an operand: the largest is W_20, 41 terms
+    z4 = cheah_zeta(PUNCTURED_TORUS_HODGE, 40)
+    sizes = []
+    accumulate = series._accumulate
+
+    def recording(out, c, a, b):
+        sizes.append(max(len(a), len(b)))
+        accumulate(out, c, a, b)
+
+    monkeypatch.setattr(series, "_accumulate", recording)
+    k4 = vakil_wood_conf(z4, 40)
+    assert max(sizes) == 41
+    assert len(k4[40].terms) == 461
+
+
 # -- weight function ---------------------------------------------------------
 
 
@@ -322,6 +364,33 @@ def test_decode_hodge_small_n():
         for (i, _, _), d in table.items():
             sums[i] = sums.get(i, 0) + d
         assert [sums.get(i, 0) for i in range(len(betti))] == betti
+
+
+def test_decoders_invert_the_weight_once_per_u_exponent(monkeypatch):
+    n = 12
+    k, k4 = conf_series_betti(n), conf_series_hodge(n)
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return w_inverse(v)
+
+    monkeypatch.setattr(series, "w_inverse", counting)
+    assert len(k4[n].terms) == 55  # over 13 distinct u-exponents
+    for coeff, decode in ((k[n], decode_betti), (k4[n], decode_hodge)):
+        calls.clear()
+        decode(coeff, n)
+        assert sorted(calls) == sorted({2 * n - key[0] for key in coeff.terms})
+
+
+@pytest.mark.parametrize("decode", [decode_betti, decode_hodge])
+def test_decoders_raise_at_the_first_bad_term(decode):
+    # at t^3, u^5 decodes to h^1 = -1 and u^1 has no weight preimage
+    negative, unmatched = ((5, 0, 0, 0), 1), ((1, 0, 0, 0), 1)
+    for first, message in ((negative, "= -1 is not a"), (unmatched, r"u-exponent 1 at t\^3")):
+        second = unmatched if first is negative else negative
+        with pytest.raises(DecodeError, match=message):
+            decode(MultiPoly(dict((first, second))), 3)
 
 
 def test_genus0_decode_reproduces_classical_table():
