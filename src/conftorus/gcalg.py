@@ -51,7 +51,8 @@ elimination of every relation multiple for small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from functools import cached_property
+from itertools import chain, combinations, permutations, product
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -615,7 +616,12 @@ class BidegreeSpace:
     ``quotient_basis`` lists, in increasing mask order, the decorated
     increasing forests of bidegree (p, q): q g-edges in which every vertex
     has at most one smaller neighbour, and p letters x or y, each on the
-    smallest vertex of its own component.  :meth:`reduce_mask` and
+    smallest vertex of its own component.  ``blocks`` holds the same masks
+    by Hodge bidegree, {(a, b): masks in increasing order} with
+    (a, b) = (#x + q, #y + q), its keys by increasing a and its blocks
+    nonempty; each mask goes to its block as it is built, and
+    ``quotient_basis`` is merged from the blocks when first read.
+    :meth:`reduce_mask` and
     :meth:`reduce` give exact quotient coordinates over this basis through
     the normal form described in the module docstring, as a dict
     {basis mask: coefficient} without zeros; ``layout.decode(mask)`` names
@@ -629,24 +635,32 @@ class BidegreeSpace:
         self.layout = layout or Layout(n)
         lay = self.layout
         self.free_dim = comb(lay.npairs, q) * comb(2 * n, p) if p >= 0 and q >= 0 else 0
-        basis = []
-        if self.free_dim:
+        by_y = [[] for _ in range(p + 1)] if self.free_dim else []  # masks by #y
+        if by_y:
             for g, roots in lay.increasing_forests(q):
                 for deco in combinations(roots, p):
-                    for bit0s in product((lay.xbit0, lay.ybit0), repeat=p):
-                        mask = g
-                        for v, bit0 in zip(deco, bit0s):
-                            mask |= 1 << (bit0 + v)
-                        basis.append(mask)
-        basis.sort()
-        if len(basis) != _basis_size(n, p, q):
+                    letters = [(1 << (lay.xbit0 + v), 1 << (lay.ybit0 + v)) for v in deco]
+                    for bits in product(*letters):
+                        mask = g | sum(bits)
+                        by_y[(mask >> lay.ybit0).bit_count()].append(mask)
+        self.blocks = {}
+        for ny in reversed(range(len(by_y))):
+            if by_y[ny]:
+                by_y[ny].sort()
+                self.blocks[(p - ny + q, ny + q)] = by_y[ny]
+        self.dim = sum(map(len, self.blocks.values()))
+        if self.dim != _basis_size(n, p, q):
             raise AssertionError(
-                f"{len(basis)} basis forests at n={n} ({p},{q}), "
+                f"{self.dim} basis forests at n={n} ({p},{q}), "
                 f"expected {_basis_size(n, p, q)}"
             )
-        self.quotient_basis = basis
-        self.dim = len(basis)
         self.relation_rank = self.free_dim - self.dim
+
+    @cached_property
+    def quotient_basis(self):
+        # merged on first read, so a space read only by block (the engine's
+        # report) holds each mask in one list
+        return sorted(chain.from_iterable(self.blocks.values()))
 
     # -- quotient coordinates ------------------------------------------------
 

@@ -28,13 +28,21 @@ identity suite's fixed-space checks read its vectors.
 
 Everything splits along the Hodge bidegree (a, b) = (#x + #g, #y + #g): the
 relations, the group action and the differential all preserve it, so the
-whole computation runs blockwise.
+whole computation runs blockwise, on the blocks each
+:class:`~conftorus.gcalg.BidegreeSpace` hands out.  Swapping x_i with y_i
+and negating g_ij maps block (a, b) onto (b, a) as a complex of
+S_n-modules (:meth:`SpectralEngine.report`), so the report eliminates and
+ranks only the blocks with a <= b and copies each onto its mirror.
+:meth:`SpectralEngine.coinvariants` still answers every block on demand,
+and the kernel reference computes every block on its own.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import series as series_mod
 from .gcalg import BidegreeSpace, Layout, Relabelling
@@ -125,6 +133,30 @@ class SpectralReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+class _LazyBlocks(Mapping):
+    """{(a, b): basis(ab)} over the given Hodge blocks, each value computed
+    (and cached by its source) when it is first read; blocks whose value is
+    empty are left out."""
+
+    def __init__(self, blocks, basis):
+        self._blocks, self._basis = blocks, basis
+
+    def __getitem__(self, ab):
+        value = self._basis(ab) if ab in self._blocks else None
+        if not value:
+            raise KeyError(ab)
+        return value
+
+    def __iter__(self):
+        return (ab for ab in self._blocks if self._basis(ab))
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 class SpectralEngine:
     """Caches bidegree spaces, coinvariant blocks and invariant data for
     one n.
@@ -140,8 +172,8 @@ class SpectralEngine:
         self.n = n
         self.layout = Layout(n)
         self._spaces = {}
-        self._coinvariants = {}  # (p, q) -> {(a, b): coinvariant basis masks}
-        # (p, q) -> {(a, b): (sign classes, echelon rows)}, dropped once read
+        self._bases = {}  # (p, q, (a, b)) -> coinvariant basis masks
+        # (p, q, (a, b)) -> (sign classes, echelon rows), dropped once read
         self._relations = {}
         self._invariants = {}
         # (1 2) and the n-cycle, which generate S_n: the coinvariants read
@@ -163,54 +195,50 @@ class SpectralEngine:
             self._spaces[key] = BidegreeSpace(self.n, p, q, layout=self.layout)
         return self._spaces[key]
 
-    def _hodge_blocks(self, space):
-        blocks = {}
-        for mask in space.quotient_basis:
-            blocks.setdefault(self.layout.hodge_bidegree(mask), []).append(mask)
-        return sorted(blocks.items())
-
     # -- coinvariants: the report's E2 source -----------------------------------
 
-    def _eliminate(self, p, q):
+    def _eliminate(self, p, q, ab):
         space = self.space(p, q)
-        coinvariants, relations = {}, {}
-        for ab, masks in self._hodge_blocks(space):
-            members = set(masks)
-            classes = SignedUnionFind()
-            rest = []
-            for mask in masks:
-                for relabel in self._perm_tables:
-                    s, img = relabel(mask)
-                    if img in members:
-                        # a basis mask is its own normal form: mask = s * img
-                        classes.union(mask, img, s)
+        masks = space.blocks.get(ab, ())
+        members = set(masks)
+        classes = SignedUnionFind()
+        rest = []
+        for mask in masks:
+            for relabel in self._perm_tables:
+                s, img = relabel(mask)
+                if img in members:
+                    # a basis mask is its own normal form: mask = s * img
+                    classes.union(mask, img, s)
+                    continue
+                row = add_terms(space.reduce_mask(img, s), ((mask, -1),))
+                if len(row) == 2:
+                    (a, ca), (b, cb) = row.items()
+                    if ca * cb in (1, -1):
+                        classes.union(a, b, -ca * cb)
                         continue
-                    row = add_terms(space.reduce_mask(img, s), ((mask, -1),))
-                    if len(row) == 2:
-                        (a, ca), (b, cb) = row.items()
-                        if ca * cb in (1, -1):
-                            classes.union(a, b, -ca * cb)
-                            continue
-                    if row:
-                        rest.append(row)
-            # shortest first keeps fill-in down; the pivot set, and so the
-            # basis, does not depend on the order
-            ech = SparseEchelon()
-            for row in sorted((classes.project(row.items()) for row in rest), key=len):
-                ech.add_row(row)
-            basis = [
-                mask for mask in masks
-                if mask not in classes.parent and mask not in classes.zero
-                and mask not in ech.rows
-            ]
-            if basis:
-                coinvariants[ab] = basis
-            relations[ab] = (classes, ech.rows)
-        self._coinvariants[(p, q)] = coinvariants
-        self._relations[(p, q)] = relations
+                if row:
+                    rest.append(row)
+        # shortest first keeps fill-in down; the pivot set, and so the
+        # basis, does not depend on the order
+        ech = SparseEchelon()
+        for row in sorted((classes.project(row.items()) for row in rest), key=len):
+            ech.add_row(row)
+        self._bases[(p, q, ab)] = [
+            mask for mask in masks
+            if mask not in classes.parent and mask not in classes.zero
+            and mask not in ech.rows
+        ]
+        self._relations[(p, q, ab)] = (classes, ech.rows)
+
+    def _basis(self, p, q, ab):
+        if (p, q, ab) not in self._bases:
+            self._eliminate(p, q, ab)
+        return self._bases[(p, q, ab)]
 
     def coinvariants(self, p, q):
-        """Coinvariant basis of bidegree (p, q): {(a, b): basis masks}.
+        """Coinvariant basis of bidegree (p, q): {(a, b): basis masks}, as
+        a read-only mapping that eliminates each Hodge block when it is
+        first read.  Blocks with no coinvariant are left out.
 
         The coinvariants of a Hodge block are its quotient by the rows
         ``reduce(sigma . m) - m``, for every basis mask m and each
@@ -222,21 +250,20 @@ class SpectralEngine:
         echelon.  The live representatives that are not pivots span the
         quotient; they are the masks a single echelon of every row would
         leave, since the max-column pivot set depends only on the span of
-        the rows.  Blocks with no coinvariant are left out."""
-        if (p, q) not in self._coinvariants:
-            self._eliminate(p, q)
-        return self._coinvariants[(p, q)]
+        the rows."""
+        return _LazyBlocks(self.space(p, q).blocks, partial(self._basis, p, q))
 
     def _block_relations(self, p, q, ab):
-        if (p, q) not in self._relations:
-            self._eliminate(p, q)
-        return self._relations[(p, q)].get(ab, (SignedUnionFind(), {}))
+        if (p, q, ab) not in self._relations:
+            self._eliminate(p, q, ab)
+        return self._relations[(p, q, ab)]
 
     def d_rank(self, p, q, ab):
         """Rank of d on coinvariants, from block (p, q, ab) to (p+2, q-1, ab):
         the d-images of the source coinvariant basis, in target quotient
         coordinates and projected onto the target's class representatives,
-        and the rank they add to the target block's echelon rows."""
+        and the rank they add to the target block's echelon rows.  Only
+        these two blocks are eliminated."""
         source = self.coinvariants(p, q).get(ab, ())
         target = self.space(p + 2, q - 1)
         classes, rows = self._block_relations(p + 2, q - 1, ab)
@@ -262,7 +289,7 @@ class SpectralEngine:
         space = self.space(p, q)
         lay = self.layout
         blocks = {}
-        for ab, cols in self._hodge_blocks(space):
+        for ab, cols in space.blocks.items():
             constraint_cols = []
             for mask in cols:
                 col = {}
@@ -306,6 +333,14 @@ class SpectralEngine:
     def report(self) -> SpectralReport:
         """The page read off the coinvariants, through :func:`assemble_page`.
 
+        Only the Hodge blocks with a <= b are eliminated and ranked; the
+        E2 dimension and the d-rank of each (b, a) block are those of its
+        (a, b) block.  Let tau swap x_i with y_i and send g_ij to -g_ij.
+        tau preserves the relations and commutes with each relabelling, and
+        it sends d(g_ij) = -x_j y_i - x_i y_j to -d(g_ij) = d(tau g_ij).
+        So tau carries block (p, q, a, b) onto (p, q, b, a) as a complex of
+        S_n-modules, and the two have the same E2 dimension and d-ranks.
+
         Bidegrees are visited by falling q, so the source (p-2, q+1) of the
         arrow into (p, q) is known when (p, q) is eliminated; that arrow is
         the only d-rank that reads the sign classes and echelon rows of
@@ -314,13 +349,21 @@ class SpectralEngine:
         the algebra."""
         n = self.n
         e2, ranks = {}, {}
+        upper = {}  # (p, q) -> the Hodge blocks of its space with a <= b
         for q in range(self.layout.npairs, -2, -1):
             for p in range(2 * n + 3):
-                for ab, basis in self.coinvariants(p, q).items():
-                    e2[(p, q, ab)] = len(basis)
-                for ab in self.coinvariants(p - 2, q + 1):
-                    ranks[(p - 2, q + 1, ab)] = self.d_rank(p - 2, q + 1, ab)
-                self._relations.pop((p, q), None)
+                upper[(p, q)] = [(a, b) for a, b in self.space(p, q).blocks if a <= b]
+                coinvariants = self.coinvariants(p, q)
+                for a, b in upper[(p, q)]:
+                    basis = coinvariants.get((a, b))
+                    if basis:
+                        e2[(p, q, (a, b))] = e2[(p, q, (b, a))] = len(basis)
+                for a, b in upper.get((p - 2, q + 1), ()):
+                    if (p - 2, q + 1, (a, b)) in e2:
+                        rank = self.d_rank(p - 2, q + 1, (a, b))
+                        ranks[(p - 2, q + 1, (a, b))] = ranks[(p - 2, q + 1, (b, a))] = rank
+                for ab in upper[(p, q)]:
+                    self._relations.pop((p, q, ab), None)
         return assemble_page(n, e2, lambda p, q, ab: ranks[(p, q, ab)])
 
 

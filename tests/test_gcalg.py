@@ -262,6 +262,21 @@ def test_dimension_formula_per_bidegree(n):
             assert BidegreeSpace(n, p, q, layout=lay).dim == want, (n, p, q)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_hodge_blocks_group_the_quotient_basis_by_hodge_bidegree(n):
+    lay = Layout(n)
+    for q in range(-1, lay.npairs + 2):
+        for p in range(-1, 2 * n + 3):
+            space = BidegreeSpace(n, p, q, layout=lay)
+            assert space.quotient_basis == sorted(space.quotient_basis), (p, q)
+            want = {}
+            for mask in space.quotient_basis:
+                want.setdefault(lay.hodge_bidegree(mask), []).append(mask)
+            assert list(space.blocks) == sorted(want), (p, q)
+            assert space.blocks == want, (p, q)  # each block ascending, as the basis
+            assert sum(map(len, space.blocks.values())) == space.dim, (p, q)
+
+
 # -- relation spans ----------------------------------------------------------------
 
 
@@ -593,6 +608,74 @@ def test_block_relabel_matches_sn_act(n):
             s, img = rel(mask)
             want = sn_act(sigma, Element.from_monomial(lay.decode(mask)))
             assert Element.from_monomial(lay.decode(img, s)) == want, (sigma, mask)
+
+
+# -- the Hodge mirror tau ------------------------------------------------------------
+
+
+def tau(lay, mask):
+    """tau swaps x_i with y_i and sends g_ij to -g_ij: (sign, tau(mask)).
+    The sign is (-1)^#g times the Koszul sign of re-sorting the swapped
+    letters."""
+    n, swapped = lay.n, []
+    for b in range(lay.nbits):
+        if mask >> b & 1:
+            swapped.append(b if b < lay.xbit0 else b + n if b < lay.ybit0 else b - n)
+    s, img = Layout.sort_bits(swapped)
+    return (-s if (mask & lay.gfull).bit_count() % 2 else s), img
+
+
+def tau_terms(lay, terms):
+    """tau of a combination [(mask, coeff)], as {mask: coeff}."""
+    out = {}
+    for m, c in terms:
+        s, img = tau(lay, m)
+        out[img] = s * c
+    return out
+
+
+def tau_counterexample(lay, d, relabels):
+    """The first free mask at which tau fails to commute with ``d`` (a
+    function mask -> [(mask', coeff)]) or with one of ``relabels``, or None."""
+    for mask in range(1 << lay.nbits):
+        s, img = tau(lay, mask)
+        if tau_terms(lay, d(mask)) != {m: s * c for m, c in d(img)}:
+            return mask
+        for rel in relabels:
+            (s1, m1), (s2, m2) = rel(mask), rel(img)
+            if tau_terms(lay, [(m1, s1)]) != {m2: s * s2}:
+                return mask
+    return None
+
+
+def skewed_differential(lay):
+    """d with the sign of its x_j y_i terms flipped, d(g_ij) = x_j y_i -
+    x_i y_j: it no longer commutes with tau."""
+
+    def d(mask):
+        out = []
+        for m2, c in lay.differential_mask(mask):
+            new = m2 & ~mask  # the two letters that replaced g_ij
+            xs, ys = (new >> lay.xbit0) & ((1 << lay.n) - 1), new >> lay.ybit0
+            out.append((m2, -c if xs > ys else c))
+        return out
+
+    return d
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_tau_commutes_with_d_and_the_engine_relabellings(n):
+    """tau carries Hodge block (p, q, a, b) onto (p, q, b, a) as a complex of
+    S_n-modules, which is why the report ranks only the blocks with a <= b."""
+    lay = Layout(n)
+    relabels = [Relabelling(lay, sigma) for sigma in engine_generators(n)]
+    assert tau_counterexample(lay, lay.differential_mask, relabels) is None
+
+
+def test_tau_check_fails_on_a_differential_without_xy_symmetry():
+    lay = Layout(3)
+    bad = tau_counterexample(lay, skewed_differential(lay), [])
+    assert bad == lay.encode(normalize((G(1, 2),)))
 
 
 # -- exact coefficients ------------------------------------------------------------------

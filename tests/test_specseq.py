@@ -189,6 +189,49 @@ def test_coinvariants_of_one_transposition_fail_the_e2_comparison_n3():
     assert all(e2[key] >= d for key, d in want.items())
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_mirror_blocks_have_equal_coinvariants_and_d_ranks(n):
+    """Each block (a, b) and its mirror (b, a), computed on their own, have
+    the same E2 dimension and the same d-rank, as the report assumes."""
+    eng = SpectralEngine(n)
+    blocks = coinvariant_e2(eng)
+    assert blocks == {(p, q, (b, a)): d for (p, q, (a, b)), d in blocks.items()}
+    ranks = {key: eng.d_rank(*key) for key in blocks}
+    assert ranks == {(p, q, (b, a)): r for (p, q, (a, b)), r in ranks.items()}
+
+
+def test_report_eliminates_and_ranks_only_blocks_with_a_at_most_b(monkeypatch):
+    want = e3_dims(5).to_json()
+    eliminated, ranked = Counter(), Counter()
+    eliminate, d_rank = SpectralEngine._eliminate, SpectralEngine.d_rank
+
+    def counted_eliminate(self, p, q, ab):
+        eliminated[(p, q, ab)] += 1
+        return eliminate(self, p, q, ab)
+
+    def counted_d_rank(self, p, q, ab):
+        ranked[(p, q, ab)] += 1
+        return d_rank(self, p, q, ab)
+
+    monkeypatch.setattr(SpectralEngine, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(SpectralEngine, "d_rank", counted_d_rank)
+    eng = SpectralEngine(5)
+    assert eng.report().to_json() == want
+    assert ranked and all(a <= b and k == 1 for (_, _, (a, b)), k in ranked.items())
+    upper = {
+        (p, q, ab) for p, q in bidegrees(eng) for ab in eng.space(p, q).blocks if ab[0] <= ab[1]
+    }
+    assert upper <= set(eliminated)
+    assert all(a <= b for _, _, (a, b) in eliminated)
+    # afterwards every block is still answered, a > b included
+    lower = 0
+    for p, q in bidegrees(eng):
+        got = eng.coinvariants(p, q)
+        assert got == single_echelon_coinvariants(eng, p, q), (p, q)
+        lower += sum(a > b for a, b in got)
+    assert lower > 0
+
+
 def test_report_relabels_each_g_part_once_and_builds_each_forest_list_once(monkeypatch):
     """The coinvariant step relabels letters by table, not bit by bit: over
     a report, Layout.apply_perm runs once per generator and g-part of a
