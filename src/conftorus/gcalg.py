@@ -50,9 +50,10 @@ elimination of every relation multiple for small n.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, permutations
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -69,6 +70,7 @@ __all__ = [
     "free_basis",
     "relation_span",
     "BidegreeSpace",
+    "LazyBlocks",
     "differential",
     "sn_act",
     "symmetrize",
@@ -610,6 +612,43 @@ def _basis_size(n, p, q):
     return stirling[k] * comb(k, p) * 2**p
 
 
+def _decorations(lay, roots, p, low):
+    """The letter masks of p letters x or y on distinct vertices of
+    ``roots``, as one list for each number of y-letters from ``low`` to p."""
+    out = [[] for _ in range(low, p + 1)]
+    for deco in combinations(roots, p):
+        letters = sum(1 << v for v in deco)
+        for ny in range(low, p + 1):
+            for ysel in combinations(deco, ny):
+                ys = sum(1 << v for v in ysel)
+                out[ny - low].append((letters ^ ys) << lay.xbit0 | ys << lay.ybit0)
+    return out
+
+
+class LazyBlocks(Mapping):
+    """{(a, b): basis(ab)} over the given Hodge blocks, each value computed
+    (and cached by its source) when it is first read; blocks whose value is
+    empty are left out."""
+
+    def __init__(self, blocks, basis):
+        self._blocks, self._basis = blocks, basis
+
+    def __getitem__(self, ab):
+        value = self._basis(ab) if ab in self._blocks else None
+        if not value:
+            raise KeyError(ab)
+        return value
+
+    def __iter__(self):
+        return (ab for ab in self._blocks if self._basis(ab))
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 class BidegreeSpace:
     """Quotient of one free bidegree piece by the relation subspace.
 
@@ -618,9 +657,14 @@ class BidegreeSpace:
     has at most one smaller neighbour, and p letters x or y, each on the
     smallest vertex of its own component.  ``blocks`` holds the same masks
     by Hodge bidegree, {(a, b): masks in increasing order} with
-    (a, b) = (#x + q, #y + q), its keys by increasing a and its blocks
-    nonempty; each mask goes to its block as it is built, and
-    ``quotient_basis`` is merged from the blocks when first read.
+    (a, b) = (#x + q, #y + q), as a read-only mapping; ``block_keys``
+    lists its keys, by increasing a and each with a nonempty block, without
+    building a block.  Only the blocks with a <= b (#x <= #y) are built
+    with the space.  An a > b block is the x<->y mirror of its (b, a)
+    block: swapping the two letter bit ranges of a decorated forest gives a
+    decorated forest, so the mirror of a basis mask is a basis mask.  It is
+    built, and sorted, when the block is first read; ``quotient_basis`` is
+    merged from every block when first read.
     :meth:`reduce_mask` and
     :meth:`reduce` give exact quotient coordinates over this basis through
     the normal form described in the module docstring, as a dict
@@ -635,20 +679,26 @@ class BidegreeSpace:
         self.layout = layout or Layout(n)
         lay = self.layout
         self.free_dim = comb(lay.npairs, q) * comb(2 * n, p) if p >= 0 and q >= 0 else 0
+        low = (p + 1) // 2  # the fewest y-letters with #x <= #y
         by_y = [[] for _ in range(p + 1)] if self.free_dim else []  # masks by #y
         if by_y:
+            decorations = {}  # root tuple -> its letter masks, shared by its forests
             for g, roots in lay.increasing_forests(q):
-                for deco in combinations(roots, p):
-                    letters = [(1 << (lay.xbit0 + v), 1 << (lay.ybit0 + v)) for v in deco]
-                    for bits in product(*letters):
-                        mask = g | sum(bits)
-                        by_y[(mask >> lay.ybit0).bit_count()].append(mask)
-        self.blocks = {}
-        for ny in reversed(range(len(by_y))):
+                if roots not in decorations:
+                    decorations[roots] = _decorations(lay, roots, p, low)
+                for ny, masks in enumerate(decorations[roots], low):
+                    by_y[ny] += [g | m for m in masks]
+        # (a, b) -> masks: the a <= b blocks, and each mirror once it is read
+        self._built = {}
+        for ny in reversed(range(low, len(by_y))):
             if by_y[ny]:
                 by_y[ny].sort()
-                self.blocks[(p - ny + q, ny + q)] = by_y[ny]
-        self.dim = sum(map(len, self.blocks.values()))
+                self._built[(p - ny + q, ny + q)] = by_y[ny]
+        upper = list(self._built)
+        self.block_keys = tuple(upper + [(b, a) for a, b in reversed(upper) if a < b])
+        self.blocks = LazyBlocks(self.block_keys, self._block)
+        # an a < b block counts for its mirror too
+        self.dim = sum(len(m) * (1 if a == b else 2) for (a, b), m in self._built.items())
         if self.dim != _basis_size(n, p, q):
             raise AssertionError(
                 f"{self.dim} basis forests at n={n} ({p},{q}), "
@@ -656,10 +706,23 @@ class BidegreeSpace:
             )
         self.relation_rank = self.free_dim - self.dim
 
+    def _block(self, ab):
+        """The masks of Hodge block ``ab``, a key of ``blocks``; an a > b
+        block is mirrored from its (b, a) block on first read."""
+        if ab not in self._built:
+            lay = self.layout
+            xs = (1 << self.n) - 1  # the x-letters, shifted down to bit 0
+            self._built[ab] = sorted(
+                m & lay.gfull | (m >> lay.ybit0) << lay.xbit0 | (m >> lay.xbit0 & xs) << lay.ybit0
+                for m in self._built[ab[::-1]]
+            )
+        return self._built[ab]
+
     @cached_property
     def quotient_basis(self):
-        # merged on first read, so a space read only by block (the engine's
-        # report) holds each mask in one list
+        # merged on first read, mirrors included, so a space read only by its
+        # a <= b blocks (the engine's report) holds each of their masks in
+        # one list and builds no other
         return sorted(chain.from_iterable(self.blocks.values()))
 
     # -- quotient coordinates ------------------------------------------------

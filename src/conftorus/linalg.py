@@ -8,7 +8,7 @@ sign (``a = +-b``) in near-linear time, with path compression; a class
 whose members must equal their own negative is zero.  The root of a class
 is its smallest key, so :meth:`SignedUnionFind.project` rewrites a row
 onto the small monomials, as the echelon's pivots would.  It serves the
-spectral engine's coinvariant blocks, where most rows (87% at n = 6) are
+spectral engine's coinvariant blocks, where most rows (86% at n = 6) are
 such identifications.
 
 ``SparseEchelon`` is a forward-only integer echelon form; it serves the

@@ -40,12 +40,11 @@ and the kernel reference computes every block on its own.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 
 from . import series as series_mod
-from .gcalg import BidegreeSpace, Layout, Relabelling
+from .gcalg import BidegreeSpace, LazyBlocks, Layout, Relabelling
 from .linalg import (
     SignedUnionFind,
     SparseEchelon,
@@ -133,30 +132,6 @@ class SpectralReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-class _LazyBlocks(Mapping):
-    """{(a, b): basis(ab)} over the given Hodge blocks, each value computed
-    (and cached by its source) when it is first read; blocks whose value is
-    empty are left out."""
-
-    def __init__(self, blocks, basis):
-        self._blocks, self._basis = blocks, basis
-
-    def __getitem__(self, ab):
-        value = self._basis(ab) if ab in self._blocks else None
-        if not value:
-            raise KeyError(ab)
-        return value
-
-    def __iter__(self):
-        return (ab for ab in self._blocks if self._basis(ab))
-
-    def __len__(self):
-        return sum(1 for _ in self)
-
-    def __repr__(self):
-        return repr(dict(self))
-
-
 class SpectralEngine:
     """Caches bidegree spaces, coinvariant blocks and invariant data for
     one n.
@@ -176,14 +151,18 @@ class SpectralEngine:
         # (p, q, (a, b)) -> (sign classes, echelon rows), dropped once read
         self._relations = {}
         self._invariants = {}
-        # (1 2) and the n-cycle, which generate S_n: the coinvariants read
-        # their block tables, the kernel reference their bit tables
-        perms = []
+        # (n-1 n) and the (n-1)-cycle (1 2 ... n-1) generate S_n: conjugating
+        # the transposition by powers of the cycle gives every (i n).  They
+        # move the largest labels or fix n, so they send more basis masks to
+        # basis masks than (1 2) and the n-cycle, and fewer images need
+        # reduce_mask.  The coinvariants read their block tables, the kernel
+        # reference their bit tables.
+        self.generators = []
         if n >= 2:
-            perms.append((2, 1, *range(3, n + 1)))
+            self.generators.append((*range(1, n - 1), n, n - 1))
         if n > 2:
-            perms.append((*range(2, n + 1), 1))
-        self._perm_tables = [Relabelling(self.layout, sigma) for sigma in perms]
+            self.generators.append((*range(2, n), 1, n))
+        self._perm_tables = [Relabelling(self.layout, sigma) for sigma in self.generators]
 
     # -- spaces --------------------------------------------------------------
 
@@ -251,7 +230,7 @@ class SpectralEngine:
         quotient; they are the masks a single echelon of every row would
         leave, since the max-column pivot set depends only on the span of
         the rows."""
-        return _LazyBlocks(self.space(p, q).blocks, partial(self._basis, p, q))
+        return LazyBlocks(self.space(p, q).block_keys, partial(self._basis, p, q))
 
     def _block_relations(self, p, q, ab):
         if (p, q, ab) not in self._relations:
@@ -263,7 +242,13 @@ class SpectralEngine:
         the d-images of the source coinvariant basis, in target quotient
         coordinates and projected onto the target's class representatives,
         and the rank they add to the target block's echelon rows.  Only
-        these two blocks are eliminated."""
+        these two blocks are eliminated.
+
+        An arrow whose target is outside the algebra, below q = 0 or with
+        more letters than the n - q + 1 components of its forests, has rank
+        0, and no space is built for its target."""
+        if q < 1 or p + 2 > self.n - q + 1:
+            return 0
         source = self.coinvariants(p, q).get(ab, ())
         target = self.space(p + 2, q - 1)
         classes, rows = self._block_relations(p + 2, q - 1, ab)
@@ -341,29 +326,39 @@ class SpectralEngine:
         So tau carries block (p, q, a, b) onto (p, q, b, a) as a complex of
         S_n-modules, and the two have the same E2 dimension and d-ranks.
 
-        Bidegrees are visited by falling q, so the source (p-2, q+1) of the
+        Only the bidegrees inside the algebra are visited: 0 <= q <= n - 1
+        (q = 0 at n = 0) and 0 <= p <= n - q, where the quotient has
+        c(n, n - q) C(n - q, p) 2^p basis masks; it is zero everywhere else.
+        They are visited by falling q, so the source (p-2, q+1) of the
         arrow into (p, q) is known when (p, q) is eliminated; that arrow is
         the only d-rank that reads the sign classes and echelon rows of
-        (p, q), which are dropped once it is taken.  The row q = -1 and the
-        columns p > 2n are empty; visiting them takes the arrows that leave
-        the algebra."""
+        (p, q), which are dropped once it is taken.  The arrows that leave
+        the algebra, out of q = 0 and out of p = n - q, are taken through
+        :meth:`d_rank` as well, which gives them rank 0."""
         n = self.n
         e2, ranks = {}, {}
         upper = {}  # (p, q) -> the Hodge blocks of its space with a <= b
-        for q in range(self.layout.npairs, -2, -1):
-            for p in range(2 * n + 3):
-                upper[(p, q)] = [(a, b) for a, b in self.space(p, q).blocks if a <= b]
+
+        def take(p, q):
+            # the d-ranks out of the a <= b blocks of (p, q), and their mirrors
+            for a, b in upper.get((p, q), ()):
+                if (p, q, (a, b)) in e2:
+                    rank = self.d_rank(p, q, (a, b))
+                    ranks[(p, q, (a, b))] = ranks[(p, q, (b, a))] = rank
+
+        for q in range(max(n - 1, 0), -1, -1):
+            for p in range(n - q + 1):
+                upper[(p, q)] = [(a, b) for a, b in self.space(p, q).block_keys if a <= b]
                 coinvariants = self.coinvariants(p, q)
                 for a, b in upper[(p, q)]:
                     basis = coinvariants.get((a, b))
                     if basis:
                         e2[(p, q, (a, b))] = e2[(p, q, (b, a))] = len(basis)
-                for a, b in upper.get((p - 2, q + 1), ()):
-                    if (p - 2, q + 1, (a, b)) in e2:
-                        rank = self.d_rank(p - 2, q + 1, (a, b))
-                        ranks[(p - 2, q + 1, (a, b))] = ranks[(p - 2, q + 1, (b, a))] = rank
+                take(p - 2, q + 1)  # the arrow into (p, q)
                 for ab in upper[(p, q)]:
                     self._relations.pop((p, q, ab), None)
+                if q == 0 or p == n - q:
+                    take(p, q)  # (p + 2, q - 1) is outside the algebra
         return assemble_page(n, e2, lambda p, q, ab: ranks[(p, q, ab)])
 
 

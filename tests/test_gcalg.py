@@ -9,7 +9,7 @@ with Fractions.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 from pathlib import Path
 import os
@@ -38,6 +38,7 @@ from conftorus.gcalg import (
     symmetrize,
 )
 from conftorus.linalg import add_terms
+from conftorus.specseq import SpectralEngine
 
 
 def brute_force_sign(gens):
@@ -260,6 +261,31 @@ def test_dimension_formula_per_bidegree(n):
             k = n - q
             want = stirling[k] * comb(k, p) * 2**p if p <= k else 0
             assert BidegreeSpace(n, p, q, layout=lay).dim == want, (n, p, q)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_mirrored_blocks_match_blocks_built_from_the_forests(n):
+    """Every a > b block is built only when first read, and then equals the
+    block built here from the decorated increasing forests directly."""
+    lay = Layout(n)
+    for q in range(-1, lay.npairs + 2):
+        for p in range(-1, 2 * n + 3):
+            want = {}
+            for g, roots in lay.increasing_forests(q) if q >= 0 and p >= 0 else ():
+                for deco in combinations(roots, p):
+                    for ys in product((0, 1), repeat=p):
+                        mask = g
+                        for v, y in zip(deco, ys):
+                            mask |= 1 << ((lay.ybit0 if y else lay.xbit0) + v)
+                        a, b = lay.hodge_bidegree(mask)
+                        if a > b:
+                            want.setdefault((a, b), []).append(mask)
+            space = BidegreeSpace(n, p, q, layout=lay)
+            assert not any(a > b for a, b in space._built), (p, q)
+            assert {ab: space.blocks[ab] for ab in want} == {
+                ab: sorted(masks) for ab, masks in want.items()
+            }, (p, q)
+            assert sorted(want) == [(a, b) for a, b in space.block_keys if a > b], (p, q)
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -567,11 +593,8 @@ def test_sort_bits_sign_and_mask():
 
 
 def engine_generators(n):
-    """(1 2) and the n-cycle, the generators of S_n the engine relabels by."""
-    perms = [(2, 1, *range(3, n + 1))] if n >= 2 else []
-    if n > 2:
-        perms.append((*range(2, n + 1), 1))
-    return perms
+    """The generators of S_n the engine relabels by, read from the engine."""
+    return SpectralEngine(n).generators
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -3,10 +3,11 @@ kernel reference, surviving dimensions, purity, decoded Betti/Hodge tables,
 and the cross-check against the series module."""
 
 from collections import Counter
+from math import comb, factorial
 
 import pytest
 
-from conftorus.gcalg import Element, Layout, X, Y, symmetrize
+from conftorus.gcalg import BidegreeSpace, Element, Layout, Relabelling, X, Y, symmetrize
 from conftorus.linalg import SparseEchelon, rank_of_rows
 from conftorus.series import w
 from conftorus.specseq import (
@@ -123,7 +124,9 @@ def test_coinvariant_d_ranks_match_and_repeat_n4():
 def single_echelon_coinvariants(eng, p, q):
     """The coinvariant basis of (p, q) with no union-find: every row
     reduce(sigma . m) - m of a Hodge block goes to one echelon, and the
-    masks that are not pivots are the basis."""
+    masks that are not pivots are the basis.  sigma runs over (1 2) and the
+    n-cycle, not the engine's generators: the rows span the same subspace
+    for any generating set of S_n, and so leave the same basis."""
     space, lay, n = eng.space(p, q), eng.layout, eng.n
     perms = [(2, 1, *range(3, n + 1))] if n >= 2 else []
     if n > 2:
@@ -180,13 +183,47 @@ def test_d_rank_of_whole_blocks_is_the_coinvariant_d_rank_n5(monkeypatch):
 
 
 def test_coinvariants_of_one_transposition_fail_the_e2_comparison_n3():
-    # the rows of (1 2) alone give the coinvariants of a smaller group
+    # the rows of the transposition (2 3) alone give the coinvariants of a
+    # smaller group
     eng = SpectralEngine(3)
     eng._perm_tables = eng._perm_tables[:1]
     e2 = coinvariant_e2(eng)
     want = kernel_e2(SpectralEngine(3))
     assert e2 != want
     assert all(e2[key] >= d for key, d in want.items())
+
+
+def test_coinvariants_of_a_pair_fixing_1_fail_the_e2_comparison_n4():
+    """The engine's transposition (3 4) with the cycle (2 3 4) in place of
+    (1 2 3) generates only the permutations fixing 1: the coinvariants of
+    that smaller group are larger than the kernel E2 of S_4."""
+    eng = SpectralEngine(4)
+    transposition, _ = eng.generators
+    assert transposition == (1, 2, 4, 3)
+    eng._perm_tables = [Relabelling(eng.layout, sigma) for sigma in (transposition, (1, 3, 4, 2))]
+    e2 = coinvariant_e2(eng)
+    want = kernel_e2(SpectralEngine(4))
+    assert e2 != want
+    assert all(e2[key] >= d for key, d in want.items())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_engine_generators_generate_the_symmetric_group(n):
+    """The closure of the engine's generators under composition has n!
+    elements."""
+    gens = SpectralEngine(n).generators
+    identity = tuple(range(1, n + 1))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        grown = []
+        for perm in frontier:
+            for sigma in gens:
+                prod = tuple(sigma[i - 1] for i in perm)
+                if prod not in seen:
+                    seen.add(prod)
+                    grown.append(prod)
+        frontier = grown
+    assert len(seen) == factorial(n)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -232,10 +269,53 @@ def test_report_eliminates_and_ranks_only_blocks_with_a_at_most_b(monkeypatch):
     assert lower > 0
 
 
+def inside_the_algebra(n):
+    """The bidegrees (p, q) with a nonzero quotient: c(n, n - q) C(n - q, p)
+    2^p forests, so 0 <= q <= n - 1 (q = 0 at n = 0) and 0 <= p <= n - q."""
+    return {(p, q) for q in range(max(n, 1)) for p in range(n - q + 1)}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_report_builds_only_the_a_at_most_b_half_inside_the_algebra(monkeypatch, n):
+    """During a report every space built is inside the algebra, each is
+    built once, and none holds a mask with #x > #y: each holds its
+    a <= b masks, sum over #y >= #x of c(n, n - q) C(n - q, p) C(p, #y)."""
+    built = Counter()
+    init = BidegreeSpace.__init__
+
+    def recorded_init(self, n, p, q, layout=None):
+        built[(p, q)] += 1
+        init(self, n, p, q, layout)
+
+    monkeypatch.setattr(BidegreeSpace, "__init__", recorded_init)
+    eng = SpectralEngine(n)
+    eng.report()
+    assert built == Counter(inside_the_algebra(n))
+    for (p, q), space in eng._spaces.items():
+        assert all(a <= b for a, b in space._built), (p, q)
+        upper = sum(comb(p, ny) for ny in range(p + 1) if 2 * ny >= p)
+        assert sum(map(len, space._built.values())) == space.dim * upper // 2**p, (p, q)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_d_rank_leaving_the_algebra_is_zero_and_builds_nothing(n):
+    """The arrows out of q = 0 and out of p = n - q land outside the
+    algebra: d_rank gives 0 for each of their blocks and builds no space,
+    neither the target nor the source."""
+    eng = SpectralEngine(n)
+    sources = {(p, q) for p, q in inside_the_algebra(n) if q == 0 or p == n - q}
+    keys = {(p, q, ab) for p, q in sources for ab in BidegreeSpace(n, p, q).block_keys}
+    assert keys
+    for key in sorted(keys):
+        assert eng.d_rank(*key) == 0, key
+    assert eng._spaces == {}
+
+
 def test_report_relabels_each_g_part_once_and_builds_each_forest_list_once(monkeypatch):
     """The coinvariant step relabels letters by table, not bit by bit: over
     a report, Layout.apply_perm runs once per generator and g-part of a
-    basis mask, and the forests of each q are built once for all its p."""
+    basis mask, and the forests of each q = 0..n-1 are built once for its
+    n - q + 1 values of p."""
     calls, forests = Counter(), {}
     apply_perm, increasing_forests = Layout.apply_perm, Layout.increasing_forests
 
@@ -252,14 +332,15 @@ def test_report_relabels_each_g_part_once_and_builds_each_forest_list_once(monke
     monkeypatch.setattr(Layout, "increasing_forests", recorded_forests)
     eng = SpectralEngine(5)
     eng.report()
+    monkeypatch.undo()  # the reads below build spaces outside the algebra
     gfull = eng.layout.gfull
     gparts = {m & gfull for p, q in bidegrees(eng) for m in eng.space(p, q).quotient_basis}
     assert calls == Counter(
         {(id(rel.table), g): 1 for rel in eng._perm_tables for g in gparts}
     )
-    assert sorted(forests) == list(range(eng.layout.npairs + 1))
+    assert sorted(forests) == list(range(eng.n))
     for q, built in forests.items():
-        assert len(built) == 2 * eng.n + 1 and all(out is built[0] for out in built), q
+        assert len(built) == eng.n - q + 1 and all(out is built[0] for out in built), q
 
 
 # -- E3 dimensions -----------------------------------------------------------
