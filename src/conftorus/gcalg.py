@@ -313,6 +313,8 @@ class Layout:
     """
 
     def __init__(self, n):
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
         self.n = n
         self.pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         self.npairs = len(self.pairs)

@@ -151,6 +151,124 @@ def test_arnold_dies_at_degree_n():
     assert alg.quotient_dim(4) == 0
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_arnold_rejects_negative_n(n):
+    with pytest.raises(ValueError, match=f"n must be nonnegative, got {n}$"):
+        arnold_conf_betti(n)
+
+
+def _bit_list(mask):
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def _inversion_sign(seq):
+    """(-1) to the number of pairs of ``seq`` out of increasing order."""
+    inversions = sum(1 for a, b in combinations(seq, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def _first_relation_sign_error(alg, monkeypatch):
+    """The first row ``degree(q)`` sends to its echelon that differs from
+    the row built by hand, or None.  By hand: for every triangle-free mu of
+    q - 2 edges and every triangle T that meets neither mu nor its closing
+    mask, the terms t of r_T whose product is not a zero monomial, each
+    with its coefficient times the inversion sign of bits(mu) + bits(t);
+    rows that keep no term are not sent."""
+    sent = []
+
+    class Recording(oracle.SparseEchelon):
+        def add_row(self, row):
+            sent.append(dict(row))
+            return super().add_row(row)
+
+    monkeypatch.setattr(oracle, "SparseEchelon", Recording)
+    for q in range(2, alg.npairs + 1):
+        sent.clear()
+        zero = alg.degree(q).zero
+        multipliers = []
+        alg._walk(q - 2, lambda mu, closing: multipliers.append((mu, closing)))
+        k = 0
+        for mu, closing in multipliers:
+            for tri, terms in alg._relations:
+                if tri & (mu | closing):
+                    continue
+                want = {}
+                for t, c, *_ in terms:
+                    if mu | t not in zero:
+                        want[mu | t] = c * _inversion_sign(_bit_list(mu) + _bit_list(t))
+                if not want:
+                    continue
+                got = sent[k] if k < len(sent) else {}
+                k += 1
+                for prod, sign in want.items():
+                    if got.get(prod) != sign:
+                        return (
+                            f"n={alg.n} q={q} mu={_bit_list(mu)} "
+                            f"t={_bit_list(prod ^ mu)}: wrote {got.get(prod)}, want {sign}"
+                        )
+                if got.keys() != want.keys():
+                    return f"n={alg.n} q={q} mu={_bit_list(mu)}: row {got} not {want}"
+        if k != len(sent):
+            return f"n={alg.n} q={q}: {len(sent)} rows sent, {k} expected"
+    return None
+
+
+def _first_relabel_sign_error(alg):
+    """The first triangle-free mask whose ``_relabel`` under (1 2) or the
+    n-cycle differs from the permutation applied edge by edge and signed by
+    the inversions of the image list, or None."""
+    sigmas = []
+    if alg.n >= 2:
+        sigmas.append((2, 1, *range(3, alg.n + 1)))
+    if alg.n > 2:
+        sigmas.append((*range(2, alg.n + 1), 1))
+    assert len(alg._perm_tables) == len(sigmas)
+    masks = []
+    for q in range(alg.npairs + 1):
+        alg._walk(q, lambda mask, closing: masks.append(mask))
+    for sigma, table in zip(sigmas, alg._perm_tables):
+        for mask in masks:
+            images = [
+                alg.pairs.index(tuple(sorted((sigma[i - 1], sigma[j - 1]))))
+                for i, j in (alg.pairs[b] for b in _bit_list(mask))
+            ]
+            want = (_inversion_sign(images), sum(1 << b for b in images))
+            got = alg._relabel(table, mask)
+            if got != want:
+                return f"n={alg.n} sigma={sigma} mask={_bit_list(mask)}: {got} not {want}"
+    return None
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_arnold_relation_signs_are_inversion_parities(monkeypatch, n):
+    """Every sign the elimination writes, exhaustively for n <= 6, against
+    the inversion count of the concatenated bit lists; quotient dimensions
+    alone can survive a sign error.  n = 6 is the first n with rows that
+    lose every term (900 of them, at q = 6 and 7), which are not sent."""
+    assert _first_relation_sign_error(ArnoldAlgebra(n), monkeypatch) is None
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_arnold_relabel_signs_are_permutation_signs(n):
+    assert _first_relabel_sign_error(ArnoldAlgebra(n)) is None
+
+
+def test_arnold_relation_sign_check_names_a_shifted_position(monkeypatch):
+    """Negative control: with hi one position too high, the sign check
+    stops at its first wrong sign.  (hi - 1 would be the top bit of t,
+    never in mu, and give the same counts.)"""
+    alg = ArnoldAlgebra(4)
+    alg._relations = [
+        (tri, tuple((t, c, lo, hi + 1) for t, c, lo, hi in terms))
+        for tri, terms in alg._relations
+    ]
+    # r_T for T = 123 (edge bits 0, 1, 3) times mu = g14 (bit 2): the term
+    # g12 g13 passes bit 2 once, which hi + 1 = 3 no longer counts
+    assert _first_relation_sign_error(alg, monkeypatch) == (
+        "n=4 q=3 mu=[2] t=[0, 1]: wrote -1, want 1"
+    )
+
+
 # -- V(n) -------------------------------------------------------------------------
 
 
