@@ -10,6 +10,15 @@ functions are kept in factored form: a polynomial numerator over a product
 of binomial factors ``(1 - c * monomial)`` with positive t-degree, each
 inverted order by order as a geometric series.
 
+A :class:`MultiPoly` keys each term by one packed int: the total degree
+u + x + y + t in the top field, then t, u, x and y, each field 16 bits
+wide.  A monomial product is one integer add of two keys.  No field can
+carry into the next: every product checks that the total degrees of its
+operands sum to at most 65535 and otherwise raises an ``OverflowError``
+that names the exponent.  The coefficient of t^n in K4 has total degree at
+most 4n, so the limit sits far beyond any order the expansion reaches in
+practice.
+
 The two closed forms driving the whole artifact:
 
 * symmetric-power side
@@ -66,12 +75,48 @@ class DecodeError(ValueError):
     """A series coefficient that cannot be a valid Betti/Hodge encoding."""
 
 
-# exponent keys are (u, x, y, t)
-_U, _X, _Y, _T = range(4)
+# Packed keys (Monagan and Pearce, "Polynomial division using dynamic arrays,
+# heaps, and packed exponent vectors", 2007): every field is at most the
+# total degree, so two keys whose totals sum to at most _MASK add field by
+# field with no carry.  _Y .. _DEG are the shifts of the fields.
+_WIDTH = 16
+_MASK = (1 << _WIDTH) - 1
+_Y, _X, _U, _T, _DEG = (i * _WIDTH for i in range(5))
+_XYT = _MASK << _T | _MASK << _X | _MASK << _Y  # the fields other than u
 
 
-def _key(u=0, x=0, y=0, t=0):
-    return (u, x, y, t)
+def _too_wide(exponent):
+    return OverflowError(
+        f"exponent (u, x, y, t) = {exponent} has total degree {sum(exponent)}, "
+        f"above the {_MASK} a packed key holds"
+    )
+
+
+def _pack(k):
+    """The packed key of the exponent tuple ``k = (u, x, y, t)``.  A key
+    that is not four nonnegative ints is a ``ValueError``, a total degree
+    above ``_MASK`` an ``OverflowError``; each names the key."""
+    if type(k) is not tuple or len(k) != 4 or any(type(e) is not int for e in k):
+        raise ValueError(f"exponent key {k!r} is not four ints (u, x, y, t)")
+    if min(k) < 0:
+        raise ValueError(f"negative exponent in {k}")
+    u, x, y, t = k
+    if u + x + y + t > _MASK:
+        raise _too_wide(k)
+    return (u + x + y + t) << _DEG | t << _T | u << _U | x << _X | y << _Y
+
+
+def _unpack(k):
+    """The exponent tuple ``(u, x, y, t)`` of the packed key ``k``."""
+    return (k >> _U & _MASK, k >> _X & _MASK, k >> _Y & _MASK, k >> _T & _MASK)
+
+
+def _split(k, shift):
+    """``(e, rest)``: the exponent ``e`` in the field at ``shift`` of the
+    packed key ``k``, and the key with that field zeroed and the total
+    lowered by ``e``."""
+    e = k >> shift & _MASK
+    return e, k - (e << shift) - (e << _DEG)
 
 
 def _exact(v):
@@ -89,12 +134,17 @@ def _accumulate(out, c, a, b):
     ``out``, ``a`` and ``b`` are term dicts; ``out`` may be left holding
     zeros, which :func:`_poly` drops.  The one product loop of the module:
     inline, not linalg.add_terms, as the series side shares no code with the
-    engine.
+    engine.  The largest key of a term dict has its largest total degree;
+    when those two sum above ``_MASK`` a field could carry into the next,
+    and the product raises an ``OverflowError`` instead.
     """
-    for (u1, x1, y1, t1), v1 in a.items():
+    if a and b and (max(a) >> _DEG) + (max(b) >> _DEG) > _MASK:
+        high = zip(_unpack(max(a)), _unpack(max(b)))
+        raise _too_wide(tuple(e1 + e2 for e1, e2 in high))
+    for k1, v1 in a.items():
         cv1 = c * v1
-        for (u2, x2, y2, t2), v2 in b.items():
-            k = (u1 + u2, x1 + x2, y1 + y2, t1 + t2)
+        for k2, v2 in b.items():
+            k = k1 + k2
             out[k] = out.get(k, 0) + cv1 * v2
 
 
@@ -109,9 +159,16 @@ class MultiPoly:
     """Polynomial in u, x, y, t with ``int`` coefficients: an element of
     Z[u, x, y, t].
 
-    Terms are held sparsely as exponent-tuple -> coefficient; zero
-    coefficients are never stored.  A coefficient that is not an ``int``, a
-    ``Fraction`` or a float, is a ``TypeError``.
+    The constructor takes a dict from exponent tuples ``(u, x, y, t)`` to
+    coefficients.  ``terms`` holds them sparsely, zero coefficients never
+    stored, each exponent packed into one int: the total degree in the top
+    field, then t, u, x and y, each field 16 bits wide, so a term's total
+    degree is at most 65535.  :meth:`unpacked` reads the tuples back.  A
+    coefficient that is not an ``int``, a ``Fraction`` or a float, is a
+    ``TypeError``; an exponent key that is not four nonnegative ints is a
+    ``ValueError``.  A key, or a product, whose total degree exceeds 65535
+    is an ``OverflowError`` that names the exponent: a key never carries
+    one field into the next.
     """
 
     __slots__ = ("terms",)
@@ -121,10 +178,9 @@ class MultiPoly:
         if terms:
             for k, v in terms.items():
                 v = _exact(v)
+                k = _pack(k)
                 if v:
-                    if min(k) < 0:
-                        raise ValueError(f"negative exponent in {k}")
-                    self.terms[tuple(k)] = v
+                    self.terms[k] = v
 
     # -- constructors ------------------------------------------------------
 
@@ -134,11 +190,11 @@ class MultiPoly:
 
     @classmethod
     def one(cls):
-        return cls({_key(): 1})
+        return cls({(0, 0, 0, 0): 1})
 
     @classmethod
     def monomial(cls, coeff=1, u=0, x=0, y=0, t=0):
-        return cls({_key(u, x, y, t): coeff})
+        return cls({(u, x, y, t): coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -181,33 +237,37 @@ class MultiPoly:
     # -- structure ---------------------------------------------------------
 
     def is_one(self):
-        return self.terms == {_key(): 1}
+        return self.terms == {0: 1}
+
+    def unpacked(self):
+        """The terms as a new dict ``(u, x, y, t) -> coefficient``."""
+        return {_unpack(k): v for k, v in self.terms.items()}
 
     def t_coefficients(self, order):
         """Split into coefficients of t^0 .. t^order (t-exponent zeroed)."""
         out = [MultiPoly() for _ in range(order + 1)]
         for k, v in self.terms.items():
-            if k[_T] <= order:
-                out[k[_T]].terms[(k[_U], k[_X], k[_Y], 0)] = v
+            e, rest = _split(k, _T)
+            if e <= order:
+                out[e].terms[rest] = v
         return out
 
     def substitute_one(self, var):
         """Set the named variable ('u', 'x' or 'y') to 1."""
-        pos = {"u": _U, "x": _X, "y": _Y}[var]
+        shift = {"u": _U, "x": _X, "y": _Y}.get(var)
+        if shift is None:
+            raise ValueError(f"cannot set {var!r} to 1: the variable must be 'u', 'x' or 'y'")
         out = {}
         for k, v in self.terms.items():
-            kk = list(k)
-            kk[pos] = 0
-            kk = tuple(kk)
-            out[kk] = out.get(kk, 0) + v
+            _, rest = _split(k, shift)
+            out[rest] = out.get(rest, 0) + v
         return _poly(out)
 
     def as_string(self):
         if not self.terms:
             return "0"
         bits = []
-        for k in sorted(self.terms):
-            v = self.terms[k]
+        for k, v in sorted(self.unpacked().items()):
             names = "uxyt"
             mono = ".".join(
                 f"{names[i]}^{e}" if e > 1 else names[i]
@@ -240,7 +300,7 @@ class FactoredRatFun:
             if len(m.terms) != 1:
                 raise ValueError("denominator factor is not a monomial")
             ((k, _),) = m.terms.items()
-            if k[_T] < 1:
+            if not k >> _T & _MASK:
                 raise ValueError(
                     "factor (1 - %s) has constant term != 1 as a t-series"
                     % m.as_string()
@@ -269,8 +329,8 @@ def expand(f: FactoredRatFun, t_order: int):
     series = [p.terms for p in f.numerator.t_coefficients(t_order)]
     for m, mult in f.denominator_factors:
         ((k, c),) = m.terms.items()
-        d = k[_T]
-        step = {(k[_U], k[_X], k[_Y], 0): c}
+        d, rest = _split(k, _T)
+        step = {rest: c}
         for _ in range(mult):
             for j in range(d, t_order + 1):
                 _accumulate(series[j], 1, step, series[j - d])
@@ -375,7 +435,7 @@ def w_inverse(v):
 def _weight_preimages(coeff_n, n, weight_inverse):
     """u-exponent e -> the i with ``w(i) = 2n - e``, or None, for every
     exponent of ``coeff_n``: one weight inversion per distinct exponent."""
-    return {e: weight_inverse(2 * n - e) for e in {k[_U] for k in coeff_n.terms}}
+    return {e: weight_inverse(2 * n - e) for e in {k >> _U & _MASK for k in coeff_n.terms}}
 
 
 def decode_betti(coeff_n, n, weight_inverse=None):
@@ -392,13 +452,12 @@ def decode_betti(coeff_n, n, weight_inverse=None):
     preimage = _weight_preimages(coeff_n, n, weight_inverse or w_inverse)
     h = {}
     for k, v in coeff_n.terms.items():
-        if k[_X] or k[_Y] or k[_T]:
+        if k & _XYT:
             raise DecodeError("coefficient involves variables other than u")
-        i = preimage[k[_U]]
+        e = k >> _U & _MASK
+        i = preimage[e]
         if i is None:
-            raise DecodeError(
-                f"u-exponent {k[_U]} at t^{n} has no weight preimage"
-            )
+            raise DecodeError(f"u-exponent {e} at t^{n} has no weight preimage")
         val = v if i % 2 == 0 else -v
         if val < 0:
             raise DecodeError(f"decoded h^{i} = {val} is not a Betti number")
@@ -412,19 +471,18 @@ def decode_hodge(coeff_n, n):
 
     A term ``c * x^p y^q u^e`` contributes ``(-1)^i c`` to
     ``h^{n-p, n-q}`` of the i-th cohomology, where ``e = 2n - w(i)``;
-    every entry must sit on the weight line a + b = w(i).
+    every entry must sit on the weight line a + b = w(i) = 2n - e.
     """
     preimage = _weight_preimages(coeff_n, n, w_inverse)
     table = {}
     for k, v in coeff_n.terms.items():
-        if k[_T]:
+        if k >> _T & _MASK:
             raise DecodeError("coefficient still involves t")
-        i = preimage[k[_U]]
+        e = k >> _U & _MASK
+        i = preimage[e]
         if i is None:
-            raise DecodeError(
-                f"u-exponent {k[_U]} at t^{n} has no weight preimage"
-            )
-        a, b = n - k[_X], n - k[_Y]
+            raise DecodeError(f"u-exponent {e} at t^{n} has no weight preimage")
+        a, b = n - (k >> _X & _MASK), n - (k & _MASK)  # y is the low field
         if a < 0 or b < 0:
             raise DecodeError(f"x/y exponent exceeds n at t^{n}")
         val = v if i % 2 == 0 else -v
@@ -432,7 +490,7 @@ def decode_hodge(coeff_n, n):
             raise DecodeError(
                 f"decoded h^{{{a},{b}}}(H^{i}) = {val} is not a dimension"
             )
-        if a + b != w(i):
+        if a + b != 2 * n - e:
             raise DecodeError(
                 f"entry ({i},{a},{b}) off the weight line a+b=w(i)"
             )
@@ -446,10 +504,8 @@ def decode_hodge(coeff_n, n):
 def coefficient_json(poly, n):
     """Serialize one series coefficient; values as exact integer strings."""
     coeffs = []
-    for k in sorted(poly.terms, key=lambda k: (k[_U], k[_X], k[_Y])):
-        coeffs.append(
-            {"x": k[_X], "y": k[_Y], "u": k[_U], "value": str(poly.terms[k])}
-        )
+    for (u, x, y, _), v in sorted(poly.unpacked().items(), key=lambda kv: kv[0][:3]):
+        coeffs.append({"x": x, "y": y, "u": u, "value": str(v)})
     return {"n": n, "coefficients": coeffs}
 
 

@@ -186,8 +186,10 @@ class SpectralEngine:
             for relabel in self._perm_tables:
                 s, img = relabel(mask)
                 if img in members:
-                    # a basis mask is its own normal form: mask = s * img
-                    classes.union(mask, img, s)
+                    # a basis mask is its own normal form: mask = s * img;
+                    # sigma . m = m says nothing, sigma . m = -m makes m zero
+                    if img != mask or s != 1:
+                        classes.union(mask, img, s)
                     continue
                 row = add_terms(space.reduce_mask(img, s), ((mask, -1),))
                 if len(row) == 2:

@@ -7,7 +7,9 @@ inverting factors one at a time.
 
 import json
 import random
+import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -298,6 +300,117 @@ def test_vakil_wood_operands_stay_small(monkeypatch):
     assert len(k4[40].terms) == 461
 
 
+# -- packed exponent keys ------------------------------------------------------
+
+
+def reference_product(a, b):
+    """The product of two ``{(u, x, y, t): coefficient}`` dicts on tuple
+    keys, the zeros of cancelled terms kept."""
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+            out[k] = out.get(k, 0) + v1 * v2
+    return out
+
+
+def nonzero(terms):
+    return {k: v for k, v in terms.items() if v}
+
+
+def random_terms(rng, size, t_max):
+    """Up to ``size`` terms with u, x and y exponents 0 or 1 (t up to
+    ``t_max``) and coefficients +-1, +-2: few enough monomials that
+    products cancel."""
+    return {
+        (rng.randrange(2), rng.randrange(2), rng.randrange(2), rng.randrange(t_max + 1)):
+            rng.choice((-2, -1, 1, 2))
+        for _ in range(rng.randrange(size + 1))
+    }
+
+
+def reference_expand(num, factors, order):
+    """``num / prod (1 - m)^mult`` to t^order on tuple keys: the numerator
+    times each factor's geometric series ``sum_j C(j + mult - 1, j) m^j``,
+    terms above t^order dropped as they appear."""
+    acc = dict(num)
+    for m, mult in factors:
+        ((key, _),) = m.items()
+        geometric, power = {}, {(0, 0, 0, 0): 1}
+        for j in range(order // key[3] + 1):
+            for k, v in power.items():
+                geometric[k] = geometric.get(k, 0) + comb(j + mult - 1, j) * v
+            power = reference_product(power, m)
+        acc = {k: v for k, v in reference_product(acc, geometric).items() if k[3] <= order}
+    return [nonzero({k[:3] + (0,): v for k, v in acc.items() if k[3] == n})
+            for n in range(order + 1)]
+
+
+def test_packed_products_match_a_tuple_keyed_reference():
+    """``*``, ``expand`` and ``vakil_wood_conf`` on seeded random input
+    agree with products on tuple keys, cancelled terms included."""
+    cancelled = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        a, b = random_terms(rng, 8, 2), random_terms(rng, 8, 2)
+        raw = reference_product(a, b)
+        cancelled += sum(1 for v in raw.values() if not v)
+        assert (MultiPoly(a) * MultiPoly(b)).unpacked() == nonzero(raw), seed
+
+        num = random_terms(rng, 5, 3)
+        factors = []
+        for _ in range(rng.randrange(1, 4)):
+            key = (rng.randrange(3), rng.randrange(3), rng.randrange(3), rng.randrange(1, 3))
+            factors.append(({key: rng.choice((-2, -1, 1, 2))}, rng.randrange(1, 3)))
+        f = FactoredRatFun(MultiPoly(num), [(MultiPoly(m), mult) for m, mult in factors])
+        got = [c.unpacked() for c in expand(f, 6)]
+        assert got == reference_expand(num, factors, 6), seed
+
+        z = [{(0, 0, 0, 0): 1}] + [random_terms(rng, 4, 0) for _ in range(8)]
+        k = [c.unpacked() for c in vakil_wood_conf([MultiPoly(c) for c in z], 8)]
+        # K(t) Z(t^2) = Z(t) on tuple keys, which fixes K
+        for j in range(9):
+            acc = {}
+            for r in range(j // 2 + 1):
+                for key, v in reference_product(k[j - 2 * r], z[r]).items():
+                    acc[key] = acc.get(key, 0) + v
+            assert nonzero(acc) == nonzero(z[j]), (seed, j)
+    assert cancelled == 11  # the seeds do exercise cancellation
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_a_product_past_the_field_width_raises_and_never_carries(field):
+    """Two monomials in one variable whose total degree crosses 65535
+    raise an ``OverflowError`` naming the exponent; below it, the product
+    key unpacks to the sum of the exponents."""
+
+    def mono(e):
+        return MultiPoly({tuple(e if i == field else 0 for i in range(4)): 1})
+
+    for d1, d2 in ((40000, 25535), (65535, 0), (65535, 1), (40000, 30000), (32768, 32768)):
+        e = tuple(d1 + d2 if i == field else 0 for i in range(4))
+        if d1 + d2 <= 65535:
+            assert (mono(d1) * mono(d2)).unpacked() == {e: 1}
+            continue
+        with pytest.raises(OverflowError, match=rf"{re.escape(str(e))} has total degree {d1 + d2}"):
+            mono(d1) * mono(d2)
+        with pytest.raises(OverflowError, match=re.escape(str(e))):
+            multiply_series([mono(d1)], [mono(d2)], 0)
+
+
+def test_expand_and_vakil_wood_raise_past_the_field_width():
+    # u^65535 / (1 - u t): the coefficient of t^1 would be u^65536
+    f = FactoredRatFun(MultiPoly.monomial(u=65535), [(MultiPoly.monomial(u=1, t=1), 1)])
+    assert expand(f, 0) == [MultiPoly.monomial(u=65535)]
+    with pytest.raises(OverflowError, match=r"\(65536, 0, 0, 0\) has total degree 65536"):
+        expand(f, 1)
+    # Z = 1 + u^40000 t: K_3 holds z_1 W_1 = -u^80000
+    z = [MultiPoly.one(), MultiPoly.monomial(u=40000), MultiPoly.zero(), MultiPoly.zero()]
+    assert vakil_wood_conf(z, 2)[1] == MultiPoly.monomial(u=40000)
+    with pytest.raises(OverflowError, match=r"\(80000, 0, 0, 0\) has total degree 80000"):
+        vakil_wood_conf(z, 3)
+
+
 # -- weight function ---------------------------------------------------------
 
 
@@ -380,7 +493,7 @@ def test_decoders_invert_the_weight_once_per_u_exponent(monkeypatch):
     for coeff, decode in ((k[n], decode_betti), (k4[n], decode_hodge)):
         calls.clear()
         decode(coeff, n)
-        assert sorted(calls) == sorted({2 * n - key[0] for key in coeff.terms})
+        assert sorted(calls) == sorted({2 * n - key[0] for key in coeff.unpacked()})
 
 
 @pytest.mark.parametrize("decode", [decode_betti, decode_hodge])
@@ -455,7 +568,7 @@ def test_u_set_to_minus_one_fails_the_euler_law(monkeypatch):
 
     def faulty(self, var):
         if var == "u":  # u = -1: odd u-exponents change sign first
-            self = MultiPoly({k: -v if k[0] % 2 else v for k, v in self.terms.items()})
+            self = MultiPoly({k: -v if k[0] % 2 else v for k, v in self.unpacked().items()})
         return original(self, var)
 
     monkeypatch.setattr(MultiPoly, "substitute_one", faulty)
@@ -563,6 +676,19 @@ def _k4(n):
     "call, exc, fragment",
     [
         (lambda: MultiPoly({(1, -1, 0, 0): 1}), ValueError, "negative exponent"),
+        (lambda: MultiPoly({(1, 2): 1}), ValueError, r"key \(1, 2\) is not four ints"),
+        (lambda: MultiPoly({(1, 0, 0, 0, 0): 1}), ValueError,
+         r"key \(1, 0, 0, 0, 0\) is not four ints"),
+        (lambda: MultiPoly({0.5: 1}), ValueError, "key 0.5 is not four ints"),
+        (lambda: MultiPoly({(1, 0, 0, 0.5): 1}), ValueError,
+         r"key \(1, 0, 0, 0.5\) is not four ints"),
+        (lambda: MultiPoly({(True, 0, 0, 0): 1}), ValueError,
+         r"key \(True, 0, 0, 0\) is not four ints"),
+        (lambda: MultiPoly({"uxyt": 1}), ValueError, "key 'uxyt' is not four ints"),
+        (lambda: MultiPoly({(65536, 0, 0, 0): 1}), OverflowError,
+         r"\(65536, 0, 0, 0\) has total degree 65536"),
+        (lambda: MultiPoly.monomial(u=1).substitute_one("t"), ValueError,
+         "must be 'u', 'x' or 'y'"),
         (lambda: FactoredRatFun(MultiPoly.one(), [(MultiPoly.monomial(t=1), 0)]),
          ValueError, "multiplicity must be positive"),
         (lambda: expand(genus0_gf(), -1), ValueError, "t_order must be >= 0"),
@@ -571,6 +697,7 @@ def _k4(n):
          ValueError, "too short"),
         (lambda: w(-1), ValueError, "negative degree"),
         (lambda: decode_betti(_k4(2), 2), DecodeError, "other than u"),
+        (lambda: decode_betti(MultiPoly.monomial(u=2, t=1), 1), DecodeError, "other than u"),
         (lambda: decode_hodge(_k4(2) + MultiPoly.monomial(u=1, t=1), 2),
          DecodeError, "still involves t"),
         # x y at t^1: 2n - e = 2 is not a weight
@@ -583,8 +710,9 @@ def _k4(n):
         (lambda: decode_hodge(MultiPoly.monomial(-1, u=2, x=1, y=1), 1),
          DecodeError, "is not a dimension"),
     ],
-    ids=["negative-exponent", "multiplicity", "t-order", "negative-dimension",
-         "short-series", "w-negative", "betti-holds-x", "hodge-holds-t",
+    ids=["negative-exponent", "key-pair", "key-five", "key-float", "key-float-entry",
+         "key-bool", "key-str", "key-too-wide", "substitute-t", "multiplicity", "t-order",
+         "negative-dimension", "short-series", "w-negative", "betti-holds-x", "betti-holds-t", "hodge-holds-t",
          "hodge-no-preimage", "hodge-exponent-above-n", "hodge-negative"],
 )
 def test_reachable_guards_name_the_problem(call, exc, fragment):

@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 
 from conftorus.gcalg import BidegreeSpace, Element, Layout, Relabelling, X, Y, symmetrize
-from conftorus.linalg import SparseEchelon, rank_of_rows
+from conftorus.linalg import SignedUnionFind, SparseEchelon, rank_of_rows
 from conftorus.series import w
 from conftorus.specseq import (
     SpectralEngine,
@@ -267,6 +267,41 @@ def test_report_eliminates_and_ranks_only_blocks_with_a_at_most_b(monkeypatch):
         assert got == single_echelon_coinvariants(eng, p, q), (p, q)
         lower += sum(a > b for a, b in got)
     assert lower > 0
+
+
+def test_eliminate_sends_no_fixed_mask_with_sign_plus_one_to_the_union_find(monkeypatch):
+    """A row sigma . m = m says nothing and costs two finds; sigma . m = -m
+    still makes m zero.  Over the reports for n <= 5, 111 of the 3,299 rows
+    that say m = +-m' are sigma . m = m: skipping them saves 222 of the
+    7,338 finds, with every report unchanged."""
+    want = [e3_dims(n).to_json() for n in range(6)]
+    fixed, unions, finds = Counter(), Counter(), Counter()
+    eliminate, union, find = SpectralEngine._eliminate, SignedUnionFind.union, SignedUnionFind.find
+
+    def counted_eliminate(self, p, q, ab):
+        for mask in self.space(p, q).blocks.get(ab, ()):
+            for relabel in self._perm_tables:
+                s, img = relabel(mask)
+                if img == mask:
+                    fixed[s] += 1
+        return eliminate(self, p, q, ab)
+
+    def counted_union(self, a, b, s):
+        unions[(a == b, s)] += 1
+        return union(self, a, b, s)
+
+    def counted_find(self, k):
+        finds["all"] += 1
+        return find(self, k)
+
+    monkeypatch.setattr(SpectralEngine, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(SignedUnionFind, "union", counted_union)
+    monkeypatch.setattr(SignedUnionFind, "find", counted_find)
+    assert [SpectralEngine(n).report().to_json() for n in range(6)] == want
+    assert fixed == {1: 111, -1: 226}
+    assert unions[(True, 1)] == 0 and unions[(True, -1)] == fixed[-1]
+    assert sum(unions.values()) == 3299 - fixed[1]
+    assert finds["all"] == 7338 - 2 * fixed[1]
 
 
 def inside_the_algebra(n):
