@@ -698,7 +698,6 @@ class BidegreeSpace:
                 self._built[(p - ny + q, ny + q)] = by_y[ny]
         upper = list(self._built)
         self.block_keys = tuple(upper + [(b, a) for a, b in reversed(upper) if a < b])
-        self.blocks = LazyBlocks(self.block_keys, self._block)
         # an a < b block counts for its mirror too
         self.dim = sum(len(m) * (1 if a == b else 2) for (a, b), m in self._built.items())
         if self.dim != _basis_size(n, p, q):
@@ -707,6 +706,12 @@ class BidegreeSpace:
                 f"expected {_basis_size(n, p, q)}"
             )
         self.relation_rank = self.free_dim - self.dim
+
+    @property
+    def blocks(self):
+        # a new mapping per read: one kept on the space would hold the space
+        # through ``self._block``, a cycle only the collector frees
+        return LazyBlocks(self.block_keys, self._block)
 
     def _block(self, ab):
         """The masks of Hodge block ``ab``, a key of ``blocks``; an a > b

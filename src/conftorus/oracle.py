@@ -103,11 +103,16 @@ class ArnoldAlgebra:
     sent.  A walk at degree q then reads the basis: every triangle-free
     monomial that is neither zero nor a pivot.
 
+    A degree is cached until :meth:`invariant_dim` reads it, then dropped,
+    so :func:`arnold_conf_betti` holds one degree at a time and no
+    caller that reads every quotient dimension first builds one twice.
+
     At n = 7 the degrees q = 2..7 send 142,345 rows for a total rank of
     47,065, 63,000 of them at the empty degree 7 (13,860 more multiples
-    there lose every term).  On a 2-vCPU Linux container (CPython 3.11)
-    ``arnold_conf_betti(n)`` for n = 2..7 takes about 2.1 s, of which
-    degree 7 takes about 0.5 s."""
+    there lose every term).  Built, the n = 7 degrees hold 19.5 MB together
+    (tracemalloc), degree 6 the most at 7.1 MB.  On a 2-vCPU Linux
+    container (CPython 3.11) ``arnold_conf_betti(n)`` for n = 2..7 takes
+    2.0-2.5 s, of which degree 7 takes 0.55-0.95 s."""
 
     def __init__(self, n):
         if n < 0:
@@ -153,6 +158,8 @@ class ArnoldAlgebra:
         """Call ``visit(mask, closing)`` once on every triangle-free mask of
         q edges; ``closing`` holds the edges that would close a triangle on
         two edges of ``mask``."""
+        if q < 0:
+            return
         wedges, top = self._wedges, self.npairs
 
         def grow(start, mask, closing, left):
@@ -168,8 +175,12 @@ class ArnoldAlgebra:
                         grown |= g
                 grow(e + 1, mask | 1 << e, grown, left - 1)
 
-        if q >= 0:
+        # grow reaches itself through its closure cell, and through visit the
+        # caller's sets; emptying the cell frees them by reference counting
+        try:
             grow(0, 0, 0, q)
+        finally:
+            del grow
 
     def degree(self, q) -> _Degree:
         if q in self._degrees:
@@ -234,8 +245,9 @@ class ArnoldAlgebra:
         isomorphically onto the coinvariants, so this is also the dimension
         of the fixed space.  The rows are reduced against the degree's own
         echelon, and the rank they add to it is the codimension of the
-        coinvariants in the quotient."""
+        coinvariants in the quotient.  The degree is dropped once read."""
         deg = self.degree(q)
+        del self._degrees[q]
         rows = []
         for mask in deg.basis:
             for table in self._perm_tables:
@@ -331,7 +343,10 @@ def v_basis(n):
             grow(remaining, xs, ys, xpairs + ((head, partner),), ypairs)
             grow(remaining, xs, ys, xpairs, ypairs + ((head, partner),))
 
-    grow(tuple(range(1, n + 1)), (), (), (), ())
+    try:
+        grow(tuple(range(1, n + 1)), (), (), (), ())
+    finally:
+        del grow  # the cell that lets grow recurse would hold it in a cycle
     return out
 
 
@@ -830,7 +845,10 @@ def _path_products(n, q):
                 remaining = [i for i in rest if i not in others]
                 paths_on(remaining, q_left - r, acc_gens + gens)
 
-    paths_on(list(range(1, n + 1)), q, [])
+    try:
+        paths_on(list(range(1, n + 1)), q, [])
+    finally:
+        del paths_on  # the cell that lets paths_on recurse would hold it in a cycle
     return out
 
 

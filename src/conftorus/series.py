@@ -502,9 +502,13 @@ def decode_hodge(coeff_n, n):
 
 
 def coefficient_json(poly, n):
-    """Serialize one series coefficient; values as exact integer strings."""
+    """Serialize one series coefficient; values as exact integer strings.
+    The coefficient of t^n holds no t, and a term that does is a
+    :class:`DecodeError`, as in :func:`decode_hodge`."""
     coeffs = []
-    for (u, x, y, _), v in sorted(poly.unpacked().items(), key=lambda kv: kv[0][:3]):
+    for (u, x, y, t), v in sorted(poly.unpacked().items(), key=lambda kv: kv[0][:3]):
+        if t:
+            raise DecodeError("coefficient still involves t")
         coeffs.append({"x": x, "y": y, "u": u, "value": str(v)})
     return {"n": n, "coefficients": coeffs}
 

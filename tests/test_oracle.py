@@ -2,6 +2,7 @@
 
 import ast
 import random
+import weakref
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -149,6 +150,42 @@ def test_arnold_dies_at_degree_n():
     alg = ArnoldAlgebra(4)
     assert alg.quotient_dim(3) > 0
     assert alg.quotient_dim(4) == 0
+
+
+def _record_echelons(monkeypatch):
+    """Patch the oracle's ``SparseEchelon`` with a subclass that keeps a
+    weakref to each echelon it makes; returns those weakrefs and, per
+    echelon, how many earlier ones were alive when it was made."""
+    made, alive = [], []
+
+    class Recording(oracle.SparseEchelon):
+        def __init__(self, *args):
+            alive.append(sum(ref() is not None for ref in made))
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(oracle, "SparseEchelon", Recording)
+    return made, alive
+
+
+def test_arnold_holds_one_degree_at_a_time(monkeypatch, collector_off):
+    """Each degree's echelon is gone, by reference counting alone, before
+    the next degree is built, and each degree 0..6 is built once."""
+    _, alive = _record_echelons(monkeypatch)
+    assert arnold_conf_betti(6) == [1, 1, 0, 0, 0, 0]
+    assert alive == [0] * 7
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_arnold_builds_each_degree_once_quotients_first(monkeypatch, collector_off, n):
+    """Every quotient_dim first, then invariant_dim of each live degree:
+    a degree stays until its invariants are read, so none is built twice."""
+    made, _ = _record_echelons(monkeypatch)
+    alg = ArnoldAlgebra(n)
+    quotient = [alg.quotient_dim(q) for q in range(n + 1)]
+    invariant = [alg.invariant_dim(q) for q in range(n + 1) if quotient[q]]
+    assert invariant == [1, 1] + [0] * (n - 2)
+    assert len(made) == n + 1
 
 
 @pytest.mark.parametrize("n", [-1, -3])

@@ -528,6 +528,12 @@ def test_coefficient_json_round_trip_and_sorting():
     assert back["n"] == 2 and MultiPoly(terms) == poly
 
 
+def test_coefficient_json_rejects_a_term_holding_t():
+    # u.t and u would both be written as {"u": 1, "x": 0, "y": 0}
+    with pytest.raises(DecodeError, match="still involves t"):
+        coefficient_json(MultiPoly.monomial(u=1, t=1) + MultiPoly.monomial(u=1), 0)
+
+
 def test_display_and_truth_of_polys():
     p = MultiPoly({(0, 1, 0, 2): 3, (1, 0, 0, 0): -1})
     assert p and not MultiPoly() and not p - p
