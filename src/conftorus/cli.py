@@ -4,7 +4,9 @@ Commands: betti, hodge, purity, series, selftest.  Output is deterministic
 (sorted keys, ascending n); exit code is 0 exactly when every requested
 check passes.  Reports stream per n so long ranges yield partial output
 early.  An inconsistent engine page (negative E3) or an undecodable series
-coefficient ends the run with a message on stderr and exit 1.
+coefficient ends the run with a message on stderr and exit 1.  An
+engine/series mismatch in ``betti`` or ``hodge`` prints
+``n=N: series MISMATCH <json list of mismatches>`` on stderr, and exit 1.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ from typing import Callable, NamedTuple
 
 from . import oracle, series
 from .specseq import NegativeE3Error, e3_dims, hodge_json, verify_against_series
-
-N_CAP = 5
-
 
 def _parse_n(spec_str):
     """``--n`` converter: N or A..B as the list of n, ascending."""
@@ -61,17 +60,8 @@ def _parse_t_order(text):
     return order
 
 
-def _check_cap(ns, allow_n6, usage_error):
-    big = [n for n in ns if n > N_CAP]
-    if big and not allow_n6:
-        usage_error(
-            f"n={max(big)} exceeds the default cap of {N_CAP}; "
-            "pass --allow-n6 to proceed"
-        )
-
-
 class _Numbers(NamedTuple):
-    """How ``betti`` or ``hodge`` decodes, compares and prints its numbers.
+    """How ``betti`` or ``hodge`` decodes and prints its numbers.
     Series functions are named, not held, so they are looked up per run."""
 
     builder: str  # builder of the K table in :mod:`series`
@@ -101,12 +91,12 @@ _NUMBERS = {
 
 def cmd_numbers(args):
     """``betti`` and ``hodge``: the engine's numbers, the series' numbers, or
-    both with a match verdict.  Exit 1 on a mismatch or a purity violation."""
+    both with the verdict of :func:`verify_against_series`, which covers the
+    Betti list and the Hodge table.  Exit 1 on a mismatch or a purity
+    violation."""
     spec = _NUMBERS[args.command]
-    decode = getattr(series, spec.decode)
-    if args.engine != "spectral":
-        k = getattr(series, spec.builder)(max(args.ns))
     if args.engine == "series":
+        k = getattr(series, spec.builder)(max(args.ns))
         reports = ((n, None) for n in args.ns)
     else:
         reports = ((n, e3_dims(n)) for n in args.ns)
@@ -115,12 +105,16 @@ def cmd_numbers(args):
     failed = False
     for n, rep in reports:
         if rep is None:
-            value = decode(k[n], n)
+            value = getattr(series, spec.decode)(k[n], n)
             doc = {"n": n, spec.field: spec.to_json(value)}
         else:
             value = getattr(rep, spec.field)
             if args.engine == "both":
-                rep.series_match = decode(k[n], n) == value
+                verdict = verify_against_series(n, rep)
+                rep.series_match = verdict["match"]
+                if not rep.series_match:
+                    mismatches = json.dumps(verdict["mismatches"])
+                    print(f"n={n}: series MISMATCH {mismatches}", file=sys.stderr)
             doc = rep.to_json_dict()
             if rep.series_match is not None:
                 doc["match"] = rep.series_match
@@ -220,7 +214,7 @@ def build_parser():
         ("selftest", cmd_selftest),
     ):
         p = sub.add_parser(name)
-        p.set_defaults(handler=handler, usage_error=p.error)
+        p.set_defaults(handler=handler)
         if name == "series":
             p.add_argument("--which", choices=sorted(_SERIES_CHOICES), default="K")
             p.add_argument("--t-order", type=_parse_t_order, default=10)
@@ -229,7 +223,6 @@ def build_parser():
                 "--n", dest="ns", metavar="N", type=_parse_n, required=True,
                 help="single value or range A..B",
             )
-            p.add_argument("--allow-n6", action="store_true")
         if name in ("betti", "hodge"):
             p.add_argument(
                 "--engine", choices=["spectral", "series", "both"], default="both"
@@ -241,9 +234,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_glue_negative_n(sys.argv[1:] if argv is None else argv))
-    # the cap guards engine runs; a series-only run is cheap for any n
-    if hasattr(args, "ns") and getattr(args, "engine", None) != "series":
-        _check_cap(args.ns, args.allow_n6, args.usage_error)
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -85,21 +85,21 @@ def test_report_json_deterministic(capsys):
     assert out1 == out2
 
 
-def test_n_cap_requires_flag(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["betti", "--n", "6"])
-    assert err.value.code == 2
+def test_betti_n6_runs_without_a_flag(capsys):
+    code, out = run(capsys, "betti", "--n", "6")
+    assert code == 0
+    assert out == "n=6: h = 1,2,4,5,7,8,4  [match]\n"
 
 
 def test_allowed_n6_runs_without_a_warning(capsys):
-    code = cli.main(["purity", "--n", "6", "--allow-n6"])
+    code = cli.main(["purity", "--n", "6"])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == "n=6: pure\n"
     assert captured.err == ""
 
 
-def test_series_only_run_ignores_the_n_cap(capsys):
+def test_series_only_run_reaches_n12(capsys):
     code = cli.main(["betti", "--n", "12", "--engine", "series"])
     captured = capsys.readouterr()
     assert code == 0
@@ -112,9 +112,9 @@ def test_series_only_run_ignores_the_n_cap(capsys):
     [
         ["betti", "--n", "abc"],
         ["betti", "--n", "5..3"],
-        ["betti", "--n", "6", "--engine", "both"],
-        ["hodge", "--n", "6", "--engine", "spectral"],
-        ["purity", "--n", "7"],
+        ["betti", "--n", "2", "--engine", "all"],
+        ["hodge", "--engine", "spectral"],
+        ["purity", "--n", "-1"],
         ["series", "--t-order", "-1"],
         ["series", "--t-order", "x"],
     ],
@@ -170,6 +170,27 @@ def test_mismatch_gives_nonzero_exit(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_betti_match_covers_the_hodge_table(capsys, monkeypatch):
+    monkeypatch.setattr(series, "decode_hodge", lambda coeff, n: {})
+    code = cli.main(["betti", "--n", "1", "--engine", "both"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "n=1: h = 1,2  [MISMATCH]\n"
+    assert captured.err.startswith("n=1: series MISMATCH [")
+    assert '"what": "hodge i=' in captured.err
+
+
+def test_csv_mismatch_names_its_entries_on_stderr(capsys, monkeypatch):
+    monkeypatch.setattr(series, "decode_betti", lambda coeff, n: [42])
+    code = cli.main(["betti", "--n", "1", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "n,i,h_i\n1,0,1\n1,1,2\n"
+    assert captured.err == (
+        'n=1: series MISMATCH [{"what": "betti", "engine": [1, 2], "series": [42]}]\n'
+    )
+
+
 def test_selftest_small(capsys):
     code, out = run(capsys, "selftest", "--n", "2", "--format", "json")
     assert code == 0
@@ -183,7 +204,7 @@ def test_selftest_small(capsys):
 def test_selftest_cross_checks_every_requested_n(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "run_selftest", lambda n_max: [])
     monkeypatch.setattr(series, "property_checks", lambda: [])
-    code, out = run(capsys, "selftest", "--n", "6", "--allow-n6", "--format", "csv")
+    code, out = run(capsys, "selftest", "--n", "6", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["name,passed"] + [
         f"engine_matches_series_n{n},1" for n in range(7)
@@ -299,6 +320,7 @@ def test_genus_zero_verdict_is_reported_not_raised(capsys, monkeypatch):
         ["selftest", "--n", "2", "--workers", "2"],
         ["betti", "--n", "0..2", "--workers", "2"],
         ["purity", "--n", "0..2", "--workers", "2"],
+        ["betti", "--n", "6", "--allow-n6"],
     ],
 )
 def test_removed_flags_are_rejected(capsys, argv):
@@ -314,7 +336,7 @@ def test_closed_pipe_exits_without_traceback():
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["betti", "--n", "0..6", "--allow-n6", "--format", "csv"]
+    argv = ["betti", "--n", "0..6", "--format", "csv"]
     with subprocess.Popen(
         [sys.executable, "-m", "conftorus.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
