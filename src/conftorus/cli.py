@@ -2,11 +2,12 @@
 
 Commands: betti, hodge, purity, series, selftest.  Output is deterministic
 (sorted keys, ascending n); exit code is 0 exactly when every requested
-check passes.  Reports stream per n so long ranges yield partial output
-early.  An inconsistent engine page (negative E3) or an undecodable series
-coefficient ends the run with a message on stderr and exit 1.  An
-engine/series mismatch in ``betti`` or ``hodge`` prints
-``n=N: series MISMATCH <json list of mismatches>`` on stderr, and exit 1.
+check passes.  Reports stream per n, so a long range prints its first
+results early.  An inconsistent engine page (negative E3), an undecodable
+series coefficient or a series exponent past what a packed key holds ends
+the run with a message on stderr and exit 1.  An engine/series mismatch in
+``betti`` or ``hodge`` prints ``n=N: series MISMATCH <json list of
+mismatches>`` on stderr, and exit 1.
 """
 
 from __future__ import annotations
@@ -243,8 +244,9 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (NegativeE3Error, series.DecodeError) as err:
-        # a verdict on the numbers, not a usage error: report it, exit 1
+    except (NegativeE3Error, series.DecodeError, OverflowError) as err:
+        # a verdict on the numbers, or a series order past what a packed key
+        # holds, not a usage error: report it, exit 1
         print(f"conftorus {args.command}: {err}", file=sys.stderr)
         return 1
     return code

@@ -50,7 +50,6 @@ elimination of every relation multiple for small n.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, permutations
@@ -70,7 +69,6 @@ __all__ = [
     "free_basis",
     "relation_span",
     "BidegreeSpace",
-    "LazyBlocks",
     "differential",
     "sn_act",
     "symmetrize",
@@ -627,46 +625,22 @@ def _decorations(lay, roots, p, low):
     return out
 
 
-class LazyBlocks(Mapping):
-    """{(a, b): basis(ab)} over the given Hodge blocks, each value computed
-    (and cached by its source) when it is first read; blocks whose value is
-    empty are left out."""
-
-    def __init__(self, blocks, basis):
-        self._blocks, self._basis = blocks, basis
-
-    def __getitem__(self, ab):
-        value = self._basis(ab) if ab in self._blocks else None
-        if not value:
-            raise KeyError(ab)
-        return value
-
-    def __iter__(self):
-        return (ab for ab in self._blocks if self._basis(ab))
-
-    def __len__(self):
-        return sum(1 for _ in self)
-
-    def __repr__(self):
-        return repr(dict(self))
-
-
 class BidegreeSpace:
     """Quotient of one free bidegree piece by the relation subspace.
 
     ``quotient_basis`` lists, in increasing mask order, the decorated
     increasing forests of bidegree (p, q): q g-edges in which every vertex
     has at most one smaller neighbour, and p letters x or y, each on the
-    smallest vertex of its own component.  ``blocks`` holds the same masks
-    by Hodge bidegree, {(a, b): masks in increasing order} with
-    (a, b) = (#x + q, #y + q), as a read-only mapping; ``block_keys``
-    lists its keys, by increasing a and each with a nonempty block, without
-    building a block.  Only the blocks with a <= b (#x <= #y) are built
-    with the space.  An a > b block is the x<->y mirror of its (b, a)
-    block: swapping the two letter bit ranges of a decorated forest gives a
-    decorated forest, so the mirror of a basis mask is a basis mask.  It is
-    built, and sorted, when the block is first read; ``quotient_basis`` is
-    merged from every block when first read.
+    smallest vertex of its own component.  :meth:`block` gives the same
+    masks by Hodge bidegree: ``block((a, b))`` lists, in increasing order,
+    those with (a, b) = (#x + q, #y + q).  ``block_keys`` lists the keys of
+    the nonempty blocks, by increasing a, without building a block, and
+    ``blocks`` is the dict {(a, b): masks} over them.  Only the blocks with
+    a <= b (#x <= #y) are built with the space.  An a > b block is the
+    x<->y mirror of its (b, a) block: swapping the two letter bit ranges of
+    a decorated forest gives a decorated forest, so the mirror of a basis
+    mask is a basis mask.  It is built, and sorted, when the block is first
+    read; ``quotient_basis`` is merged from every block when first read.
     :meth:`reduce_mask` and
     :meth:`reduce` give exact quotient coordinates over this basis through
     the normal form described in the module docstring, as a dict
@@ -709,14 +683,16 @@ class BidegreeSpace:
 
     @property
     def blocks(self):
-        # a new mapping per read: one kept on the space would hold the space
-        # through ``self._block``, a cycle only the collector frees
-        return LazyBlocks(self.block_keys, self._block)
+        # every block, so every mirror is built; :meth:`block` builds one
+        return {ab: self.block(ab) for ab in self.block_keys}
 
-    def _block(self, ab):
-        """The masks of Hodge block ``ab``, a key of ``blocks``; an a > b
-        block is mirrored from its (b, a) block on first read."""
+    def block(self, ab):
+        """The masks of Hodge block ``ab``, in increasing order; empty, and
+        nothing built, for a key outside ``block_keys``.  An a > b block is
+        mirrored from its (b, a) block on first read."""
         if ab not in self._built:
+            if ab not in self.block_keys:
+                return ()
             lay = self.layout
             xs = (1 << self.n) - 1  # the x-letters, shifted down to bit 0
             self._built[ab] = sorted(

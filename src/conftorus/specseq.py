@@ -32,19 +32,20 @@ whole computation runs blockwise, on the blocks each
 :class:`~conftorus.gcalg.BidegreeSpace` hands out.  Swapping x_i with y_i
 and negating g_ij maps block (a, b) onto (b, a) as a complex of
 S_n-modules (:meth:`SpectralEngine.report`), so the report eliminates and
-ranks only the blocks with a <= b and copies each onto its mirror.
-:meth:`SpectralEngine.coinvariants` still answers every block on demand,
-and the kernel reference computes every block on its own.
+ranks only the blocks with a <= b and copies each onto its mirror.  Each
+block is read by its key, through :meth:`BidegreeSpace.block`, so no
+mirror is built for the report.  :meth:`SpectralEngine.coinvariants`
+answers every block of a bidegree as a plain dict, and the kernel
+reference computes every block on its own.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import series as series_mod
-from .gcalg import BidegreeSpace, LazyBlocks, Layout, Relabelling
+from .gcalg import BidegreeSpace, Layout, Relabelling
 from .linalg import (
     SignedUnionFind,
     SparseEchelon,
@@ -178,7 +179,7 @@ class SpectralEngine:
 
     def _eliminate(self, p, q, ab):
         space = self.space(p, q)
-        masks = space.blocks.get(ab, ())
+        masks = space.block(ab)
         members = set(masks)
         classes = SignedUnionFind()
         rest = []
@@ -217,9 +218,9 @@ class SpectralEngine:
         return self._bases[(p, q, ab)]
 
     def coinvariants(self, p, q):
-        """Coinvariant basis of bidegree (p, q): {(a, b): basis masks}, as
-        a read-only mapping that eliminates each Hodge block when it is
-        first read.  Blocks with no coinvariant are left out.
+        """Coinvariant basis of bidegree (p, q): {(a, b): basis masks}, a
+        plain dict that eliminates every Hodge block not yet eliminated.
+        Blocks with no coinvariant are left out.
 
         The coinvariants of a Hodge block are its quotient by the rows
         ``reduce(sigma . m) - m``, for every basis mask m and each
@@ -232,7 +233,8 @@ class SpectralEngine:
         quotient; they are the masks a single echelon of every row would
         leave, since the max-column pivot set depends only on the span of
         the rows."""
-        return LazyBlocks(self.space(p, q).block_keys, partial(self._basis, p, q))
+        keys = self.space(p, q).block_keys
+        return {ab: basis for ab in keys if (basis := self._basis(p, q, ab))}
 
     def _block_relations(self, p, q, ab):
         if (p, q, ab) not in self._relations:
@@ -251,7 +253,7 @@ class SpectralEngine:
         0, and no space is built for its target."""
         if q < 1 or p + 2 > self.n - q + 1:
             return 0
-        source = self.coinvariants(p, q).get(ab, ())
+        source = self._basis(p, q, ab)
         target = self.space(p + 2, q - 1)
         classes, rows = self._block_relations(p + 2, q - 1, ab)
         images = []
@@ -332,36 +334,32 @@ class SpectralEngine:
         (q = 0 at n = 0) and 0 <= p <= n - q, where the quotient has
         c(n, n - q) C(n - q, p) 2^p basis masks; it is zero everywhere else.
         They are visited by falling q, so the source (p-2, q+1) of the
-        arrow into (p, q) is known when (p, q) is eliminated; that arrow is
-        the only d-rank that reads the sign classes and echelon rows of
-        (p, q), which are dropped once it is taken.  The arrows that leave
-        the algebra, out of q = 0 and out of p = n - q, are taken through
-        :meth:`d_rank` as well, which gives them rank 0."""
+        arrow into (p, q) is known when (p, q) is eliminated.  A source block
+        (a, b) of that arrow is also a block of (p, q), since a + b =
+        p + 2q on both sides; its arrow is the only d-rank that reads the
+        sign classes and echelon rows of block (p, q, a, b), which are
+        dropped once it is taken.  The arrows that leave the algebra, out of
+        q = 0 and out of p = n - q, are taken through :meth:`d_rank` as
+        well, which gives them rank 0."""
         n = self.n
-        e2, ranks = {}, {}
-        upper = {}  # (p, q) -> the Hodge blocks of its space with a <= b
-
-        def take(p, q):
-            # the d-ranks out of the a <= b blocks of (p, q), and their mirrors
-            for a, b in upper.get((p, q), ()):
-                if (p, q, (a, b)) in e2:
-                    rank = self.d_rank(p, q, (a, b))
-                    ranks[(p, q, (a, b))] = ranks[(p, q, (b, a))] = rank
-
+        e2, ranks = {}, {}  # the a <= b entries
         for q in range(max(n - 1, 0), -1, -1):
             for p in range(n - q + 1):
-                upper[(p, q)] = [(a, b) for a, b in self.space(p, q).block_keys if a <= b]
-                coinvariants = self.coinvariants(p, q)
-                for a, b in upper[(p, q)]:
-                    basis = coinvariants.get((a, b))
-                    if basis:
-                        e2[(p, q, (a, b))] = e2[(p, q, (b, a))] = len(basis)
-                take(p - 2, q + 1)  # the arrow into (p, q)
-                for ab in upper[(p, q)]:
-                    self._relations.pop((p, q, ab), None)
+                arrows = [(p - 2, q + 1)]  # into (p, q)
                 if q == 0 or p == n - q:
-                    take(p, q)  # (p + 2, q - 1) is outside the algebra
-        return assemble_page(n, e2, lambda p, q, ab: ranks[(p, q, ab)])
+                    arrows.append((p, q))  # (p + 2, q - 1) is outside the algebra
+                for ab in self.space(p, q).block_keys:
+                    if ab[0] > ab[1]:
+                        continue
+                    basis = self._basis(p, q, ab)
+                    if basis:
+                        e2[(p, q, ab)] = len(basis)
+                    for sp, sq in arrows:
+                        if (sp, sq, ab) in e2:
+                            ranks[(sp, sq, ab)] = self.d_rank(sp, sq, ab)
+                    self._relations.pop((p, q, ab), None)
+        e2 |= {(p, q, (b, a)): d for (p, q, (a, b)), d in e2.items()}
+        return assemble_page(n, e2, lambda p, q, ab: ranks[(p, q, tuple(sorted(ab)))])
 
 
 def assemble_page(n, e2, d_rank) -> SpectralReport:
@@ -449,9 +447,12 @@ def verify_against_series(n, report: SpectralReport | None = None):
     """Exact comparison of the engine output with the series decoders.
 
     Returns a dict with ``match`` plus both sides; every mismatch is listed.
+    A report of another n is a ``ValueError``, not a mismatch.
     """
     if report is None:
         report = e3_dims(n)
+    elif report.n != n:
+        raise ValueError(f"report of n={report.n} checked against the series of n={n}")
     series_betti = series_mod.decode_betti(series_mod.conf_series_betti(n)[n], n)
     series_hodge = series_mod.decode_hodge(series_mod.conf_series_hodge(n)[n], n)
     mismatches = []

@@ -276,6 +276,25 @@ def test_undecodable_series_is_reported_not_raised(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--which", "K", "--t-order", "70000"],
+        ["series", "--which", "K4", "--t-order", "17000"],
+        ["hodge", "--n", "17000", "--engine", "series"],
+    ],
+)
+def test_oversize_series_order_is_reported_not_raised(capsys, argv):
+    # a product of total degree 65536 would carry out of a packed key field
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"conftorus {argv[0]}: exponent (u, x, y, t) = (")
+    assert line.endswith("above the 65535 a packed key holds")
+
+
 def test_hodge_mismatch_gives_nonzero_exit(capsys, monkeypatch):
     monkeypatch.setattr(series, "decode_hodge", lambda coeff, n: {})
     code, out = run(capsys, "hodge", "--n", "1", "--engine", "both")

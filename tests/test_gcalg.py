@@ -265,8 +265,10 @@ def test_dimension_formula_per_bidegree(n):
 
 @pytest.mark.parametrize("n", range(7))
 def test_mirrored_blocks_match_blocks_built_from_the_forests(n):
-    """Every a > b block is built only when first read, and then equals the
-    block built here from the decorated increasing forests directly."""
+    """Every a > b block is built only when first read through
+    ``block``, which builds that block alone, and then equals the block
+    built here from the decorated increasing forests directly.  A key
+    outside ``block_keys`` reads as empty and builds nothing."""
     lay = Layout(n)
     for q in range(-1, lay.npairs + 2):
         for p in range(-1, 2 * n + 3):
@@ -282,10 +284,15 @@ def test_mirrored_blocks_match_blocks_built_from_the_forests(n):
                             want.setdefault((a, b), []).append(mask)
             space = BidegreeSpace(n, p, q, layout=lay)
             assert not any(a > b for a, b in space._built), (p, q)
-            assert {ab: space.blocks[ab] for ab in want} == {
-                ab: sorted(masks) for ab, masks in want.items()
-            }, (p, q)
+            for ab, masks in want.items():
+                built = set(space._built)
+                assert space.block(ab) == sorted(masks), (p, q, ab)
+                assert set(space._built) == built | {ab}, (p, q, ab)
             assert sorted(want) == [(a, b) for a, b in space.block_keys if a > b], (p, q)
+            built = dict(space._built)
+            for ab in ((p + 2 * q + 1, -1), (-1, p + 2 * q + 1)):
+                assert len(space.block(ab)) == 0, (p, q, ab)
+            assert space._built == built, (p, q)
 
 
 @pytest.mark.parametrize("n", range(6))

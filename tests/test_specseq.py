@@ -169,16 +169,22 @@ def test_d_rank_of_whole_blocks_is_the_coinvariant_d_rank_n5(monkeypatch):
     basis have one image in the target's coinvariants: fed every basis mask
     of each block, d_rank gives the coinvariant d-ranks.  The extra images
     are dependent, and at (0, 4, (4, 4)) only the target's echelon rows,
-    not its sign classes, show it."""
+    not its sign classes, show it.  The whole blocks go in where d_rank
+    reads its source: 54 of the 55 hold more masks than their basis, and
+    so do all 20 sources of arrows inside the algebra, the ones read."""
     eng = SpectralEngine(5)
     lay = eng.layout
     whole = {}
     for p, q in bidegrees(eng):
         for mask in eng.space(p, q).quotient_basis:
-            whole.setdefault((p, q), {}).setdefault(lay.hodge_bidegree(mask), []).append(mask)
-    want = {(p, q, ab): eng.d_rank(p, q, ab) for (p, q), blocks in whole.items() for ab in blocks}
-    monkeypatch.setattr(eng, "coinvariants", lambda p, q: whole.get((p, q), {}))
+            whole.setdefault((p, q, lay.hodge_bidegree(mask)), []).append(mask)
+    want = {key: eng.d_rank(*key) for key in whole}
+    larger = {key for key, masks in whole.items() if len(masks) > len(eng._basis(*key))}
+    assert (len(whole), len(larger)) == (55, 54)
+    read = []
+    monkeypatch.setattr(eng, "_basis", lambda *key: read.append(key) or whole.get(key, ()))
     assert {key: eng.d_rank(*key) for key in want} == want
+    assert len(read) == len(set(read) & larger) == 20
     assert want[(0, 1, (1, 1))] == 1 and want[(0, 4, (4, 4))] == 0
 
 
@@ -500,6 +506,12 @@ def test_verify_against_series(reports):
     for n in range(5):
         verdict = verify_against_series(n, reports[n])
         assert verdict["match"], verdict["mismatches"]
+
+
+def test_verify_against_series_refuses_a_report_of_another_n(reports):
+    # compared, the report of n = 4 would read as a Betti mismatch at n = 3
+    with pytest.raises(ValueError, match="report of n=4 .* series of n=3"):
+        verify_against_series(3, reports[4])
 
 
 def test_verify_against_series_sees_an_entry_only_the_series_has(reports):
