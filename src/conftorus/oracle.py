@@ -529,6 +529,8 @@ class _Suite:
     the identity holds; :meth:`run` turns them into result records."""
 
     def __init__(self, n_max):
+        if n_max < 0:
+            raise ValueError(f"n_max must be nonnegative, got {n_max}")
         self.n_max = n_max
         self._engines = {}
 
@@ -855,6 +857,7 @@ def _path_products(n, q):
 def run_selftest(n_max, include_arnold=True):
     """Execute the identity suite; returns a JSON-ready list of results, one
     :func:`conftorus.series.check_result` record per check.  A failing check stops at its
-    first counterexample and names it."""
+    first counterexample and names it.  A negative ``n_max`` is a
+    ``ValueError``: every check would pass on an empty range."""
     suite = _Suite(n_max)
     return suite.run(include_arnold=include_arnold)

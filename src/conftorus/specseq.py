@@ -9,11 +9,15 @@ rows reduce(sigma . m) - m, over the quotient basis masks m and the two
 generating permutations sigma.  A row that only says m = +-m' goes to a
 signed union-find, whose classes are represented by their smallest mask;
 the other rows, rewritten onto the representatives, go to one forward
-integer echelon.  The live representatives that are not pivots are a
-coinvariant basis.  A d-rank projects the d-images of a source coinvariant
-basis onto the target block's representatives and reduces them modulo its
-echelon rows.  :func:`assemble_page` then reads off the surviving
-dimensions
+integer echelon.  The transposition (n-1 n) is an involution, and its
+rows are taken first: the two basis masks of a pair it swaps say one
+relation, recorded once by putting the larger mask under the smaller on
+the fresh union-find, and a basis mask it sends to its own negative is
+marked zero; neither goes through a union.  The live representatives
+that are not pivots are a coinvariant basis.  A d-rank projects the
+d-images of a source coinvariant basis onto the target block's
+representatives and reduces them modulo its echelon rows.
+:func:`assemble_page` then reads off the surviving dimensions
 
     e3(p, q) = dim ker(d: (p,q) -> (p+2,q-1)) - dim im(d: (p-2,q+1) -> (p,q)),
 
@@ -183,23 +187,48 @@ class SpectralEngine:
         members = set(masks)
         classes = SignedUnionFind()
         rest = []
-        for mask in masks:
-            for relabel in self._perm_tables:
-                s, img = relabel(mask)
-                if img in members:
-                    # a basis mask is its own normal form: mask = s * img;
-                    # sigma . m = m says nothing, sigma . m = -m makes m zero
-                    if img != mask or s != 1:
-                        classes.union(mask, img, s)
+
+        def relate(mask, s, img):
+            # img is off the basis: the row reduce(s * img) - mask
+            row = add_terms(space.reduce_mask(img, s), ((mask, -1),))
+            if len(row) == 2:
+                (a, ca), (b, cb) = row.items()
+                if ca * cb in (1, -1):
+                    classes.union(a, b, -ca * cb)
+                    return
+            if row:
+                rest.append(row)
+
+        # The first table, if any, is (n-1 n), which is (1 2) at n = 2: an
+        # involution tau.  If tau . m = s * m' for basis masks m < m', then
+        # tau . m' = s * m, so the row at m' is the row at m.  Over the masks
+        # in increasing order, m meets m' first, while both are roots of
+        # the fresh union-find; m' is put under the smaller m, as union
+        # would put it, and is skipped when met.  A basis mask is its own
+        # normal form, so tau . m = m says nothing and tau . m = -m makes m
+        # zero.  The images off the basis become rows only after the pairs,
+        # whose masks must both still be roots.
+        off, parent = [], classes.parent
+        for tau in self._perm_tables[:1]:
+            for mask in masks:
+                if mask in parent:
                     continue
-                row = add_terms(space.reduce_mask(img, s), ((mask, -1),))
-                if len(row) == 2:
-                    (a, ca), (b, cb) = row.items()
-                    if ca * cb in (1, -1):
-                        classes.union(a, b, -ca * cb)
-                        continue
-                if row:
-                    rest.append(row)
+                s, img = tau(mask)
+                if img not in members:
+                    off.append((mask, s, img))
+                elif img > mask:
+                    parent[img] = (mask, s)
+                elif s != 1:  # img == mask
+                    classes.zero.add(mask)
+        for mask, s, img in off:
+            relate(mask, s, img)
+        for relabel in self._perm_tables[1:]:
+            for mask in masks:
+                s, img = relabel(mask)
+                if img not in members:
+                    relate(mask, s, img)
+                elif img != mask or s != 1:
+                    classes.union(mask, img, s)
         # shortest first keeps fill-in down; the pivot set, and so the
         # basis, does not depend on the order
         ech = SparseEchelon()
@@ -227,7 +256,11 @@ class SpectralEngine:
         generating permutation sigma.  A row that says ``m = +-m'`` (most
         of them: sigma . m is often a basis mask itself) goes to a signed
         union-find, whose classes are represented by their smallest mask; a
-        class whose masks must equal their own negative is zero.  The other
+        class whose masks must equal their own negative is zero.  The
+        transposition (n-1 n) comes first, and is an involution: the two
+        masks of a pair it swaps say one relation, which is recorded once,
+        the larger mask under the smaller, and a mask it sends to its own
+        negative is marked zero, with no union-find search.  The other
         rows, rewritten onto the representatives, go to one forward
         echelon.  The live representatives that are not pivots span the
         quotient; they are the masks a single echelon of every row would

@@ -61,6 +61,16 @@ def test_criterion_2_vakil_wood():
     _line("2-vakil-wood", ok and took < 1.0, f"({took:.3f}s < 1s)")
 
 
+def test_criterion_3_engine_betti_n_le_3_one_n_at_a_time():
+    """Criterion 3's small lists, each n on its own and before the n <= 5
+    fixture: a fault that breaks n = 2 fails here at once, even where it
+    would make a larger n run on without end."""
+    expected = {0: [1], 1: [1, 2], 2: [1, 2, 2], 3: [1, 2, 4, 4]}
+    for n, want in expected.items():
+        got = list(e3_dims(n).betti)
+        _line(f"3-engine-betti-n{n}", got == want, f"({got} == {want})")
+
+
 def test_criterion_3_engine_series_betti(engine_reports):
     reports, times = engine_reports
     z = series.macdonald_zeta(series.PUNCTURED_TORUS_HC, 5)

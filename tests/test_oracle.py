@@ -194,6 +194,12 @@ def test_arnold_rejects_negative_n(n):
         arnold_conf_betti(n)
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_selftest_rejects_negative_n_max(n):
+    with pytest.raises(ValueError, match=f"n_max must be nonnegative, got {n}$"):
+        run_selftest(n)
+
+
 def _bit_list(mask):
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
