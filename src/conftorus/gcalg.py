@@ -534,12 +534,13 @@ class Layout:
         smaller neighbour, as (g-mask, component minima, 0-based).
 
         The list of the last q is kept and returned again, so callers must
-        not mutate it; the engine's report asks by falling q, for every p,
-        and so builds each q once."""
+        not mutate it; the engine's report asks by falling q, for every
+        block it reads, and so builds each q once."""
         if self._forests[0] == q:
             return self._forests[1]
         n = self.n
-        forests = [(0, ())]
+        # q edges need 0 <= q <= n - 1; at n = 0 only the empty forest, q = 0
+        forests = [(0, ())] if 0 <= q < max(n, 1) else []
         for v in range(n):
             grown = []
             for g, roots in forests:
@@ -597,115 +598,93 @@ class Relabelling:
         return sg * sx * sy, ig | ix << self._xbit0 | iy << self._ybit0
 
 
-def _basis_size(n, p, q):
-    """c(n, n-q) * C(n-q, p) * 2^p decorated increasing forests in bidegree
-    (p, q); c is the unsigned Stirling number of the first kind."""
-    k = n - q
-    if p < 0 or q < 0 or p > k:
-        return 0
-    stirling = [1]  # c(m, 0..m), starting at m = 0
+def _stirling(n, k):
+    """The unsigned Stirling number of the first kind c(n, k): the number of
+    increasing forests on n vertices with k components; 0 outside 0..n."""
+    row = [1]  # c(m, 0..m), starting at m = 0
     for m in range(n):
-        stirling = [
-            (stirling[j - 1] if j else 0) + m * (stirling[j] if j <= m else 0)
-            for j in range(m + 2)
+        row = [
+            (row[j - 1] if j else 0) + m * (row[j] if j <= m else 0) for j in range(m + 2)
         ]
-    return stirling[k] * comb(k, p) * 2**p
+    return row[k] if 0 <= k <= n else 0
 
 
-def _decorations(lay, roots, p, low):
-    """The letter masks of p letters x or y on distinct vertices of
-    ``roots``, as one list for each number of y-letters from ``low`` to p."""
-    out = [[] for _ in range(low, p + 1)]
+def _decorations(lay, roots, p, ny):
+    """The letter masks of p letters on distinct vertices of ``roots``, ny
+    of them y and the others x."""
+    out = []
     for deco in combinations(roots, p):
         letters = sum(1 << v for v in deco)
-        for ny in range(low, p + 1):
-            for ysel in combinations(deco, ny):
-                ys = sum(1 << v for v in ysel)
-                out[ny - low].append((letters ^ ys) << lay.xbit0 | ys << lay.ybit0)
+        for ysel in combinations(deco, ny):
+            ys = sum(1 << v for v in ysel)
+            out.append((letters ^ ys) << lay.xbit0 | ys << lay.ybit0)
     return out
 
 
 class BidegreeSpace:
     """Quotient of one free bidegree piece by the relation subspace.
 
-    ``quotient_basis`` lists, in increasing mask order, the decorated
-    increasing forests of bidegree (p, q): q g-edges in which every vertex
-    has at most one smaller neighbour, and p letters x or y, each on the
-    smallest vertex of its own component.  :meth:`block` gives the same
-    masks by Hodge bidegree: ``block((a, b))`` lists, in increasing order,
-    those with (a, b) = (#x + q, #y + q).  ``block_keys`` lists the keys of
-    the nonempty blocks, by increasing a, without building a block, and
-    ``blocks`` is the dict {(a, b): masks} over them.  Only the blocks with
-    a <= b (#x <= #y) are built with the space.  An a > b block is the
-    x<->y mirror of its (b, a) block: swapping the two letter bit ranges of
-    a decorated forest gives a decorated forest, so the mirror of a basis
-    mask is a basis mask.  It is built, and sorted, when the block is first
-    read; ``quotient_basis`` is merged from every block when first read.
-    :meth:`reduce_mask` and
-    :meth:`reduce` give exact quotient coordinates over this basis through
-    the normal form described in the module docstring, as a dict
-    {basis mask: coefficient} without zeros; ``layout.decode(mask)`` names
-    a coordinate.  ``relation_rank`` is ``free_dim - dim``.  A bidegree
-    outside the algebra (a negative degree, or more generators than exist)
-    gives an empty space, of dim 0.
+    Its basis is the decorated increasing forests of bidegree (p, q): q
+    g-edges in which every vertex has at most one smaller neighbour, and p
+    letters x or y, each on the smallest vertex of its own component.  There
+    are ``dim`` = c(n, n-q) C(n-q, p) 2^p of them, and ``relation_rank`` is
+    ``free_dim - dim``; both are counted, so constructing a space enumerates
+    nothing.  :meth:`block` lists, in increasing mask order, those of Hodge
+    bidegree (a, b) = (#x + q, #y + q), built from ``layout.increasing_forests``
+    the first time the block is read and checked against its count
+    c(n, n-q) C(n-q, p) C(p, b-q).  ``block_keys`` lists the keys of the
+    nonempty blocks, by increasing a, ``blocks`` is the dict
+    {(a, b): masks} over them, and ``quotient_basis`` is every block merged
+    in increasing order.  :meth:`reduce_mask` and :meth:`reduce` give exact
+    quotient coordinates over this basis through the normal form described
+    in the module docstring, as a dict {basis mask: coefficient} without
+    zeros, and read no block; ``layout.decode(mask)`` names a coordinate.  A
+    bidegree outside the algebra (a negative degree, or more generators than
+    exist) gives an empty space, of dim 0.
     """
 
     def __init__(self, n, p, q, layout=None):
         self.n, self.p, self.q = n, p, q
-        self.layout = layout or Layout(n)
-        lay = self.layout
+        self.layout = lay = layout or Layout(n)
         self.free_dim = comb(lay.npairs, q) * comb(2 * n, p) if p >= 0 and q >= 0 else 0
-        low = (p + 1) // 2  # the fewest y-letters with #x <= #y
-        by_y = [[] for _ in range(p + 1)] if self.free_dim else []  # masks by #y
-        if by_y:
-            decorations = {}  # root tuple -> its letter masks, shared by its forests
-            for g, roots in lay.increasing_forests(q):
-                if roots not in decorations:
-                    decorations[roots] = _decorations(lay, roots, p, low)
-                for ny, masks in enumerate(decorations[roots], low):
-                    by_y[ny] += [g | m for m in masks]
-        # (a, b) -> masks: the a <= b blocks, and each mirror once it is read
-        self._built = {}
-        for ny in reversed(range(low, len(by_y))):
-            if by_y[ny]:
-                by_y[ny].sort()
-                self._built[(p - ny + q, ny + q)] = by_y[ny]
-        upper = list(self._built)
-        self.block_keys = tuple(upper + [(b, a) for a, b in reversed(upper) if a < b])
-        # an a < b block counts for its mirror too
-        self.dim = sum(len(m) * (1 if a == b else 2) for (a, b), m in self._built.items())
-        if self.dim != _basis_size(n, p, q):
-            raise AssertionError(
-                f"{self.dim} basis forests at n={n} ({p},{q}), "
-                f"expected {_basis_size(n, p, q)}"
-            )
+        k = n - q  # components of a forest with q edges
+        self.dim = _stirling(n, k) * comb(k, p) * 2**p if 0 <= p <= k else 0
         self.relation_rank = self.free_dim - self.dim
+        # every split of the p letters into #x and #y is a nonempty block
+        ys = range(p, -1, -1) if self.dim else ()
+        self.block_keys = tuple((p - ny + q, ny + q) for ny in ys)
+        self._built = {}  # (a, b) -> masks, for the blocks read so far
 
     @property
     def blocks(self):
-        # every block, so every mirror is built; :meth:`block` builds one
         return {ab: self.block(ab) for ab in self.block_keys}
 
     def block(self, ab):
-        """The masks of Hodge block ``ab``, in increasing order; empty, and
-        nothing built, for a key outside ``block_keys``.  An a > b block is
-        mirrored from its (b, a) block on first read."""
+        """The masks of Hodge block ``ab``, in increasing order, built on
+        first read; empty, and nothing built, for a key outside
+        ``block_keys``."""
         if ab not in self._built:
             if ab not in self.block_keys:
                 return ()
-            lay = self.layout
-            xs = (1 << self.n) - 1  # the x-letters, shifted down to bit 0
-            self._built[ab] = sorted(
-                m & lay.gfull | (m >> lay.ybit0) << lay.xbit0 | (m >> lay.xbit0 & xs) << lay.ybit0
-                for m in self._built[ab[::-1]]
-            )
+            n, p, q = self.n, self.p, self.q
+            ny = ab[1] - q
+            decorations = {}  # root tuple -> its letter masks, shared by its forests
+            masks = []
+            for g, roots in self.layout.increasing_forests(q):
+                if roots not in decorations:
+                    decorations[roots] = _decorations(self.layout, roots, p, ny)
+                masks += [g | m for m in decorations[roots]]
+            want = _stirling(n, n - q) * comb(n - q, p) * comb(p, ny)
+            if len(masks) != want:
+                raise AssertionError(
+                    f"{len(masks)} basis forests at n={n} ({p},{q}) {ab}, expected {want}"
+                )
+            masks.sort()
+            self._built[ab] = masks
         return self._built[ab]
 
     @cached_property
     def quotient_basis(self):
-        # merged on first read, mirrors included, so a space read only by its
-        # a <= b blocks (the engine's report) holds each of their masks in
-        # one list and builds no other
         return sorted(chain.from_iterable(self.blocks.values()))
 
     # -- quotient coordinates ------------------------------------------------

@@ -526,7 +526,33 @@ def _dd_counterexample(lay):
 class _Suite:
     """The identity suite.  Each ``check_*`` returns its first
     counterexample, in its own iteration order, as a string, or None when
-    the identity holds; :meth:`run` turns them into result records."""
+    the identity holds; :meth:`run` turns them into result records.
+
+    ``CHECKS`` lists the records in their order: the record's name, its
+    check, the smallest and the largest n the check runs at (its cap), its
+    ``n_range`` with ``{}`` for the largest n it checks, min(n_max, cap),
+    and the detail of a pass, if it has one."""
+
+    CHECKS = (
+        ("d_squared_zero", "check_dd_zero", 2, 5, "n<={}"),
+        ("equivariance_of_d", "check_equivariance", 2, 5, "n<={}"),
+        ("cycle_vanishing", "check_cycle_vanishing", 2, 5, "2<=r<=n<={}"),
+        # the 3-star identity lives at n = 4
+        ("tree_to_path", "check_tree_to_path", 4, 5, "n<={}",
+         "g(1,2)g(2,3)g(2,4) = g_{1,2,3,4} - g_{1,2,4,3}"),
+        ("symmetrizer_annihilation", "check_symmetrizer_annihilation", 2, 5, "n<={}"),
+        ("path_annihilation", "check_path_annihilation", 3, 5, "r>=3, n<={}"),
+        ("canonical_spanning", "check_canonical_spanning", 2, 4, "n<={}"),
+        ("symmetrizer_image_is_fixed_space", "check_fixed_space_agreement", 2, 4,
+         "n<={}"),
+        ("left_inverse_and_relation_annihilation", "check_rel6", 0, 5, "n<={}"),
+        ("disjoint_pair_classes_nonzero", "check_rel7_nonvanishing", 2, 5, "n<={}"),
+        ("canonical_kernel_dichotomy", "check_kernel_dichotomy", 2, 5, "n<={}"),
+        ("boundary_property", "check_boundary_property", 2, 5, "n<={}"),
+        ("differential_descends_to_quotient", "check_d_descends", 2, 3, "n<={}"),
+        ("genus_zero_table", "check_arnold", 2, 7, "2<=n<={}"),
+    )
+    _SPANS = {check: (low, cap) for _, check, low, cap, *_ in CHECKS}
 
     def __init__(self, n_max):
         if n_max < 0:
@@ -541,10 +567,16 @@ class _Suite:
             self._engines[n] = SpectralEngine(n)
         return self._engines[n]
 
+    def ns(self, check):
+        """The n that the check named ``check`` runs at, from its smallest
+        n to min(n_max, its cap); empty when n_max is below its smallest."""
+        low, cap = self._SPANS[check]
+        return range(low, min(self.n_max, cap) + 1)
+
     # -- individual checks ---------------------------------------------------
 
     def check_dd_zero(self):
-        """d(d(m)) = 0 for every free mask m = G|L with n <= min(n_max, 5),
+        """d(d(m)) = 0 for every free mask m = G|L at each n of its range,
         where G is the g-part and L the letter set, at the cost of one
         ``differential_mask`` call per mask.
 
@@ -557,7 +589,7 @@ class _Suite:
                       = d(d(G)).L      by (b) for each term of d(G),
                       = 0              by (a).
         """
-        for n in range(2, min(self.n_max, 5) + 1):
+        for n in self.ns("check_dd_zero"):
             lay = Layout(n)
             mask = _dd_counterexample(lay)
             if mask is not None:
@@ -566,7 +598,7 @@ class _Suite:
 
     def check_equivariance(self):
         rng = random.Random(20210405)
-        for n in range(2, min(self.n_max, 5) + 1):
+        for n in self.ns("check_equivariance"):
             gens = [G(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
             gens += [X(i) for i in range(1, n + 1)]
             gens += [Y(i) for i in range(1, n + 1)]
@@ -582,7 +614,7 @@ class _Suite:
         return None
 
     def check_cycle_vanishing(self):
-        for n in range(2, min(self.n_max, 5) + 1):
+        for n in self.ns("check_cycle_vanishing"):
             lay = Layout(n)
             for r in range(2, n + 1):
                 gens = tuple(G(i, i + 1) for i in range(1, r)) + (G(r, 1),)
@@ -595,7 +627,7 @@ class _Suite:
         return None
 
     def check_tree_to_path(self):
-        """The 3-star identity at n = 4, so n_max >= 4, then the path span."""
+        """The 3-star identity at n = 4, then the path span from n = 2."""
         sp = BidegreeSpace(4, 0, 3)
         lhs = Element.from_monomial(normalize((G(1, 2), G(2, 3), G(2, 4))))
         p1 = Element.from_monomial(normalize((G(1, 2), G(2, 3), G(3, 4))))
@@ -603,7 +635,7 @@ class _Suite:
         if sp.reduce(lhs - (p1 - p2)):
             return "3-star identity failed"
         # spanning-rank equality: path products span every pure-g bidegree
-        for nn in range(2, min(self.n_max, 5) + 1):
+        for nn in range(2, self.ns("check_tree_to_path").stop):
             lay = Layout(nn)
             for q in range(1, lay.npairs + 1):
                 sp = BidegreeSpace(nn, 0, q, layout=lay)
@@ -616,7 +648,7 @@ class _Suite:
         return None
 
     def check_symmetrizer_annihilation(self):
-        for n in range(2, min(self.n_max, 5) + 1):
+        for n in self.ns("check_symmetrizer_annihilation"):
             if symmetrize(Element.from_generators(X(1), X(2)), n):
                 return f"e(x1x2) != 0 at n={n}"
             if n >= 4 and symmetrize(Element.from_generators(G(1, 2), G(3, 4)), n):
@@ -624,7 +656,7 @@ class _Suite:
         return None
 
     def check_path_annihilation(self):
-        for n in range(3, min(self.n_max, 5) + 1):
+        for n in self.ns("check_path_annihilation"):
             lay = Layout(n)
             for r in range(3, n + 1):
                 sp = BidegreeSpace(n, 0, r - 1, layout=lay)
@@ -638,10 +670,10 @@ class _Suite:
                         return f"n={n} path={tup}"
         return None
 
-    def _first_deficient_bidegree(self, elements):
-        """The first invariant space of the engine, n <= min(n_max, 4), that
+    def _first_deficient_bidegree(self, ns, elements):
+        """The first invariant space of the engine, for n in ``ns``, that
         the symmetrized ``elements(inv)`` do not span, or None."""
-        for n in range(2, min(self.n_max, 4) + 1):
+        for n in ns:
             eng = self.engine(n)
             for q in range(eng.layout.npairs + 1):
                 for p in range(2 * n + 1):
@@ -653,17 +685,19 @@ class _Suite:
 
     def check_canonical_spanning(self):
         by_bidegree = {}
-        for n in range(2, min(self.n_max, 4) + 1):
+        for n in self.ns("check_canonical_spanning"):
             for shape in _canonical_shapes(n):
                 by_bidegree.setdefault((n, shape["bidegree"]), []).append(
                     shape["element"]
                 )
         return self._first_deficient_bidegree(
-            lambda inv: by_bidegree.get((inv.n, (inv.p, inv.q)), [])
+            self.ns("check_canonical_spanning"),
+            lambda inv: by_bidegree.get((inv.n, (inv.p, inv.q)), []),
         )
 
     def check_fixed_space_agreement(self):
         return self._first_deficient_bidegree(
+            self.ns("check_fixed_space_agreement"),
             lambda inv: [
                 Element.from_monomial(inv.space.layout.decode(mask))
                 for mask in inv.space.quotient_basis
@@ -672,7 +706,7 @@ class _Suite:
 
     def check_rel6(self):
         rng = random.Random(997)
-        for n in range(0, min(self.n_max, 5) + 1):
+        for n in self.ns("check_rel6"):
             cex = check_left_inverse(n)
             if cex is not None:
                 return f"psi(phi(m)) != m at n={n}: {cex}"
@@ -704,7 +738,7 @@ class _Suite:
         return None
 
     def check_rel7_nonvanishing(self):
-        for n in range(2, min(self.n_max, 5) + 1):
+        for n in self.ns("check_rel7_nonvanishing"):
             eng = self.engine(n)
             for shape in _canonical_shapes(n):
                 if (shape["r"], shape["s1"], shape["s2"]) != (0, 1, 1):
@@ -722,7 +756,7 @@ class _Suite:
         return None
 
     def check_kernel_dichotomy(self):
-        for n in range(2, min(self.n_max, 5) + 1):
+        for n in self.ns("check_kernel_dichotomy"):
             eng = self.engine(n)
             for shape in _canonical_shapes(n):
                 p, q = shape["bidegree"]
@@ -747,7 +781,7 @@ class _Suite:
         return None
 
     def check_boundary_property(self):
-        for n in range(2, min(self.n_max, 5) + 1):
+        for n in self.ns("check_boundary_property"):
             eng = self.engine(n)
             for shape in _canonical_shapes(n):
                 if (shape["r"], shape["s1"], shape["s2"]) != (0, 1, 1):
@@ -765,7 +799,7 @@ class _Suite:
         return None
 
     def check_d_descends(self):
-        for n in range(2, min(self.n_max, 3) + 1):
+        for n in self.ns("check_d_descends"):
             lay = Layout(n)
             for q in range(lay.npairs + 1):
                 for p in range(2 * n + 1):
@@ -779,7 +813,7 @@ class _Suite:
         return None
 
     def check_arnold(self):
-        for n in range(2, min(self.n_max, 7) + 1):
+        for n in self.ns("check_arnold"):
             try:
                 dims = arnold_conf_betti(n)
             except AssertionError as err:
@@ -790,38 +824,21 @@ class _Suite:
         return None
 
     def run(self, include_arnold=True):
-        """The result records, in this order.  The 3-star identity lives at
-        n = 4, so below that tree_to_path passes as skipped."""
-        n_max = self.n_max
-        if n_max >= 4:
-            tree = ("n<=5", self.check_tree_to_path,
-                    "g(1,2)g(2,3)g(2,4) = g_{1,2,3,4} - g_{1,2,4,3}")
-        else:
-            tree = ("n=4..5", lambda: None, "skipped below n=4")
-        checks = [
-            ("d_squared_zero", f"n<=min({n_max},5)", self.check_dd_zero),
-            ("equivariance_of_d", "n<=5", self.check_equivariance),
-            ("cycle_vanishing", "2<=r<=n<=5", self.check_cycle_vanishing),
-            ("tree_to_path", *tree),
-            ("symmetrizer_annihilation", "n<=5", self.check_symmetrizer_annihilation),
-            ("path_annihilation", "r>=3, n<=5", self.check_path_annihilation),
-            ("canonical_spanning", "n<=4", self.check_canonical_spanning),
-            ("symmetrizer_image_is_fixed_space", "n<=4",
-             self.check_fixed_space_agreement),
-            ("left_inverse_and_relation_annihilation", "n<=5", self.check_rel6),
-            ("disjoint_pair_classes_nonzero", "n<=5", self.check_rel7_nonvanishing),
-            ("canonical_kernel_dichotomy", "n<=5", self.check_kernel_dichotomy),
-            ("boundary_property", "n<=5", self.check_boundary_property),
-            ("differential_descends_to_quotient", "n<=3", self.check_d_descends),
-        ]
-        if include_arnold:
-            checks.append(
-                ("genus_zero_table", f"2<=n<={min(n_max, 7)}", self.check_arnold)
-            )
-        return [
-            check_result(name, n_range, check(), *detail)
-            for name, n_range, check, *detail in checks
-        ]
+        """The result records, in the order of ``CHECKS``.  A check whose
+        range is empty passes as skipped, with the range it would cover."""
+        records = []
+        for name, check, low, cap, n_range, *detail in self.CHECKS:
+            if check == "check_arnold" and not include_arnold:
+                continue
+            ns = self.ns(check)
+            if ns:
+                record = check_result(name, n_range.format(ns[-1]),
+                                      getattr(self, check)(), *detail)
+            else:
+                record = check_result(name, f"n={low}..{cap}", None,
+                                      f"skipped below n={low}")
+            records.append(record)
+        return records
 
 
 def _path_products(n, q):

@@ -37,10 +37,10 @@ whole computation runs blockwise, on the blocks each
 and negating g_ij maps block (a, b) onto (b, a) as a complex of
 S_n-modules (:meth:`SpectralEngine.report`), so the report eliminates and
 ranks only the blocks with a <= b and copies each onto its mirror.  Each
-block is read by its key, through :meth:`BidegreeSpace.block`, so no
-mirror is built for the report.  :meth:`SpectralEngine.coinvariants`
-answers every block of a bidegree as a plain dict, and the kernel
-reference computes every block on its own.
+block is read by its key, through :meth:`BidegreeSpace.block`, which
+builds a block on its first read, so the report builds no a > b block.
+:meth:`SpectralEngine.coinvariants` answers every block of a bidegree as a
+plain dict, and the kernel reference computes every block on its own.
 """
 
 from __future__ import annotations

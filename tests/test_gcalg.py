@@ -264,11 +264,12 @@ def test_dimension_formula_per_bidegree(n):
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_mirrored_blocks_match_blocks_built_from_the_forests(n):
-    """Every a > b block is built only when first read through
-    ``block``, which builds that block alone, and then equals the block
-    built here from the decorated increasing forests directly.  A key
-    outside ``block_keys`` reads as empty and builds nothing."""
+def test_blocks_match_blocks_built_from_the_forests(n):
+    """A space builds no block when it is constructed.  Every block is
+    built only when first read through ``block``, which builds that block
+    alone, and then equals the block built here from the decorated
+    increasing forests directly.  A key outside ``block_keys`` reads as
+    empty and builds nothing."""
     lay = Layout(n)
     for q in range(-1, lay.npairs + 2):
         for p in range(-1, 2 * n + 3):
@@ -279,20 +280,28 @@ def test_mirrored_blocks_match_blocks_built_from_the_forests(n):
                         mask = g
                         for v, y in zip(deco, ys):
                             mask |= 1 << ((lay.ybit0 if y else lay.xbit0) + v)
-                        a, b = lay.hodge_bidegree(mask)
-                        if a > b:
-                            want.setdefault((a, b), []).append(mask)
+                        want.setdefault(lay.hodge_bidegree(mask), []).append(mask)
             space = BidegreeSpace(n, p, q, layout=lay)
-            assert not any(a > b for a, b in space._built), (p, q)
+            assert space._built == {}, (p, q)
+            assert sorted(want) == list(space.block_keys), (p, q)
             for ab, masks in want.items():
                 built = set(space._built)
                 assert space.block(ab) == sorted(masks), (p, q, ab)
                 assert set(space._built) == built | {ab}, (p, q, ab)
-            assert sorted(want) == [(a, b) for a, b in space.block_keys if a > b], (p, q)
             built = dict(space._built)
             for ab in ((p + 2 * q + 1, -1), (-1, p + 2 * q + 1)):
                 assert len(space.block(ab)) == 0, (p, q, ab)
             assert space._built == built, (p, q)
+
+
+def test_block_count_check_names_the_block(monkeypatch):
+    """A block built with one increasing forest missing fails its count
+    check, which names n, the bidegree and the Hodge block."""
+    forests = Layout.increasing_forests
+    monkeypatch.setattr(Layout, "increasing_forests", lambda lay, q: forests(lay, q)[1:])
+    space = BidegreeSpace(4, 1, 1)
+    with pytest.raises(AssertionError, match=r"n=4 \(1,1\) \(1, 2\)"):
+        space.block((1, 2))
 
 
 @pytest.mark.parametrize("n", range(6))

@@ -516,6 +516,58 @@ def test_each_record_reports_its_own_check(monkeypatch, n_max):
     }
 
 
+def _ranges(monkeypatch, n_max):
+    """The checks a run calls, in order, and each record's (n_range, detail)."""
+    ran = []
+    for attr in dir(_Suite):
+        if attr.startswith("check_"):
+            monkeypatch.setattr(_Suite, attr, lambda self, attr=attr: ran.append(attr))
+    records = _Suite(n_max).run()
+    return ran, {r["name"]: (r["n_range"], r.get("detail")) for r in records}
+
+
+def test_records_below_every_range_pass_as_skipped(monkeypatch):
+    # at n_max = 1 only the left inverse runs (from n = 0); every other
+    # check is skipped, and names the range it would cover
+    ran, records = _ranges(monkeypatch, 1)
+    assert ran == ["check_rel6"]
+    skipped = {
+        "d_squared_zero": (2, 5), "equivariance_of_d": (2, 5),
+        "cycle_vanishing": (2, 5), "tree_to_path": (4, 5),
+        "symmetrizer_annihilation": (2, 5), "path_annihilation": (3, 5),
+        "canonical_spanning": (2, 4), "symmetrizer_image_is_fixed_space": (2, 4),
+        "disjoint_pair_classes_nonzero": (2, 5), "canonical_kernel_dichotomy": (2, 5),
+        "boundary_property": (2, 5), "differential_descends_to_quotient": (2, 3),
+        "genus_zero_table": (2, 7),
+    }
+    assert records == {
+        name: (f"n={low}..{cap}", f"skipped below n={low}")
+        for name, (low, cap) in skipped.items()
+    } | {"left_inverse_and_relation_annihilation": ("n<=1", None)}
+
+
+def test_records_above_every_cap_name_the_cap(monkeypatch):
+    ran, records = _ranges(monkeypatch, 6)
+    assert ran == [check for _, check in _RECORD_CHECKS]
+    five = ("n<=5", None)
+    assert records == {
+        "d_squared_zero": five,
+        "equivariance_of_d": five,
+        "cycle_vanishing": ("2<=r<=n<=5", None),
+        "tree_to_path": ("n<=5", "g(1,2)g(2,3)g(2,4) = g_{1,2,3,4} - g_{1,2,4,3}"),
+        "symmetrizer_annihilation": five,
+        "path_annihilation": ("r>=3, n<=5", None),
+        "canonical_spanning": ("n<=4", None),
+        "symmetrizer_image_is_fixed_space": ("n<=4", None),
+        "left_inverse_and_relation_annihilation": five,
+        "disjoint_pair_classes_nonzero": five,
+        "canonical_kernel_dichotomy": five,
+        "boundary_property": five,
+        "differential_descends_to_quotient": ("n<=3", None),
+        "genus_zero_table": ("2<=n<=6", None),
+    }
+
+
 def _verdicts(*checks):
     suite = _Suite(4)
     return {check.__name__: check(suite) is None for check in checks}

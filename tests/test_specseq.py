@@ -399,8 +399,9 @@ def test_report_relabels_each_g_part_once_and_builds_each_forest_list_once(monke
     relabels.  The cycle relabels every basis mask, so every g-part of a
     basis mask; the transposition skips the larger mask of each pair it
     swaps, and relabels exactly the g-parts of the masks it does relabel.
-    The forests of each q = 0..n-1 are built once for its n - q + 1 values
-    of p."""
+    The forests of each q = 0..n-1 are built once: they are asked for once
+    per a <= b block of row q, floor(p/2) + 1 blocks for each p = 0..n-q,
+    and every ask returns the same list."""
     calls, relabelled, forests = Counter(), {}, {}
     apply_perm, increasing_forests = Layout.apply_perm, Layout.increasing_forests
     call = Relabelling.__call__
@@ -436,7 +437,8 @@ def test_report_relabels_each_g_part_once_and_builds_each_forest_list_once(monke
     )
     assert sorted(forests) == list(range(eng.n))
     for q, built in forests.items():
-        assert len(built) == eng.n - q + 1 and all(out is built[0] for out in built), q
+        blocks = sum(p // 2 + 1 for p in range(eng.n - q + 1))
+        assert len(built) == blocks and all(out is built[0] for out in built), q
 
 
 # -- E3 dimensions -----------------------------------------------------------
