@@ -51,7 +51,6 @@ elimination of every relation multiple for small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations, permutations
 from math import comb
 from typing import NamedTuple, Optional
@@ -631,16 +630,17 @@ class BidegreeSpace:
     ``free_dim - dim``; both are counted, so constructing a space enumerates
     nothing.  :meth:`block` lists, in increasing mask order, those of Hodge
     bidegree (a, b) = (#x + q, #y + q), built from ``layout.increasing_forests``
-    the first time the block is read and checked against its count
-    c(n, n-q) C(n-q, p) C(p, b-q).  ``block_keys`` lists the keys of the
-    nonempty blocks, by increasing a, ``blocks`` is the dict
-    {(a, b): masks} over them, and ``quotient_basis`` is every block merged
-    in increasing order.  :meth:`reduce_mask` and :meth:`reduce` give exact
-    quotient coordinates over this basis through the normal form described
-    in the module docstring, as a dict {basis mask: coefficient} without
-    zeros, and read no block; ``layout.decode(mask)`` names a coordinate.  A
-    bidegree outside the algebra (a negative degree, or more generators than
-    exist) gives an empty space, of dim 0.
+    on every read and checked against its count c(n, n-q) C(n-q, p)
+    C(p, b-q); a space keeps no mask, only its counts, ``block_keys`` and
+    its layout.  ``block_keys`` lists the keys of the nonempty blocks, by
+    increasing a, ``blocks`` is the dict {(a, b): masks} over them, and
+    ``quotient_basis`` is every block merged in increasing order.
+    :meth:`reduce_mask` and :meth:`reduce` give exact quotient coordinates
+    over this basis through the normal form described in the module
+    docstring, as a dict {basis mask: coefficient} without zeros, and read
+    no block; ``layout.decode(mask)`` names a coordinate.  A bidegree
+    outside the algebra (a negative degree, or more generators than exist)
+    gives an empty space, of dim 0.
     """
 
     def __init__(self, n, p, q, layout=None):
@@ -653,37 +653,34 @@ class BidegreeSpace:
         # every split of the p letters into #x and #y is a nonempty block
         ys = range(p, -1, -1) if self.dim else ()
         self.block_keys = tuple((p - ny + q, ny + q) for ny in ys)
-        self._built = {}  # (a, b) -> masks, for the blocks read so far
 
     @property
     def blocks(self):
         return {ab: self.block(ab) for ab in self.block_keys}
 
     def block(self, ab):
-        """The masks of Hodge block ``ab``, in increasing order, built on
-        first read; empty, and nothing built, for a key outside
-        ``block_keys``."""
-        if ab not in self._built:
-            if ab not in self.block_keys:
-                return ()
-            n, p, q = self.n, self.p, self.q
-            ny = ab[1] - q
-            decorations = {}  # root tuple -> its letter masks, shared by its forests
-            masks = []
-            for g, roots in self.layout.increasing_forests(q):
-                if roots not in decorations:
-                    decorations[roots] = _decorations(self.layout, roots, p, ny)
-                masks += [g | m for m in decorations[roots]]
-            want = _stirling(n, n - q) * comb(n - q, p) * comb(p, ny)
-            if len(masks) != want:
-                raise AssertionError(
-                    f"{len(masks)} basis forests at n={n} ({p},{q}) {ab}, expected {want}"
-                )
-            masks.sort()
-            self._built[ab] = masks
-        return self._built[ab]
+        """The masks of Hodge block ``ab``, in increasing order, as a new
+        list built on every read; empty, and nothing built, for a key
+        outside ``block_keys``."""
+        if ab not in self.block_keys:
+            return ()
+        n, p, q = self.n, self.p, self.q
+        ny = ab[1] - q
+        decorations = {}  # root tuple -> its letter masks, shared by its forests
+        masks = []
+        for g, roots in self.layout.increasing_forests(q):
+            if roots not in decorations:
+                decorations[roots] = _decorations(self.layout, roots, p, ny)
+            masks += [g | m for m in decorations[roots]]
+        want = _stirling(n, n - q) * comb(n - q, p) * comb(p, ny)
+        if len(masks) != want:
+            raise AssertionError(
+                f"{len(masks)} basis forests at n={n} ({p},{q}) {ab}, expected {want}"
+            )
+        masks.sort()
+        return masks
 
-    @cached_property
+    @property
     def quotient_basis(self):
         return sorted(chain.from_iterable(self.blocks.values()))
 

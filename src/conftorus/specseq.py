@@ -38,7 +38,7 @@ and negating g_ij maps block (a, b) onto (b, a) as a complex of
 S_n-modules (:meth:`SpectralEngine.report`), so the report eliminates and
 ranks only the blocks with a <= b and copies each onto its mirror.  Each
 block is read by its key, through :meth:`BidegreeSpace.block`, which
-builds a block on its first read, so the report builds no a > b block.
+builds it on every read and keeps nothing; the report reads no a > b block.
 :meth:`SpectralEngine.coinvariants` answers every block of a bidegree as a
 plain dict, and the kernel reference computes every block on its own.
 """
@@ -138,8 +138,8 @@ class SpectralReport:
 
 
 class SpectralEngine:
-    """Caches bidegree spaces, coinvariant blocks and invariant data for
-    one n.
+    """Caches bidegree spaces, which hold counts only, the coinvariant
+    bases and the invariant data for one n.
 
     :meth:`report` reads the page off the coinvariants
     (:meth:`coinvariants`, :meth:`d_rank`).  :meth:`invariants` and

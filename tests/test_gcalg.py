@@ -264,34 +264,45 @@ def test_dimension_formula_per_bidegree(n):
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_blocks_match_blocks_built_from_the_forests(n):
-    """A space builds no block when it is constructed.  Every block is
-    built only when first read through ``block``, which builds that block
-    alone, and then equals the block built here from the decorated
-    increasing forests directly.  A key outside ``block_keys`` reads as
-    empty and builds nothing."""
+def test_blocks_match_blocks_built_from_the_forests(monkeypatch, n):
+    """A space reads no forest when it is constructed.  Each read of a
+    block through ``block`` reads the increasing forests once and returns a
+    new list, equal to the block built here from the decorated increasing
+    forests directly; mutating it leaves the next read unchanged.  A key
+    outside ``block_keys`` reads as empty and reads no forest."""
+    forests, calls = Layout.increasing_forests, []
+
+    def counted_forests(lay, q):
+        calls.append(q)
+        return forests(lay, q)
+
+    monkeypatch.setattr(Layout, "increasing_forests", counted_forests)
     lay = Layout(n)
     for q in range(-1, lay.npairs + 2):
         for p in range(-1, 2 * n + 3):
             want = {}
-            for g, roots in lay.increasing_forests(q) if q >= 0 and p >= 0 else ():
+            for g, roots in forests(lay, q) if q >= 0 and p >= 0 else ():
                 for deco in combinations(roots, p):
                     for ys in product((0, 1), repeat=p):
                         mask = g
                         for v, y in zip(deco, ys):
                             mask |= 1 << ((lay.ybit0 if y else lay.xbit0) + v)
                         want.setdefault(lay.hodge_bidegree(mask), []).append(mask)
+            calls.clear()
             space = BidegreeSpace(n, p, q, layout=lay)
-            assert space._built == {}, (p, q)
+            assert calls == [], (p, q)
             assert sorted(want) == list(space.block_keys), (p, q)
             for ab, masks in want.items():
-                built = set(space._built)
+                calls.clear()
+                block = space.block(ab)
+                assert calls == [q], (p, q, ab)
+                assert block == sorted(masks), (p, q, ab)
+                block.append(-1)
                 assert space.block(ab) == sorted(masks), (p, q, ab)
-                assert set(space._built) == built | {ab}, (p, q, ab)
-            built = dict(space._built)
+            calls.clear()
             for ab in ((p + 2 * q + 1, -1), (-1, p + 2 * q + 1)):
                 assert len(space.block(ab)) == 0, (p, q, ab)
-            assert space._built == built, (p, q)
+            assert calls == [], (p, q)
 
 
 def test_block_count_check_names_the_block(monkeypatch):
@@ -344,6 +355,24 @@ def test_relation_span_n2_21_kills_everything():
 def test_relation_span_n2_02_empty():
     assert free_basis(2, 0, 2) == []
     assert BidegreeSpace(2, 0, 2).relation_rank == 0
+
+
+def test_relation_span_count_check_names_the_bidegree(monkeypatch):
+    """A free piece enumerated with one mask outside the quotient basis
+    missing gives one relation row too few, and the count check names n,
+    the bidegree and both counts."""
+    basis = set(BidegreeSpace(2, 2, 0).quotient_basis)
+    masks = Layout.enumerate_masks
+
+    def one_relation_short(lay, p, q):
+        out = list(masks(lay, p, q))
+        out.remove(next(m for m in out if m not in basis))
+        return out
+
+    monkeypatch.setattr(Layout, "enumerate_masks", one_relation_short)
+    with pytest.raises(AssertionError) as err:
+        relation_span(2, 2, 0)
+    assert str(err.value) == "1 relation rows at n=2 (2,0), expected 2"
 
 
 def test_relation_span_leading_monomials_distinct():

@@ -359,24 +359,38 @@ def inside_the_algebra(n):
 
 @pytest.mark.parametrize("n", range(7))
 def test_report_builds_only_the_a_at_most_b_half_inside_the_algebra(monkeypatch, n):
-    """During a report every space built is inside the algebra, each is
-    built once, and none holds a mask with #x > #y: each holds its
-    a <= b masks, sum over #y >= #x of c(n, n - q) C(n - q, p) C(p, #y)."""
-    built = Counter()
-    init = BidegreeSpace.__init__
+    """During a report every space built is inside the algebra, and each is
+    built once.  Each of its blocks with a <= b is read exactly once and no
+    block with a > b is read, so the masks read in (p, q) number the a <= b
+    share of its basis, sum over #y >= #x of c(n, n - q) C(n - q, p)
+    C(p, #y)."""
+    built, reads, masks = Counter(), Counter(), Counter()
+    init, block = BidegreeSpace.__init__, BidegreeSpace.block
 
     def recorded_init(self, n, p, q, layout=None):
         built[(p, q)] += 1
         init(self, n, p, q, layout)
 
+    def recorded_block(self, ab):
+        out = block(self, ab)
+        reads[(self.p, self.q, ab)] += 1
+        masks[(self.p, self.q)] += len(out)
+        return out
+
     monkeypatch.setattr(BidegreeSpace, "__init__", recorded_init)
-    eng = SpectralEngine(n)
-    eng.report()
-    assert built == Counter(inside_the_algebra(n))
-    for (p, q), space in eng._spaces.items():
-        assert all(a <= b for a, b in space._built), (p, q)
+    monkeypatch.setattr(BidegreeSpace, "block", recorded_block)
+    SpectralEngine(n).report()
+    monkeypatch.undo()
+    inside = inside_the_algebra(n)
+    assert built == Counter(inside)
+    assert reads == Counter({
+        (p, q, (a, b)): 1
+        for p, q in inside for a, b in BidegreeSpace(n, p, q).block_keys if a <= b
+    })
+    for p, q in inside:
         upper = sum(comb(p, ny) for ny in range(p + 1) if 2 * ny >= p)
-        assert sum(map(len, space._built.values())) == space.dim * upper // 2**p, (p, q)
+        dim = BidegreeSpace(n, p, q).dim
+        assert masks[(p, q)] == dim * upper // 2**p, (p, q)
 
 
 @pytest.mark.parametrize("n", range(5))
