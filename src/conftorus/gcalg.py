@@ -51,6 +51,7 @@ elimination of every relation multiple for small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, permutations
 from math import comb
 from typing import NamedTuple, Optional
@@ -331,7 +332,7 @@ class Layout:
                                (self.xbit0 + i - 1, self.ybit0 + j - 1))
             ]
         self._gy = self.gfull | (((1 << n) - 1) << self.ybit0)  # g- and y-bits
-        self._d_last = (-1, [])  # (g- and y-bits of a mask, their d-terms)
+        self._d_last = (-1, [])  # (g- and y-bits of a mask, d per x-letter set)
         self._forests = (None, [])  # (q, increasing_forests(q)) last built
 
     # -- encoding ----------------------------------------------------------
@@ -428,26 +429,52 @@ class Layout:
             m &= m - 1
         return Layout.sort_bits(imgs)
 
+    @cached_property
+    def _x_rows(self):
+        """Per x-letter bit of a d-term, and per sign parity of the rest of
+        the term: the (index, x-letters, coefficient) of every x-letter set
+        that misses the bit, in index order.  The coefficient adds the
+        x-letters strictly between the term's letters, read off its
+        between-mask.  2n.2^(n-1) entries, built on first use."""
+        sets = [(k, k << self.xbit0) for k in range(1 << self.n)]
+        rows = {}
+        for add, between in chain.from_iterable(self._d_terms.values()):
+            xbit = add & ~self._gy
+            if xbit not in rows:
+                rows[xbit] = tuple(
+                    [(k, xs, _SIGN[(par + (xs & between).bit_count()) & 1])
+                     for k, xs in sets if not xs & xbit]
+                    for par in (0, 1)
+                )
+        return rows
+
     def differential_mask(self, mask):
-        """d of a normal-form mask as a list of (mask', int coeff).
+        """d of a normal-form mask as a new list of (mask', int coeff).
 
-        The g-bit of g_ij is replaced by -(x_j y_i) and by -(x_i y_j).  Each
-        term carries the Leibniz sign (-1)^(g-bits of the mask below it) and
-        the Koszul sign of moving its two letters into place, (-1)^(letters
-        of the mask strictly between them).  Distinct (g-bit, term) pairs
-        give distinct masks, so no two terms combine.
+        The g-bit of g_ij is replaced by -(x_j y_i) and by -(x_i y_j), in
+        that order, the g-bits taken from the lowest.  Each term carries the
+        Leibniz sign (-1)^(g-bits of the mask below it) and the Koszul sign
+        of moving its two letters into place, (-1)^(letters of the mask
+        strictly between them).  Distinct (g-bit, term) pairs give distinct
+        masks, so no two terms combine.
 
-        The terms of the mask's g-part and y-letters (term mask without the
-        x-letters, its letters, the bits between them, the sign parity of
-        the g-bits below and the y-letters between) are kept for the last
-        such pair only.  A sweep over one g-part's letter sets with the
-        x-letters varying fastest reuses them, and the memo never grows.
+        The answers are built one memo key (g-part and y-letters) at a
+        time: on a new key, each term of the key goes into the list of
+        every x-letter set it misses, signed from :attr:`_x_rows`, and a
+        call returns a copy of its set's list.  Only the last key's 2^n
+        lists are kept.  A sweep over one g-part's letter sets with the
+        x-letters varying fastest misses once per 2^n masks; a caller that
+        changes key on every call, as the engine's ``d_rank`` does, pays
+        for 2^n lists each time (on a full g-part, about 0.1, 0.5, 1.3 and
+        3.7 ms at n = 6, 7, 8 and 9 under CPython 3.11 on a 2-vCPU x86
+        host).
         """
         key = mask & self._gy
         if self._d_last[0] != key:
             g = mask & self.gfull
             ys = key ^ g
-            terms = []
+            rows = self._x_rows
+            lists = [[] for _ in range(1 << self.n)]
             pos = 0  # parity of the g-bits below the current one
             m = g
             while m:
@@ -455,16 +482,13 @@ class Layout:
                 m ^= low
                 for add, between in self._d_terms[low]:
                     if not ys & add:
-                        par = pos + (ys & between).bit_count()
-                        terms.append((key ^ low | add, add, between, par))
+                        t = key ^ low | add
+                        par = (pos + (ys & between).bit_count()) & 1
+                        for k, xs, c in rows[add & ~self._gy][par]:
+                            lists[k].append((t | xs, c))
                 pos ^= 1
-            self._d_last = (key, terms)
-        xs = mask ^ key
-        return [
-            (t | xs, _SIGN[(par + (xs & between).bit_count()) & 1])
-            for t, add, between, par in self._d_last[1]
-            if not xs & add
-        ]
+            self._d_last = (key, lists)
+        return self._d_last[1][(mask ^ key) >> self.xbit0][:]
 
     def enumerate_masks(self, p, q):
         """All free-basis masks of bidegree (p, q) in lex enumeration order."""

@@ -494,10 +494,14 @@ def _dd_counterexample(lay):
     :meth:`_Suite.check_dd_zero` in this layout, or None."""
     dmask = lay.differential_mask
     lmasks = [letters << lay.xbit0 for letters in range(1 << (2 * lay.n))]
-    # a term c.T of d(G) is its g-part times two letters a, all g-bits below
-    # every letter, so its product with L has the coefficient c times the
-    # sign of a.L (0 if they meet); cols[a, c][k] is that coefficient for
-    # the k-th letter set
+    # the y-letters are the high bits of k, so the letter sets come in
+    # blocks of 2^n that share their y-letters.  A term c.T of d(G) is its
+    # g-part times two letters a, all g-bits below every letter, so its
+    # product with L has the coefficient c times the sign of a.L (0 if they
+    # meet); cols[a, c][b] lists (k - b.2^n, L, coefficient) for each L of
+    # block b that a misses
+    size = 1 << lay.n
+    blocks = [lmasks[k:k + size] for k in range(0, len(lmasks), size)]
     cols = {}
     for g in range(lay.gfull + 1):
         terms = dmask(g)
@@ -508,18 +512,25 @@ def _dd_counterexample(lay):
         for t, c in terms:
             key = (t & ~lay.gfull, c)
             if key not in cols:
-                cols[key] = [c * lay.merge(key[0], lmask)[0] for lmask in lmasks]
+                cols[key] = [
+                    [(i, lmask, s) for i, lmask in enumerate(block)
+                     if (s := c * lay.merge(key[0], lmask)[0])]
+                    for block in blocks
+                ]
             split.append((t, cols[key]))
-        # the y-letters are the high bits of k: a term whose y-letter is in
-        # L drops out of the 2^n letter sets that share L's y-letters
-        for ky in range(0, len(lmasks), 1 << lay.n):
-            alive = [(t, col) for t, col in split if not t & lmasks[ky]]
-            for k in range(ky, ky + (1 << lay.n)):
-                lmask = lmasks[k]
-                want = [(t | lmask, c) for t, col in alive if (c := col[k])]
-                got = dmask(g | lmask)
-                if got != want and add_terms({}, got) != dict(want):
-                    return g | lmask
+        # d(G|L) lists its terms in the order of d(G), so a passing block
+        # matches list for list; a block that differs is tested mask by
+        # mask, up to the order of the terms
+        for b, block in enumerate(blocks):
+            want = [[] for _ in block]
+            for t, col in split:
+                for i, lmask, c in col[b]:
+                    want[i].append((t | lmask, c))
+            got = [dmask(g | lmask) for lmask in block]
+            if got != want:
+                for lmask, gl, wl in zip(block, got, want):
+                    if gl != wl and add_terms({}, gl) != dict(wl):
+                        return g | lmask
     return None
 
 
@@ -578,7 +589,10 @@ class _Suite:
     def check_dd_zero(self):
         """d(d(m)) = 0 for every free mask m = G|L at each n of its range,
         where G is the g-part and L the letter set, at the cost of one
-        ``differential_mask`` call per mask.
+        ``differential_mask`` call per mask.  Part (b) compares the 2^n
+        letter sets that share their y-letters as one block of lists; only
+        a block that differs is tested mask by mask, up to the order of the
+        terms, to find its first failing mask.
 
         (a) d(d(G)) = 0 for every pure g-part G, two levels deep.
         (b) differential_mask(G|L) = d(G).L for every free mask, the right

@@ -537,7 +537,7 @@ def test_differential_mask_matches_element_path():
 
 
 def test_differential_mask_memo_holds_in_any_call_order():
-    # differential_mask keeps the d-terms of the last g-part and y-letters
+    # differential_mask keeps the answers of the last g-part and y-letters
     # it saw; calls grouped by g-part reuse them, shuffled calls replace
     # them almost every time, and both must give the Element path's d
     rng = random.Random(16)
@@ -555,6 +555,39 @@ def test_differential_mask_memo_holds_in_any_call_order():
         shuffled = rng.sample(g_major, len(g_major))
         for mask in g_major + shuffled:
             assert dict(lay.differential_mask(mask)) == want[mask], mask
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_differential_mask_returns_a_fresh_list_in_g_bit_order(shuffled):
+    # the d∘d sweep compares whole blocks of answers as lists, so the order
+    # is part of the answer: the removed g-bit never decreases along the
+    # list, and g_ij gives x_j.y_i before x_i.y_j.  Each call returns a new
+    # list, so a caller's edits never reach the memo
+    rng = random.Random(34)
+    for n in range(5):
+        lay = Layout(n)
+        masks = list(range(1 << lay.nbits))
+        if shuffled:
+            rng.shuffle(masks)
+        for mask in masks:
+            got = lay.differential_mask(mask)
+            want = list(got)
+            got.append((mask, 0))
+            assert lay.differential_mask(mask) == want, mask
+            removed = []
+            for m, _ in want:
+                low = mask & ~m
+                i, j = lay.pairs[low.bit_length() - 1]
+                xj_yi = 1 << lay.xbit0 + j - 1 | 1 << lay.ybit0 + i - 1
+                removed.append((low, m & ~mask != xj_yi))
+            assert removed == sorted(removed), mask
+
+
+def test_layout_construction_builds_no_table_exponential_in_n():
+    # the x-letter sign tables of differential_mask hold 2n.2^(n-1) entries
+    # and are built on its first call, not by the constructor
+    for name, value in vars(Layout(40)).items():
+        assert not hasattr(value, "__len__") or len(value) <= 10**4, name
 
 
 # -- group action ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import weakref
 from collections import Counter
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from conftorus.gcalg import (
     multiply,
     normalize,
 )
+from conftorus.linalg import add_terms
 from conftorus.oracle import (
     ArnoldAlgebra,
     _Suite,
@@ -434,14 +436,14 @@ def test_dd_zero_catches_sign_flip_on_x1(monkeypatch):
             return [(m, -c) for m, c in terms]
         return terms
 
-    assert _dd_zero_with(monkeypatch, flip)
+    assert _dd_zero_with(monkeypatch, flip) == "g12.x1"
 
 
 def test_dd_zero_catches_dropped_four_letter_terms(monkeypatch):
     def drop(lay, mask, terms):
         return [(m, c) for m, c in terms if (m & ~lay.gfull).bit_count() < 4]
 
-    assert _dd_zero_with(monkeypatch, drop)
+    assert _dd_zero_with(monkeypatch, drop) == "g12.x2.y1"
 
 
 def test_dd_zero_calls_differential_mask_once_per_free_mask(monkeypatch):
@@ -474,8 +476,42 @@ def test_dd_zero_catches_a_dropped_leibniz_sign_on_a_pure_g_part(monkeypatch):
             out.append((m, -c if (mask & (low - 1) & lay.gfull).bit_count() & 1 else c))
         return out
 
-    cex = _dd_zero_with(monkeypatch, unsigned)
-    assert cex and not set(cex) & set("xy"), cex
+    assert _dd_zero_with(monkeypatch, unsigned) == "g12.g13"
+
+
+def _add_terms_calls(monkeypatch, n):
+    calls = []
+
+    def counted(acc, terms):
+        calls.append(1)
+        return add_terms(acc, terms)
+
+    monkeypatch.setattr(oracle, "add_terms", counted)
+    assert oracle._dd_counterexample(Layout(n)) is None
+    return len(calls)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_passing_dd_sweep_compares_whole_blocks(monkeypatch, n):
+    # part (a) sums d(d(G)) once per pure g-part; part (b) compares each
+    # block of 2^n letter sets as lists, so a passing sweep never takes the
+    # per-mask, order-insensitive fallback
+    assert _add_terms_calls(monkeypatch, n) == 2 ** comb(n, 2)
+
+
+def test_dd_sweep_verdict_ignores_the_order_of_terms(monkeypatch):
+    # reversing the term list of every mask with letters breaks the list
+    # compare of each block holding a mask with two or more terms (none at
+    # n = 2); the per-mask fallback still passes every mask
+    original = Layout.differential_mask
+
+    def reversed_with_letters(self, mask):
+        terms = original(self, mask)
+        return terms[::-1] if mask & ~self.gfull else terms
+
+    monkeypatch.setattr(Layout, "differential_mask", reversed_with_letters)
+    fallbacks = [_add_terms_calls(monkeypatch, n) - 2 ** comb(n, 2) for n in (2, 3, 4)]
+    assert fallbacks[0] == 0 and min(fallbacks[1:]) > 0, fallbacks
 
 
 # -- negative controls for the symmetrizer and d identity checks ----------------
