@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -287,10 +287,23 @@ def sn_act(sigma, e: Element) -> Element:
 
 def symmetrize(e: Element, n: int) -> Element:
     """Sum of sigma . e over the permutations sigma of 1..n: n! times the
-    averaging projector, so the coefficients stay integers."""
-    total = Element()
-    for perm in permutations(range(1, n + 1)):
-        add_terms(total.coeffs, sn_act(perm, e).coeffs.items())
+    averaging projector, so the coefficients stay integers.
+
+    The sum runs by cosets.  Every sigma in S_k is (i k) tau for exactly
+    one i <= k and one tau in S_(k-1), the permutations fixing k, with
+    (k k) the identity.  So if T is the sum of tau . e over S_(k-1), the
+    sum over S_k is T plus (i k) . T for i = 1..k-1: starting from the
+    identity's term, each k = 2..n takes k - 1 relabellings of the running
+    sum, n(n-1)/2 in all after the identity's, against n! single terms."""
+    ids = range(1, n + 1)
+    total = sn_act(tuple(ids), e)
+    for k in ids[1:]:
+        cosets = [
+            sn_act(tuple(k if v == i else i if v == k else v for v in ids), total)
+            for i in range(1, k)
+        ]
+        for coset in cosets:
+            add_terms(total.coeffs, coset.coeffs.items())
     return total
 
 
@@ -332,7 +345,8 @@ class Layout:
                                (self.xbit0 + i - 1, self.ybit0 + j - 1))
             ]
         self._gy = self.gfull | (((1 << n) - 1) << self.ybit0)  # g- and y-bits
-        self._d_last = (-1, [])  # (g- and y-bits of a mask, d per x-letter set)
+        # (g- and y-bits of the last mask, its d per x-letter set once asked twice)
+        self._d_last = (-1, None)
         self._forests = (None, [])  # (q, increasing_forests(q)) last built
 
     # -- encoding ----------------------------------------------------------
@@ -458,37 +472,63 @@ class Layout:
         strictly between them).  Distinct (g-bit, term) pairs give distinct
         masks, so no two terms combine.
 
-        The answers are built one memo key (g-part and y-letters) at a
-        time: on a new key, each term of the key goes into the list of
-        every x-letter set it misses, signed from :attr:`_x_rows`, and a
-        call returns a copy of its set's list.  Only the last key's 2^n
-        lists are kept.  A sweep over one g-part's letter sets with the
-        x-letters varying fastest misses once per 2^n masks; a caller that
-        changes key on every call, as the engine's ``d_rank`` does, pays
-        for 2^n lists each time (on a full g-part, about 0.1, 0.5, 1.3 and
-        3.7 ms at n = 6, 7, 8 and 9 under CPython 3.11 on a 2-vCPU x86
-        host).
+        The path follows the calls, one memo key (g-part and y-letters) at
+        a time.  A key other than the last one asked gets only its own list,
+        built from ``_d_terms``, and becomes the last key.  When the same
+        key is asked again, each of its terms goes into the list of every
+        x-letter set it misses, signed from :attr:`_x_rows`, and this call
+        and the next ones on that key return copies of those 2^n lists.
+        Only the last key is kept.  A sweep over one g-part's letter sets
+        with the x-letters varying fastest builds the 2^n lists once per
+        key, on its second mask; a caller that changes key on every call,
+        as the engine's ``d_rank`` does, builds one list per call and never
+        builds :attr:`_x_rows`.
         """
         key = mask & self._gy
-        if self._d_last[0] != key:
-            g = mask & self.gfull
-            ys = key ^ g
-            rows = self._x_rows
-            lists = [[] for _ in range(1 << self.n)]
-            pos = 0  # parity of the g-bits below the current one
-            m = g
-            while m:
-                low = m & -m
-                m ^= low
-                for add, between in self._d_terms[low]:
-                    if not ys & add:
-                        t = key ^ low | add
-                        par = (pos + (ys & between).bit_count()) & 1
-                        for k, xs, c in rows[add & ~self._gy][par]:
-                            lists[k].append((t | xs, c))
-                pos ^= 1
+        last, lists = self._d_last
+        if last != key:
+            self._d_last = (key, None)
+            return self._d_list(mask)
+        if lists is None:
+            lists = self._d_lists(key)
             self._d_last = (key, lists)
-        return self._d_last[1][(mask ^ key) >> self.xbit0][:]
+        return lists[(mask ^ key) >> self.xbit0][:]
+
+    def _d_list(self, mask):
+        """d of one mask, term by term from ``_d_terms``."""
+        out = []
+        pos = 0  # parity of the g-bits below the current one
+        m = mask & self.gfull
+        while m:
+            low = m & -m
+            m ^= low
+            for add, between in self._d_terms[low]:
+                if not mask & add:
+                    par = (pos + (mask & between).bit_count()) & 1
+                    out.append((mask ^ low | add, _SIGN[par]))
+            pos ^= 1
+        return out
+
+    def _d_lists(self, key):
+        """d of every mask with g-part and y-letters ``key``, as 2^n lists
+        indexed by the x-letter set, term by term from :attr:`_x_rows`."""
+        g = key & self.gfull
+        ys = key ^ g
+        rows = self._x_rows
+        lists = [[] for _ in range(1 << self.n)]
+        pos = 0  # parity of the g-bits below the current one
+        m = g
+        while m:
+            low = m & -m
+            m ^= low
+            for add, between in self._d_terms[low]:
+                if not ys & add:
+                    t = key ^ low | add
+                    par = (pos + (ys & between).bit_count()) & 1
+                    for k, xs, c in rows[add & ~self._gy][par]:
+                        lists[k].append((t | xs, c))
+            pos ^= 1
+        return lists
 
     def enumerate_masks(self, p, q):
         """All free-basis masks of bidegree (p, q) in lex enumeration order."""

@@ -594,6 +594,14 @@ class _Suite:
         a block that differs is tested mask by mask, up to the order of the
         terms, to find its first failing mask.
 
+        The sweep reads each block with its x-letters rising, so
+        ``differential_mask`` answers x-letter set 0 of a block, the first
+        mask on a new g-part and y-letters, with a one-off list and the
+        other 2^n - 1 from the key's 2^n lists.  Every answer read is
+        compared, but the list those 2^n build for x-letter set 0 is never
+        read here; the test suite reads it by asking each key's letter
+        sets in reverse.
+
         (a) d(d(G)) = 0 for every pure g-part G, two levels deep.
         (b) differential_mask(G|L) = d(G).L for every free mask, the right
             side multiplying each term of d(G) by L with ``Layout.merge``.

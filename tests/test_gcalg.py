@@ -526,7 +526,10 @@ def test_element_display_and_bidegree_guard():
 
 
 def test_differential_mask_matches_element_path():
-    # the engine's bitmask d, term by term against the tuple-based one
+    # the engine's bitmask d, term by term against the tuple-based one.  In
+    # numeric order the g-part changes on every call once there is a pair
+    # (n >= 2), so every call is a one-off and the x-letter tables of the
+    # 2^n lists are never built; at n = 1, x1 repeats the empty mask's key
     for n in range(5):
         lay = Layout(n)
         for mask in range(1 << lay.nbits):
@@ -534,12 +537,16 @@ def test_differential_mask_matches_element_path():
             got = lay.differential_mask(mask)
             assert len({m for m, _ in got}) == len(got), mask
             assert {lay.decode(m).gens: c for m, c in got} == want.coeffs, mask
+        assert ("_x_rows" in vars(lay)) == (n == 1), n
 
 
 def test_differential_mask_memo_holds_in_any_call_order():
-    # differential_mask keeps the answers of the last g-part and y-letters
-    # it saw; calls grouped by g-part reuse them, shuffled calls replace
-    # them almost every time, and both must give the Element path's d
+    # differential_mask answers a new g-part and y-letters with one list
+    # and builds the key's 2^n lists when the key repeats.  Grouped by
+    # g-part with the x-letters rising, the lists serve every x-letter set
+    # but 0; with them falling, every set but the largest, 0 among them.
+    # Shuffled calls change key almost every time.  All must give the
+    # Element path's d
     rng = random.Random(16)
     for n in range(5):
         lay = Layout(n)
@@ -552,8 +559,9 @@ def test_differential_mask_memo_holds_in_any_call_order():
         }
         letters = [k << lay.xbit0 for k in range(1 << (2 * n))]
         g_major = [g | lmask for g in range(lay.gfull + 1) for lmask in letters]
+        reverse = [g | lmask for g in range(lay.gfull + 1) for lmask in letters[::-1]]
         shuffled = rng.sample(g_major, len(g_major))
-        for mask in g_major + shuffled:
+        for mask in g_major + reverse + shuffled:
             assert dict(lay.differential_mask(mask)) == want[mask], mask
 
 
@@ -585,7 +593,7 @@ def test_differential_mask_returns_a_fresh_list_in_g_bit_order(shuffled):
 
 def test_layout_construction_builds_no_table_exponential_in_n():
     # the x-letter sign tables of differential_mask hold 2n.2^(n-1) entries
-    # and are built on its first call, not by the constructor
+    # and are built when a memo key first repeats, not by the constructor
     for name, value in vars(Layout(40)).items():
         assert not hasattr(value, "__len__") or len(value) <= 10**4, name
 
@@ -624,6 +632,31 @@ def test_symmetrize_examples():
     e = Element.from_generators(G(1, 2))
     assert symmetrize(e, 2) == e.scale(2)
     assert not symmetrize(Element.from_generators(G(1, 2), G(3, 4)), 4)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_symmetrize_is_the_sum_over_every_permutation(n):
+    # symmetrize sums by cosets of S_(k-1) in S_k; the reference is the
+    # literal sum of sigma . e over all n! permutations
+    rng = random.Random(35 + n)
+    pool = [G(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pool += [X(i) for i in range(1, n + 1)] + [Y(i) for i in range(1, n + 1)]
+    elements = [Element.from_generators().scale(3)]  # the empty monomial
+    for _ in range(4):
+        e = Element.from_generators().scale(rng.choice((-2, 5)))
+        for _ in range(rng.randint(1, 4)):
+            m = normalize(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+            e = e + Element.from_monomial(m, rng.choice((-3, -2, 2, 5, 7)))
+        elements.append(e)
+    if n == 2:
+        elements.append(Element.from_generators(X(1), X(2)).scale(4))
+    for e in elements:
+        want = Element()
+        for sigma in permutations(range(1, n + 1)):
+            want = want + sn_act(sigma, e)
+        assert symmetrize(e, n) == want, (n, e)
+    if n == 2:
+        assert not want, "the last element, 4 x1.x2, sums to zero at n = 2"
 
 
 def test_symmetrize_idempotent():

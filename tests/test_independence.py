@@ -6,7 +6,9 @@ so their agreement with it checks something.  Each row of ``ROUTES`` names
 a route, the code objects it is made of (``module`` or
 ``module:qualified.name``) and the package names those objects may not
 reference.  An AST walk collects every ``Name`` and ``Attribute`` in each
-object, and a failure names the route, the object, the line and the name.
+object and in every module-level class or function of its module that it
+names, transitively, and a failure names the route, the object, the line
+and the name.
 """
 
 import ast
@@ -35,6 +37,16 @@ def public_defs(module):
     )
 
 
+def imported_from(module, source):
+    """The names a module binds with ``from .source import ...``."""
+    return tuple(
+        alias.asname or alias.name
+        for node in module_tree(module).body
+        if isinstance(node, ast.ImportFrom) and node.module == source
+        for alias in node.names
+    )
+
+
 ROUTES = [
     (
         "tuple Element path",
@@ -44,8 +56,8 @@ ROUTES = [
     ),
     (
         "genus-zero Arnold oracle",
-        ("oracle:ArnoldAlgebra", "oracle:arnold_conf_betti", "oracle:_Degree", "oracle:_bits"),
-        ("gcalg", *public_defs("gcalg")),
+        ("oracle:ArnoldAlgebra", "oracle:arnold_conf_betti"),
+        ("gcalg", *public_defs("gcalg"), *imported_from("oracle", "gcalg")),
     ),
     (
         "series",
@@ -77,6 +89,27 @@ def find(tree, qualname):
     return node
 
 
+def reach(module, tree, qualname):
+    """``(module:name, node)`` for the object ``qualname`` of the parsed
+    ``module`` and for every module-level class or function it names,
+    transitively, each once, in the order reached."""
+    top = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    todo, seen, out = [qualname], set(), []
+    while todo:
+        name = todo.pop(0)
+        if name in seen:
+            continue
+        seen.add(name)
+        node = find(tree, name)
+        out.append((f"{module}:{name}", node))
+        todo += [sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id in top]
+    return out
+
+
 def violations(route, obj, node, forbidden):
     """One message per ``Name`` or ``Attribute`` under ``node`` that is
     in ``forbidden``, in line order."""
@@ -93,18 +126,37 @@ def violations(route, obj, node, forbidden):
     return [f"{route}: {obj} line {line} names {name}" for line, name in sorted(found)]
 
 
-def resolve(obj):
-    module, _, qualname = obj.partition(":")
-    tree = module_tree(module)
-    return find(tree, qualname) if qualname else tree
+def route_violations(route, objects, forbidden, tree=None):
+    """The messages of every object a row reaches: a whole module is
+    walked as it is, named objects with the helpers they reach.  ``tree``
+    stands in for the parsed module of the row's objects."""
+    found = []
+    for obj in objects:
+        module, _, qualname = obj.partition(":")
+        parsed = tree or module_tree(module)
+        reached = reach(module, parsed, qualname) if qualname else [(obj, parsed)]
+        for name, node in reached:
+            found += violations(route, name, node, set(forbidden))
+    return found
 
 
 @pytest.mark.parametrize("route, objects, forbidden", ROUTES, ids=[r[0] for r in ROUTES])
 def test_route_names_nothing_it_must_not_lean_on(route, objects, forbidden):
-    found = [
-        msg for obj in objects for msg in violations(route, obj, resolve(obj), set(forbidden))
-    ]
-    assert found == []
+    assert route_violations(route, objects, forbidden) == []
+
+
+def test_the_arnold_row_reaches_its_helpers():
+    """The genus-zero row lists two objects and reaches the helpers they
+    name, and oracle imports the engine's classes from gcalg, so the
+    row's forbidden names are not vacuous."""
+    objects = ROUTES[1][1]
+    reached = {
+        name
+        for obj in objects
+        for name, _ in reach("oracle", module_tree("oracle"), obj.partition(":")[2])
+    }
+    assert {"oracle:_Degree", "oracle:_bits"} <= reached
+    assert {"Layout", "BidegreeSpace", "normalize"} <= set(imported_from("oracle", "gcalg"))
 
 
 def test_a_kernel_reference_that_reads_the_coinvariant_basis_is_named():
@@ -117,9 +169,24 @@ def test_a_kernel_reference_that_reads_the_coinvariant_basis_is_named():
         "        return {ab: self._basis(p, q, ab) for ab in space.block_keys}\n"
     )
     route, objects, forbidden = ROUTES[-1]
-    obj = objects[0]
-    node = find(ast.parse(source), obj.partition(":")[2])
-    assert violations(route, obj, node, set(forbidden)) == [
+    assert route_violations(route, objects[:1], forbidden, ast.parse(source)) == [
         "kernel reference: specseq:SpectralEngine.invariants line 4 names _basis"
     ]
 
+
+def test_a_helper_of_the_arnold_oracle_that_names_layout_is_named():
+    """The negative control for the transitive walk: a helper that the
+    row does not list, named by ``ArnoldAlgebra``, names ``Layout``, and the
+    failure names the helper and its line."""
+    source = (
+        "def _bits(mask):\n"
+        "    return Layout(mask)\n"
+        "\n"
+        "class ArnoldAlgebra:\n"
+        "    def __init__(self, n):\n"
+        "        self.bits = _bits(n)\n"
+    )
+    route, objects, forbidden = ROUTES[1]
+    assert route_violations(route, objects[:1], forbidden, ast.parse(source)) == [
+        "genus-zero Arnold oracle: oracle:_bits line 2 names Layout"
+    ]

@@ -1,12 +1,10 @@
 """Oracle structures: the genus-zero algebra, V(n), phi/psi and the suite."""
 
-import ast
 import random
 import weakref
 from collections import Counter
 from itertools import combinations
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -116,36 +114,6 @@ def test_arnold_walk_visits_each_triangle_free_mask_once(n):
                 if not mask >> e & 1 and _holds_triangle(alg, mask | 1 << e):
                     brute |= 1 << e
             assert closing == brute, (n, q, mask)
-
-
-def test_arnold_oracle_uses_nothing_from_gcalg():
-    """ArnoldAlgebra and arnold_conf_betti, with every module-level helper
-    they reach, name nothing that oracle.py imports from gcalg, so the
-    genus-zero check does not lean on the engine it checks."""
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    from_gcalg = {"gcalg"}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "gcalg":
-            from_gcalg.update(alias.asname or alias.name for alias in node.names)
-    assert {"Layout", "BidegreeSpace", "normalize"} <= from_gcalg
-    defs = {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
-    todo, reached, used = ["ArnoldAlgebra", "arnold_conf_betti"], set(), set()
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for node in ast.walk(defs[name]):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-                if node.id in defs:
-                    todo.append(node.id)
-    assert {"_Degree", "_bits"} <= reached
-    assert not used & from_gcalg, sorted(used & from_gcalg)
 
 
 def test_arnold_dies_at_degree_n():
