@@ -423,8 +423,9 @@ class Layout:
         One pass: each position adds the number of earlier positions above
         it, read off the mask of the earlier ones.  The positions must be
         distinct (a repeat would be lost in the mask); every caller
-        (``apply_perm``, the letter table of :class:`Relabelling` and
-        ``BidegreeSpace.reduce_mask``) passes distinct ones."""
+        (``apply_perm``, ``relabel``, the letter table of
+        :class:`Relabelling` and ``BidegreeSpace.reduce_mask``) passes
+        distinct ones."""
         inv = mask = 0
         for b in bits:
             inv += (mask >> b).bit_count()
@@ -442,6 +443,23 @@ class Layout:
             imgs.append(table[b])
             m &= m - 1
         return Layout.sort_bits(imgs)
+
+    def relabel(self, sigma, mask):
+        """``apply_perm(perm_table(sigma), mask)`` in O(popcount): each set
+        bit goes to the pair of its images, or to its letter's image."""
+        imgs, pairs, pair_bit, npairs = [], self.pairs, self.pair_bit, self.npairs
+        m = mask
+        while m:
+            b = (m & -m).bit_length() - 1
+            m &= m - 1
+            if b < npairs:
+                i, j = pairs[b]
+                i, j = sigma[i - 1], sigma[j - 1]
+                imgs.append(pair_bit[(i, j) if i < j else (j, i)])
+            else:
+                v = (b - self.xbit0) % self.n
+                imgs.append(b - v + sigma[v] - 1)
+        return self.sort_bits(imgs)
 
     @cached_property
     def _x_rows(self):
@@ -474,10 +492,10 @@ class Layout:
 
         The path follows the calls, one memo key (g-part and y-letters) at
         a time.  A key other than the last one asked gets only its own list,
-        built from ``_d_terms``, and becomes the last key.  When the same
-        key is asked again, each of its terms goes into the list of every
-        x-letter set it misses, signed from :attr:`_x_rows`, and this call
-        and the next ones on that key return copies of those 2^n lists.
+        from :meth:`differential_list`, and becomes the last key.  When the
+        same key is asked again, each of its terms goes into the list of
+        every x-letter set it misses, signed from :attr:`_x_rows`, and this
+        call and the next ones on that key return copies of those 2^n lists.
         Only the last key is kept.  A sweep over one g-part's letter sets
         with the x-letters varying fastest builds the 2^n lists once per
         key, on its second mask; a caller that changes key on every call,
@@ -488,14 +506,15 @@ class Layout:
         last, lists = self._d_last
         if last != key:
             self._d_last = (key, None)
-            return self._d_list(mask)
+            return self.differential_list(mask)
         if lists is None:
             lists = self._d_lists(key)
             self._d_last = (key, lists)
         return lists[(mask ^ key) >> self.xbit0][:]
 
-    def _d_list(self, mask):
-        """d of one mask, term by term from ``_d_terms``."""
+    def differential_list(self, mask):
+        """d of one mask, term by term from ``_d_terms``, with no memo: for
+        callers that may ask one key twice in a row at large n."""
         out = []
         pos = 0  # parity of the g-bits below the current one
         m = mask & self.gfull

@@ -4,49 +4,35 @@ The S_n-invariant part of the E2 page is read off through coinvariants.  In
 characteristic zero the averaging map V^{S_n} -> V -> V_{S_n} is an
 isomorphism of complexes, so invariants and coinvariants have the same
 dimensions and the same d-ranks, and taking either commutes with
-cohomology.  For each bidegree (p, q) and Hodge block the engine takes the
-rows reduce(sigma . m) - m, over the quotient basis masks m and the two
-generating permutations sigma.  A row that only says m = +-m' goes to a
-signed union-find, whose classes are represented by their smallest mask;
-the other rows, rewritten onto the representatives, go to one forward
-integer echelon.  The transposition (n-1 n) is an involution, and its
-rows are taken first: the two basis masks of a pair it swaps say one
-relation, recorded once by putting the larger mask under the smaller on
-the fresh union-find, and a basis mask it sends to its own negative is
-marked zero; neither goes through a union.  The live representatives
-that are not pivots are a coinvariant basis.  A d-rank projects the
-d-images of a source coinvariant basis onto the target block's
-representatives and reduces them modulo its echelon rows.
-:func:`assemble_page` then reads off the surviving dimensions
+cohomology.  Relations, group action and differential all preserve the
+Hodge bidegree (a, b) = (#x + #g, #y + #g), so the work runs per Hodge
+block, and :func:`assemble_page` reads off the surviving dimensions
 
     e3(p, q) = dim ker(d: (p,q) -> (p+2,q-1)) - dim im(d: (p-2,q+1) -> (p,q)),
 
-the invariant E3 dimensions, which assemble into the Betti numbers of the
-unordered configuration space and, through the Hodge bigrading carried by
-every basis vector, into its mixed Hodge table.
+which assemble into the Betti numbers of the unordered configuration space
+and its mixed Hodge table.  Three sources feed it, and the tests compare
+them block by block:
 
-The fixed space itself, as the kernel of the two generating permutations
-on quotient coordinates (:meth:`SpectralEngine.invariants`), is kept as a
-reference: the tests feed it through the same page function, and the
-identity suite's fixed-space checks read its vectors.
-
-Everything splits along the Hodge bidegree (a, b) = (#x + #g, #y + #g): the
-relations, the group action and the differential all preserve it, so the
-whole computation runs blockwise, on the blocks each
-:class:`~conftorus.gcalg.BidegreeSpace` hands out.  Swapping x_i with y_i
-and negating g_ij maps block (a, b) onto (b, a) as a complex of
-S_n-modules (:meth:`SpectralEngine.report`), so the report eliminates and
-ranks only the blocks with a <= b and copies each onto its mirror.  Each
-block is read by its key, through :meth:`BidegreeSpace.block`, which
-builds it on every read and keeps nothing; the report reads no a > b block.
-:meth:`SpectralEngine.coinvariants` answers every block of a bidegree as a
-plain dict, and the kernel reference computes every block on its own.
+* :class:`MatchingEngine`, behind :func:`e3_dims` and the command line,
+  keeps one class per S_n-orbit of decorated matchings, the only basis
+  masks with coinvariants: n^2 + n + 1 live classes at n.
+* :class:`SpectralEngine` is its oracle.  It eliminates every basis mask
+  of every Hodge block with a <= b (:meth:`SpectralEngine.coinvariants`,
+  :meth:`SpectralEngine.d_rank`), so its work grows with the (n+2)!/2
+  quotient, and its bases check the vanishing the matching engine rests
+  on.
+* The fixed space itself, as the kernel of the two generating
+  permutations on quotient coordinates (:meth:`SpectralEngine.invariants`),
+  is kept as a reference; the identity suite's fixed-space checks read its
+  vectors.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 from . import series as series_mod
 from .gcalg import BidegreeSpace, Layout, Relabelling
@@ -63,6 +49,8 @@ __all__ = [
     "InvariantSpace",
     "SpectralReport",
     "SpectralEngine",
+    "MatchingEngine",
+    "matching_words",
     "assemble_page",
     "invariant_basis",
     "e3_dims",
@@ -138,8 +126,9 @@ class SpectralReport:
 
 
 class SpectralEngine:
-    """Caches bidegree spaces, which hold counts only, the coinvariant
-    bases and the invariant data for one n.
+    """The coinvariant engine, the oracle of :class:`MatchingEngine`.
+    Caches bidegree spaces, which hold counts only, the coinvariant bases
+    and the invariant data for one n.
 
     :meth:`report` reads the page off the coinvariants
     (:meth:`coinvariants`, :meth:`d_rank`).  :meth:`invariants` and
@@ -395,6 +384,150 @@ class SpectralEngine:
         return assemble_page(n, e2, lambda p, q, ab: ranks[(p, q, tuple(sorted(ab)))])
 
 
+# The six kinds of component of a decorated matching, in word order: bare,
+# x- and y-points, then bare, x- and y-pairs; kind k carries letter k % 3
+# (none, x, y) on k // 3 + 1 vertices.  A representative places the pairs
+# first, on the smallest vertices, then the points, each kind in this order.
+_PLACED = (3, 4, 5, 0, 1, 2)
+
+
+def matching_words(n, once=()):
+    """Every word of weight n, the six kind counts, in lexicographic order;
+    a kind in ``once`` occurs at most once."""
+    words = [((), n)]  # (the counts so far, the weight left)
+    for k in range(6):
+        size, most = k // 3 + 1, 1 if k in once else n
+        words = [(w + (c,), left - c * size)
+                 for w, left in words for c in range(min(left // size, most) + 1)]
+    return [w for w, left in words if not left]
+
+
+class MatchingEngine:
+    """The page from the S_n-orbits of decorated matchings.
+
+    The quotient splits S_n-equivariantly over the set partitions that the
+    g-forest's components make.  A component of k vertices carries
+    sgn (x) Lie_k, whose trivial part is zero for k >= 3 (Lehrer-Solomon
+    1986; Reutenauer 1993), so only decorated matchings have coinvariants,
+    and d, which removes an edge, keeps them.  S_n permutes their basis
+    masks up to sign, so the coinvariants of one orbit are one class, zero
+    when a stabiliser generator of its representative sends it to its
+    negative.  A kind that :meth:`odd_kinds` finds odd occurs at most once
+    in a live word, and only those words are walked.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.layout = Layout(n)
+        # reduce_mask reads only the layout, not the bidegree of its space
+        self._reduce = BidegreeSpace(n, 0, 0, layout=self.layout).reduce_mask
+
+    def components(self, word):
+        """The (kind, 0-based vertices) components of the representative of
+        ``word``, in placement order on the vertices 0, 1, 2, ..."""
+        comps, v = [], 0
+        for k in _PLACED:
+            for _ in range(word[k]):
+                comps.append((k, tuple(range(v, v + k // 3 + 1))))
+                v += k // 3 + 1
+        return comps
+
+    def _mask(self, comps):
+        """The basis mask of components, each letter on the smaller vertex."""
+        lay, mask = self.layout, 0
+        for k, vs in comps:
+            if len(vs) == 2:
+                mask |= 1 << lay.pair_bit[(vs[0] + 1, vs[1] + 1)]
+            if k % 3:
+                mask |= 1 << (lay.xbit0 + (k % 3 - 1) * self.n + vs[0])
+        return mask
+
+    def _image(self, mask, swaps):
+        """reduce(sigma . mask), sigma the product of the disjoint vertex
+        transpositions ``swaps``."""
+        sigma = list(range(1, self.n + 1))
+        for u, v in swaps:
+            sigma[u], sigma[v] = v + 1, u + 1
+        s, img = self.layout.relabel(sigma, mask)
+        return self._reduce(img, s)
+
+    def is_zero(self, word):
+        """Whether a stabiliser generator of the representative of ``word``,
+        the swap of the first two components of a kind or the flip of the
+        first pair of a kind, sends it to its negative."""
+        comps, by_kind = self.components(word), {}
+        for k, vs in comps:
+            by_kind.setdefault(k, []).append(vs)
+        moves = [[c[0]] for c in by_kind.values() if len(c[0]) == 2]
+        moves += [list(zip(c[0], c[1])) for c in by_kind.values() if len(c) > 1]
+        rep = self._mask(comps)
+        return any(self._image(rep, swaps) == {rep: -1} for swaps in moves)
+
+    @classmethod
+    @cache
+    def odd_kinds(cls):
+        """The kinds two of whose components make a zero class, by the
+        zero test at n = 2 (two points) and n = 4 (two pairs)."""
+        return tuple(
+            k for k in range(6)
+            if cls(2 * (k // 3 + 1)).is_zero(tuple(2 * (j == k) for j in range(6)))
+        )
+
+    @cached_property
+    def blocks(self):
+        """{(p, q, (a, b)): live representatives}."""
+        lay, out = self.layout, {}
+        for word in matching_words(self.n, self.odd_kinds()):
+            if not self.is_zero(word):
+                rep = self._mask(self.components(word))
+                q = (rep & lay.gfull).bit_count()
+                key = (rep.bit_count() - q, q, lay.hodge_bidegree(rep))
+                out.setdefault(key, []).append(rep)
+        return out
+
+    def onto_rep(self, mask):
+        """``(sign, representative)`` of a basis decorated matching: it is
+        relabelled so that its components, by placement order and then
+        smallest vertex, land on those of its word's representative."""
+        lay, n = self.layout, self.n
+        letter = [(mask >> (lay.xbit0 + v) & 1) + 2 * (mask >> (lay.ybit0 + v) & 1)
+                  for v in range(n)]
+        comps, paired = [], set()
+        for b in range(lay.npairs):
+            if mask >> b & 1:
+                i, j = lay.pairs[b]
+                comps.append((_PLACED.index(3 + letter[i - 1]), i - 1, j - 1))
+                paired |= {i - 1, j - 1}
+        comps += [(_PLACED.index(letter[v]), v) for v in range(n) if v not in paired]
+        sigma = [0] * n
+        for image, v in enumerate(v for c in sorted(comps) for v in c[1:]):
+            sigma[v] = image + 1
+        return lay.relabel(sigma, mask)
+
+    def d_rank(self, p, q, ab):
+        """Rank of d on classes, from block (p, q, ab) to (p + 2, q - 1,
+        ab): each live representative's d, reduced term by term and
+        relabelled onto the live representatives; a dead class is zero."""
+        live = set(self.blocks.get((p + 2, q - 1, ab), ()))
+        if not live:
+            return 0
+        rows = []
+        for rep in self.blocks.get((p, q, ab), ()):
+            row = {}
+            for m, c in self.layout.differential_list(rep):
+                for basis, c2 in self._reduce(m, c).items():
+                    s, target = self.onto_rep(basis)
+                    if target in live:
+                        add_terms(row, ((target, s * c2),))
+            rows.append(row)
+        return rank_of_rows(rows)
+
+    def report(self) -> SpectralReport:
+        """The page of the live classes, through :func:`assemble_page`."""
+        e2 = {key: len(reps) for key, reps in self.blocks.items()}
+        return assemble_page(self.n, e2, self.d_rank)
+
+
 def assemble_page(n, e2, d_rank) -> SpectralReport:
     """The report of one n from its E2 page and its d-ranks.
 
@@ -435,8 +568,9 @@ def invariant_basis(n, p, q) -> InvariantSpace:
 
 
 def e3_dims(n) -> SpectralReport:
-    """Full invariant spectral report for one n."""
-    return SpectralEngine(n).report()
+    """Full invariant spectral report for one n, from the matching
+    engine."""
+    return MatchingEngine(n).report()
 
 
 def purity_check(report: SpectralReport):

@@ -71,25 +71,32 @@ def test_criterion_3_engine_betti_n_le_3_one_n_at_a_time():
         _line(f"3-engine-betti-n{n}", got == want, f"({got} == {want})")
 
 
-def test_criterion_3_engine_series_betti(engine_reports):
+def test_criterion_3_engine_series_betti(engine_reports, oracle_reports):
+    """The production engine and its oracle, the paper's coinvariant route,
+    each against the series and within the same budgets."""
     reports, times = engine_reports
     z = series.macdonald_zeta(series.PUNCTURED_TORUS_HC, 5)
     k = series.vakil_wood_conf(z, 5)
-    mismatch = []
-    for n in range(6):
-        if list(reports[n].betti) != series.decode_betti(k[n], n):
-            mismatch.append(n)
     expected = {1: [1, 2], 2: [1, 2, 2], 3: [1, 2, 4, 4]}
-    for n, want in expected.items():
-        if list(reports[n].betti) != want:
-            mismatch.append(n)
-    small = sum(times[n] for n in range(5))
-    ok = not mismatch and small < 10.0 and times[5] < 600.0
+    mismatch, in_budget, notes = [], [], []
+    for name, reps, secs in (
+        ("engine", reports, times),
+        ("oracle", {n: oracle_reports[n][0] for n in range(6)},
+         {n: oracle_reports[n][1] for n in range(6)}),
+    ):
+        for n in range(6):
+            if list(reps[n].betti) != series.decode_betti(k[n], n):
+                mismatch.append((name, n))
+        for n, want in expected.items():
+            if list(reps[n].betti) != want:
+                mismatch.append((name, n))
+        small = sum(secs[n] for n in range(5))
+        in_budget.append(small < 10.0 and secs[5] < 600.0)
+        notes.append(f"{name} n<=4 in {small:.2f}s < 10s, n=5 in {secs[5]:.2f}s < 600s")
     _line(
         "3-engine-series-betti",
-        ok,
-        f"(mismatches={mismatch}, n<=4 in {small:.2f}s < 10s, "
-        f"n=5 in {times[5]:.2f}s < 600s)",
+        not mismatch and all(in_budget),
+        f"(mismatches={mismatch}, {', '.join(notes)})",
     )
 
 
@@ -162,22 +169,25 @@ def test_criterion_8_identity_suite():
     )
 
 
-def test_criterion_9_engine_series_n6():
-    # beyond the paper's n <= 5: engine against series at n = 6
+def test_criterion_9_engine_series_n6(oracle_reports):
+    # beyond the paper's n <= 5: engine and oracle against series at n = 6
     clock = Budget()
-    report = e3_dims(6)
+    engine = e3_dims(6)
     took = clock.elapsed
     k = series.vakil_wood_conf(series.macdonald_zeta(series.PUNCTURED_TORUS_HC, 6), 6)
     k4 = series.vakil_wood_conf(
         series.cheah_zeta(series.PUNCTURED_TORUS_HODGE, 6), 6
     )
-    betti_ok = list(report.betti) == series.decode_betti(k[6], 6)
-    hodge_ok = report.hodge == series.decode_hodge(k4[6], 6)
-    pure, violations = purity_check(report)
-    table_ok = list(report.betti) == [1, 2, 4, 5, 7, 8, 4]
-    _line(
-        "9-engine-series-n6",
-        betti_ok and hodge_ok and pure and table_ok,
-        f"(betti={report.betti}, betti_match={betti_ok}, hodge_match={hodge_ok}, "
-        f"violations={violations}, {took:.2f}s)",
-    )
+    oracle_report, oracle_took, _ = oracle_reports[6]
+    ok, details = True, []
+    for name, report, secs in (("engine", engine, took), ("oracle", oracle_report, oracle_took)):
+        betti_ok = list(report.betti) == series.decode_betti(k[6], 6)
+        hodge_ok = report.hodge == series.decode_hodge(k4[6], 6)
+        pure, violations = purity_check(report)
+        table_ok = list(report.betti) == [1, 2, 4, 5, 7, 8, 4]
+        ok &= betti_ok and hodge_ok and pure and table_ok
+        details.append(
+            f"{name}: betti={report.betti}, betti_match={betti_ok}, "
+            f"hodge_match={hodge_ok}, violations={violations}, {secs:.2f}s"
+        )
+    _line("9-engine-series-n6", ok, f"({'; '.join(details)})")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftorus import cli, oracle, series
-from conftorus.specseq import SpectralEngine
+from conftorus.specseq import MatchingEngine
 
 
 def run(capsys, *argv):
@@ -215,9 +215,9 @@ def test_selftest_reports_an_engine_series_disagreement(capsys, monkeypatch):
     # no d-rank at n = 2: g12 and its d-image both survive, in degrees 1 and 2
     monkeypatch.setattr(oracle, "run_selftest", lambda n_max: [])
     monkeypatch.setattr(series, "property_checks", lambda: [])
-    d_rank = SpectralEngine.d_rank
+    d_rank = MatchingEngine.d_rank
     monkeypatch.setattr(
-        SpectralEngine, "d_rank",
+        MatchingEngine, "d_rank",
         lambda self, p, q, ab: 0 if self.n == 2 else d_rank(self, p, q, ab),
     )
     code, out = run(capsys, "selftest", "--n", "3")
@@ -238,7 +238,7 @@ def test_selftest_reports_an_engine_series_disagreement(capsys, monkeypatch):
 
 
 def test_purity_violation_is_reported_not_raised(capsys, monkeypatch):
-    monkeypatch.setattr(SpectralEngine, "d_rank", lambda self, p, q, ab: 0)
+    monkeypatch.setattr(MatchingEngine, "d_rank", lambda self, p, q, ab: 0)
     code, out = run(capsys, "purity", "--n", "3")
     assert code == 1
     assert out.startswith("n=3: VIOLATED at [(")
@@ -251,8 +251,8 @@ def test_purity_violation_is_reported_not_raised(capsys, monkeypatch):
 def test_negative_e3_is_reported_not_raised(capsys, monkeypatch, command):
     # d-ranks as large as the block: out + into exceeds E2 somewhere
     monkeypatch.setattr(
-        SpectralEngine, "d_rank",
-        lambda self, p, q, ab: len(self.invariants(p, q).blocks[ab]),
+        MatchingEngine, "d_rank",
+        lambda self, p, q, ab: len(self.blocks[(p, q, ab)]),
     )
     code = cli.main([command, "--n", "2"])
     captured = capsys.readouterr()

@@ -723,11 +723,15 @@ def test_block_relabel_matches_apply_perm_on_the_quotient_basis(n):
 
 @pytest.mark.parametrize("n", range(5))
 def test_block_relabel_matches_apply_perm_on_every_free_mask(n):
+    """Relabelling and the sparse Layout.relabel each give
+    apply_perm(perm_table(sigma), m) for every free mask m and every sigma
+    in S_n."""
     lay = Layout(n)
     for sigma in permutations(range(1, n + 1)):
         rel = Relabelling(lay, sigma)
         bad = next(
-            (m for m in range(1 << lay.nbits) if rel(m) != lay.apply_perm(rel.table, m)),
+            (m for m in range(1 << lay.nbits)
+             if not rel(m) == lay.apply_perm(rel.table, m) == lay.relabel(sigma, m)),
             None,
         )
         assert bad is None, (sigma, lay.decode(bad))

@@ -6,7 +6,7 @@ The cases are:
 * ``betti``, ``hodge`` and ``purity`` for n = 0..5 in JSON, table and CSV
   format, with the default engine (both);
 * ``purity --n 6..7 --format json``, the full report for n = 6
-  and 7 (about 1.4 s), which pins the engine's output beyond n = 5;
+  and 7, which pins the engine's output beyond n = 5;
 * ``betti --n 0..5 --engine series`` (table),
   ``hodge --n 0..4 --engine series --format json`` and
   ``betti --n 0..3 --engine spectral`` (table);

@@ -1,14 +1,15 @@
-"""Independence of the routes that check the coinvariant engine.
+"""Independence of the routes that check one another.
 
 The tuple ``Element`` path, the genus-zero Arnold oracle, the series and the
-kernel E2 reference reach the same numbers as the engine without its code,
-so their agreement with it checks something.  Each row of ``ROUTES`` names
-a route, the code objects it is made of (``module`` or
-``module:qualified.name``) and the package names those objects may not
-reference.  An AST walk collects every ``Name`` and ``Attribute`` in each
-object and in every module-level class or function of its module that it
-names, transitively, and a failure names the route, the object, the line
-and the name.
+kernel E2 reference reach the same numbers as the coinvariant engine without
+its code, and the matching engine, which serves ``e3_dims``, reaches them
+without the coinvariant engine's elimination or the series, so their
+agreement checks something.  Each row of ``ROUTES`` names a route, the
+code objects it is made of (``module`` or ``module:qualified.name``) and
+the package names those objects may not reference.  An AST walk collects
+every ``Name`` and ``Attribute`` in each object and in every module-level
+class or function of its module that it names, transitively, and a failure
+names the route, the object, the line and the name.
 """
 
 import ast
@@ -69,6 +70,13 @@ ROUTES = [
         ("specseq:SpectralEngine.invariants", "specseq:SpectralEngine.invariant_d_rank"),
         ("_eliminate", "_basis", "_bases", "_relations", "_block_relations",
          "coinvariants", "SignedUnionFind"),
+    ),
+    (
+        "matching engine",
+        ("specseq:MatchingEngine", "specseq:matching_words"),
+        ("_eliminate", "_basis", "_relations", "coinvariants", "SignedUnionFind",
+         "Relabelling", "increasing_forests", "conf_series_betti", "conf_series_hodge",
+         "decode_betti", "decode_hodge", "vakil_wood_conf"),
     ),
 ]
 
@@ -168,7 +176,7 @@ def test_a_kernel_reference_that_reads_the_coinvariant_basis_is_named():
         "        space = self.space(p, q)\n"
         "        return {ab: self._basis(p, q, ab) for ab in space.block_keys}\n"
     )
-    route, objects, forbidden = ROUTES[-1]
+    route, objects, forbidden = ROUTES[3]
     assert route_violations(route, objects[:1], forbidden, ast.parse(source)) == [
         "kernel reference: specseq:SpectralEngine.invariants line 4 names _basis"
     ]
@@ -189,4 +197,22 @@ def test_a_helper_of_the_arnold_oracle_that_names_layout_is_named():
     route, objects, forbidden = ROUTES[1]
     assert route_violations(route, objects[:1], forbidden, ast.parse(source)) == [
         "genus-zero Arnold oracle: oracle:_bits line 2 names Layout"
+    ]
+
+
+def test_a_matching_engine_that_decodes_the_series_is_named():
+    """The negative control for the matching row: a report that reads its
+    Betti numbers off the series fails, through the helper it calls."""
+    source = (
+        "def _betti(n):\n"
+        "    return series_mod.decode_betti(series_mod.conf_series_betti(n)[n], n)\n"
+        "\n"
+        "class MatchingEngine:\n"
+        "    def report(self):\n"
+        "        return _betti(self.n)\n"
+    )
+    route, objects, forbidden = ROUTES[4]
+    assert route_violations(route, objects[:1], forbidden, ast.parse(source)) == [
+        "matching engine: specseq:_betti line 2 names conf_series_betti",
+        "matching engine: specseq:_betti line 2 names decode_betti",
     ]
