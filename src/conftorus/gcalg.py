@@ -324,6 +324,8 @@ class Layout:
     """
 
     def __init__(self, n):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"n must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         self.n = n
@@ -335,10 +337,14 @@ class Layout:
         self.nbits = self.npairs + 2 * n
         self.gfull = (1 << self.npairs) - 1  # all pair bits
         self._forms = {}  # g-part -> forest_form(g-part)
+        # per vertex (0-based): the bits of its pairs and of its two letters
+        self._vertex_bits = [(1 << self.xbit0 | 1 << self.ybit0) << v for v in range(n)]
         # per pair bit of g_ij: the letter masks of x_j y_i and of x_i y_j,
         # each paired with the mask of the bits strictly between its letters
         self._d_terms = {}
         for b, (i, j) in enumerate(self.pairs):
+            self._vertex_bits[i - 1] |= 1 << b
+            self._vertex_bits[j - 1] |= 1 << b
             self._d_terms[1 << b] = [
                 ((1 << bx) | (1 << by), (1 << by) - (2 << bx))
                 for bx, by in ((self.xbit0 + j - 1, self.ybit0 + i - 1),
@@ -423,9 +429,8 @@ class Layout:
         One pass: each position adds the number of earlier positions above
         it, read off the mask of the earlier ones.  The positions must be
         distinct (a repeat would be lost in the mask); every caller
-        (``apply_perm``, ``relabel``, the letter table of
-        :class:`Relabelling` and ``BidegreeSpace.reduce_mask``) passes
-        distinct ones."""
+        (``apply_perm``, the letter table of :class:`Relabelling` and
+        ``BidegreeSpace.reduce_mask``) passes distinct ones."""
         inv = mask = 0
         for b in bits:
             inv += (mask >> b).bit_count()
@@ -445,21 +450,34 @@ class Layout:
         return Layout.sort_bits(imgs)
 
     def relabel(self, sigma, mask):
-        """``apply_perm(perm_table(sigma), mask)`` in O(popcount): each set
-        bit goes to the pair of its images, or to its letter's image."""
-        imgs, pairs, pair_bit, npairs = [], self.pairs, self.pair_bit, self.npairs
-        m = mask
+        """``apply_perm(perm_table(sigma), mask)``, visiting only the set bits
+        on the vertices sigma moves: O(n) to find them, then O(1) per bit.
+        The sign counts the inversions among the moved images, as
+        :meth:`sort_bits` does, and per moved bit the staying bits strictly
+        between it and its image."""
+        touched = 0
+        for v, image in enumerate(sigma):
+            if image != v + 1:
+                touched |= self._vertex_bits[v]
+        fixed, m = mask & ~touched, mask & touched
+        pairs, pair_bit, npairs = self.pairs, self.pair_bit, self.npairs
+        inv = moved = 0
         while m:
             b = (m & -m).bit_length() - 1
             m &= m - 1
             if b < npairs:
                 i, j = pairs[b]
                 i, j = sigma[i - 1], sigma[j - 1]
-                imgs.append(pair_bit[(i, j) if i < j else (j, i)])
+                c = pair_bit[(i, j) if i < j else (j, i)]
             else:
                 v = (b - self.xbit0) % self.n
-                imgs.append(b - v + sigma[v] - 1)
-        return self.sort_bits(imgs)
+                c = b - v + sigma[v] - 1
+            inv += (moved >> c).bit_count()
+            if c != b:
+                lo, hi = (b, c) if b < c else (c, b)
+                inv += (fixed & ((1 << hi) - (2 << lo))).bit_count()
+            moved |= 1 << c
+        return (-1 if inv & 1 else 1), fixed | moved
 
     @cached_property
     def _x_rows(self):

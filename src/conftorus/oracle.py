@@ -115,6 +115,8 @@ class ArnoldAlgebra:
     2.0-2.5 s, of which degree 7 takes 0.55-0.95 s."""
 
     def __init__(self, n):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"n must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         self.n = n

@@ -393,13 +393,15 @@ _PLACED = (3, 4, 5, 0, 1, 2)
 
 def matching_words(n, once=()):
     """Every word of weight n, the six kind counts, in lexicographic order;
-    a kind in ``once`` occurs at most once."""
+    a kind in ``once`` occurs at most once.  The last kind, y-pairs, takes
+    the weight the others leave."""
     words = [((), n)]  # (the counts so far, the weight left)
-    for k in range(6):
+    for k in range(5):
         size, most = k // 3 + 1, 1 if k in once else n
         words = [(w + (c,), left - c * size)
                  for w, left in words for c in range(min(left // size, most) + 1)]
-    return [w for w, left in words if not left]
+    most = 1 if 5 in once else n
+    return [w + (left // 2,) for w, left in words if not left % 2 and left // 2 <= most]
 
 
 class MatchingEngine:
@@ -414,6 +416,11 @@ class MatchingEngine:
     when a stabiliser generator of its representative sends it to its
     negative.  A kind that :meth:`odd_kinds` finds odd occurs at most once
     in a live word, and only those words are walked.
+
+    A word's components and representative are built once.  A move moves
+    at most 4 vertices and costs O(n) to write sigma, then O(1) per set bit
+    on them (:meth:`Layout.relabel`); an image on the representative
+    itself, as every like swap gives, is its own normal form, not reduced.
     """
 
     def __init__(self, n):
@@ -427,9 +434,10 @@ class MatchingEngine:
         ``word``, in placement order on the vertices 0, 1, 2, ..."""
         comps, v = [], 0
         for k in _PLACED:
+            size = k // 3 + 1
             for _ in range(word[k]):
-                comps.append((k, tuple(range(v, v + k // 3 + 1))))
-                v += k // 3 + 1
+                comps.append((k, (v,) if size == 1 else (v, v + 1)))
+                v += size
         return comps
 
     def _mask(self, comps):
@@ -443,25 +451,33 @@ class MatchingEngine:
         return mask
 
     def _image(self, mask, swaps):
-        """reduce(sigma . mask), sigma the product of the disjoint vertex
-        transpositions ``swaps``."""
+        """reduce(sigma . mask) of a basis mask, sigma the product of the
+        disjoint vertex transpositions ``swaps``; an image on the mask itself
+        is its own normal form, and is not reduced."""
         sigma = list(range(1, self.n + 1))
         for u, v in swaps:
             sigma[u], sigma[v] = v + 1, u + 1
         s, img = self.layout.relabel(sigma, mask)
-        return self._reduce(img, s)
+        return {img: s} if img == mask else self._reduce(img, s)
+
+    def _live_rep(self, word):
+        """The representative of ``word``, or None when a stabiliser
+        generator, the flip of the first pair of a kind or the swap of the
+        first two components of a kind, sends it to its negative."""
+        comps = self.components(word)
+        rep, moves = self._mask(comps), []
+        for i, (k, vs) in enumerate(comps):
+            if i and comps[i - 1][0] == k:
+                continue  # not the first of its kind
+            if len(vs) == 2:
+                moves.append([vs])
+            if i + 1 < len(comps) and comps[i + 1][0] == k:
+                moves.append(list(zip(vs, comps[i + 1][1])))
+        return None if any(self._image(rep, swaps) == {rep: -1} for swaps in moves) else rep
 
     def is_zero(self, word):
-        """Whether a stabiliser generator of the representative of ``word``,
-        the swap of the first two components of a kind or the flip of the
-        first pair of a kind, sends it to its negative."""
-        comps, by_kind = self.components(word), {}
-        for k, vs in comps:
-            by_kind.setdefault(k, []).append(vs)
-        moves = [[c[0]] for c in by_kind.values() if len(c[0]) == 2]
-        moves += [list(zip(c[0], c[1])) for c in by_kind.values() if len(c) > 1]
-        rep = self._mask(comps)
-        return any(self._image(rep, swaps) == {rep: -1} for swaps in moves)
+        """Whether the class of ``word`` is zero, by :meth:`_live_rep`."""
+        return self._live_rep(word) is None
 
     @classmethod
     @cache
@@ -478,8 +494,8 @@ class MatchingEngine:
         """{(p, q, (a, b)): live representatives}."""
         lay, out = self.layout, {}
         for word in matching_words(self.n, self.odd_kinds()):
-            if not self.is_zero(word):
-                rep = self._mask(self.components(word))
+            rep = self._live_rep(word)
+            if rep is not None:
                 q = (rep & lay.gfull).bit_count()
                 key = (rep.bit_count() - q, q, lay.hodge_bidegree(rep))
                 out.setdefault(key, []).append(rep)
@@ -490,15 +506,17 @@ class MatchingEngine:
         relabelled so that its components, by placement order and then
         smallest vertex, land on those of its word's representative."""
         lay, n = self.layout, self.n
-        letter = [(mask >> (lay.xbit0 + v) & 1) + 2 * (mask >> (lay.ybit0 + v) & 1)
-                  for v in range(n)]
-        comps, paired = [], set()
-        for b in range(lay.npairs):
-            if mask >> b & 1:
-                i, j = lay.pairs[b]
-                comps.append((_PLACED.index(3 + letter[i - 1]), i - 1, j - 1))
-                paired |= {i - 1, j - 1}
-        comps += [(_PLACED.index(letter[v]), v) for v in range(n) if v not in paired]
+        xs, ys = mask >> lay.xbit0, mask >> lay.ybit0
+        comps, paired = [], 0
+        g = mask & lay.gfull
+        while g:
+            i, j = lay.pairs[(g & -g).bit_length() - 1]
+            g &= g - 1
+            letter = (xs >> i - 1 & 1) + 2 * (ys >> i - 1 & 1)
+            comps.append((_PLACED.index(3 + letter), i - 1, j - 1))
+            paired |= 1 << i - 1 | 1 << j - 1
+        comps += [(_PLACED.index((xs >> v & 1) + 2 * (ys >> v & 1)), v)
+                  for v in range(n) if not paired >> v & 1]
         sigma = [0] * n
         for image, v in enumerate(v for c in sorted(comps) for v in c[1:]):
             sigma[v] = image + 1

@@ -38,7 +38,7 @@ from conftorus.gcalg import (
     symmetrize,
 )
 from conftorus.linalg import add_terms
-from conftorus.specseq import SpectralEngine
+from conftorus.specseq import MatchingEngine, SpectralEngine, e3_dims
 
 
 def brute_force_sign(gens):
@@ -735,6 +735,43 @@ def test_block_relabel_matches_apply_perm_on_every_free_mask(n):
             None,
         )
         assert bad is None, (sigma, lay.decode(bad))
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_vertex_local_relabel_matches_apply_perm_past_n4(n):
+    """Layout.relabel, which visits only the bits on the vertices sigma
+    moves, against apply_perm(perm_table(sigma), m): seeded sigma that swap
+    one pair of vertices, two disjoint pairs, or are uniform, on the
+    matching engine's live representatives and on seeded masks, dense and
+    sparse."""
+    rng = random.Random(3800 + n)
+    lay = Layout(n)
+    masks = [m for reps in MatchingEngine(n).blocks.values() for m in reps]
+    masks += [rng.getrandbits(lay.nbits) for _ in range(12)]
+    masks += [sum(1 << b for b in rng.sample(range(lay.nbits), 2 * n)) for _ in range(12)]
+    sigmas = []
+    for _ in range(5):
+        u, v, w, x = rng.sample(range(n), 4)
+        one = list(range(1, n + 1))
+        one[u], one[v] = v + 1, u + 1
+        two = one[:]
+        two[w], two[x] = x + 1, w + 1
+        sigmas += [one, two, rng.sample(range(1, n + 1), n)]
+    for sigma in sigmas:
+        table = lay.perm_table(sigma)
+        bad = next((m for m in masks if lay.relabel(sigma, m) != lay.apply_perm(table, m)), None)
+        assert bad is None, (sigma, lay.decode(bad))
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "3"])
+def test_an_n_that_is_not_an_int_is_a_type_error(n):
+    """A bool is not taken for 0 or 1, and a float or a string does not
+    reach a comparison that fails with an unrelated message."""
+    want = f"n must be an int, got {n!r}$"
+    with pytest.raises(TypeError, match=want):
+        Layout(n)
+    with pytest.raises(TypeError, match=want):
+        e3_dims(n)
 
 
 @pytest.mark.parametrize("n", range(4))

@@ -3,6 +3,8 @@ coinvariant engine: the same report byte for byte, the vanishing theorem it
 rests on, held on the oracle's bases, its walk over the words, and negative
 controls in test-local subclasses that break its zero test and its d."""
 
+import random
+
 import pytest
 
 from conftorus.gcalg import BidegreeSpace, Layout
@@ -78,6 +80,35 @@ def test_every_pair_flip_relabels_to_plus_one(n):
         rep = eng._mask(comps)
         for _, vs in comps:
             assert len(vs) == 1 or eng._image(rep, [vs]) == {rep: 1}, (word, vs)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_every_live_representative_is_its_own_normal_form(n):
+    """What lets the zero test skip the normal form of an image on the
+    representative itself."""
+    lay = Layout(n)
+    for (p, q, _), reps in MatchingEngine(n).blocks.items():
+        space = BidegreeSpace(n, p, q, layout=lay)
+        assert [rep for rep in reps if space.reduce_mask(rep) != {rep: 1}] == []
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_a_relabelled_representative_comes_back_with_sign_plus_one(n):
+    """sigma . rep reduces to one basis term, and onto_rep maps it back to
+    rep with total sign +1: a live class has no stabiliser element that
+    negates it.  Both signs occur on the way from n = 3."""
+    rng = random.Random(3900 + n)
+    eng = MatchingEngine(n)
+    lay, signs = eng.layout, set()
+    for (p, q, _), reps in eng.blocks.items():
+        space = BidegreeSpace(n, p, q, layout=lay)
+        for rep in reps:
+            sigma = rng.sample(range(1, n + 1), n)
+            [(basis, c)] = space.reduce_mask(*lay.relabel(sigma, rep)[::-1]).items()
+            s, back = eng.onto_rep(basis)
+            assert (back, c * s) == (rep, 1), (sigma, lay.decode(rep))
+            signs.add(s)
+    assert signs == ({1, -1} if n >= 3 else {1})
 
 
 def test_the_reports_equal_the_series_and_are_pure_to_n12():

@@ -164,6 +164,15 @@ def test_arnold_rejects_negative_n(n):
         arnold_conf_betti(n)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "3"])
+def test_arnold_rejects_an_n_that_is_not_an_int(n):
+    want = f"n must be an int, got {n!r}$"
+    with pytest.raises(TypeError, match=want):
+        ArnoldAlgebra(n)
+    with pytest.raises(TypeError, match=want):
+        arnold_conf_betti(n)
+
+
 @pytest.mark.parametrize("n", [-1, -3])
 def test_selftest_rejects_negative_n_max(n):
     with pytest.raises(ValueError, match=f"n_max must be nonnegative, got {n}$"):
