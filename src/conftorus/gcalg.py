@@ -516,9 +516,11 @@ class Layout:
         call and the next ones on that key return copies of those 2^n lists.
         Only the last key is kept.  A sweep over one g-part's letter sets
         with the x-letters varying fastest builds the 2^n lists once per
-        key, on its second mask; a caller that changes key on every call,
-        as the engine's ``d_rank`` does, builds one list per call and never
-        builds :attr:`_x_rows`.
+        key, on its second mask, as the identity suite's d∘d sweep does.
+        The per-mask caller is the oracle's ``SpectralEngine.d_rank``; the
+        matching engine calls :meth:`differential_list`.  A key asked twice
+        costs its 2^n lists: 0.13 s and 36 MB at n = 14, 3.4 s and 418 MB at
+        n = 18 (one process each, shared 2-vCPU host, CPython 3.11).
         """
         key = mask & self._gy
         last, lists = self._d_last

@@ -32,12 +32,14 @@ The two closed forms driving the whole artifact:
 The coefficient of ``t^n`` in ``K`` encodes the Betti numbers of the space
 of n unordered distinct points on a punctured torus through the weight
 function :func:`w`; the four-variable ``K4`` refines this to the mixed
-Hodge numbers.
+Hodge numbers.  A zeta's factored form is built once per Hodge-data
+table, on first use, and each call expands it to the order asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 __all__ = [
     "MultiPoly",
@@ -318,14 +320,21 @@ class FactoredRatFun:
         return den
 
 
+def _check_order(t_order):
+    """Refuse a series order that is not an int >= 0; a bool is no int."""
+    if type(t_order) is not int:
+        raise TypeError(f"t_order must be an int, got {t_order!r}")
+    if t_order < 0:
+        raise ValueError("t_order must be >= 0")
+
+
 def expand(f: FactoredRatFun, t_order: int):
     """Coefficients of t^0 .. t^{t_order} of ``f`` as exact polynomials.
 
     Each factor ``1/(1 - c*m*t^d)`` is applied through the recurrence
     ``s'_k = s_k + c*m * s'_{k-d}``.
     """
-    if t_order < 0:
-        raise ValueError("t_order must be >= 0")
+    _check_order(t_order)
     series = [p.terms for p in f.numerator.t_coefficients(t_order)]
     for m, mult in f.denominator_factors:
         ((k, c),) = m.terms.items()
@@ -353,15 +362,13 @@ def macdonald_zeta(h_c, t_order):
     ``prod_i (1 - u^i t)^{(-1)^{i+1} dim}``: :func:`cheah_zeta` with every
     Hodge type (0, 0).
     """
-    return cheah_zeta([(i, 0, 0, dim) for i, dim in h_c], t_order)
+    return cheah_zeta(tuple((i, 0, 0, dim) for i, dim in h_c), t_order)
 
 
-def cheah_zeta(h, t_order):
-    """Four-variable refinement of :func:`macdonald_zeta`.
-
-    ``h`` lists compact-support mixed Hodge data ``(i, a, b, dim)``; the
-    series is ``prod (1 - x^a y^b u^i t)^{(-1)^{i+1} dim}``.
-    """
+@cache
+def _zeta_form(h):
+    """The factored zeta of the Hodge data tuple ``h``, keyed by the data
+    itself, never by a name; a table that raises caches nothing."""
     num = MultiPoly.one()
     dens = []
     for i, a, b, dim in h:
@@ -376,7 +383,21 @@ def cheah_zeta(h, t_order):
                 num = num * factor
         else:
             dens.append((m, dim))
-    return expand(FactoredRatFun(num, dens), t_order)
+    return FactoredRatFun(num, dens)
+
+
+def cheah_zeta(h, t_order):
+    """Four-variable refinement of :func:`macdonald_zeta`.
+
+    ``h`` lists compact-support mixed Hodge data ``(i, a, b, dim)``; the
+    series is ``prod (1 - x^a y^b u^i t)^{(-1)^{i+1} dim}``.  Each call
+    expands the table's one factored form into new polynomials.  A value
+    that is not an ``int`` is a ``TypeError``: 1.0 never reads 1's form.
+    """
+    h = tuple(map(tuple, h))
+    if any(type(e) is not int for row in h for e in row):
+        raise TypeError(f"Hodge data {h!r} holds a value that is not an int")
+    return expand(_zeta_form(h), t_order)
 
 
 def vakil_wood_conf(z, t_order):
@@ -390,6 +411,7 @@ def vakil_wood_conf(z, t_order):
     2r + 1, while K4's coefficient of t^56 has 869.  Solving for K directly
     would multiply each earlier K_m by a coefficient of Z.
     """
+    _check_order(t_order)
     if len(z) <= t_order:
         raise ValueError("input series too short for requested order")
     if not z[0].is_one():

@@ -428,6 +428,7 @@ class MatchingEngine:
         self.layout = Layout(n)
         # reduce_mask reads only the layout, not the bidegree of its space
         self._reduce = BidegreeSpace(n, 0, 0, layout=self.layout).reduce_mask
+        self._identity = tuple(range(1, n + 1))
 
     def components(self, word):
         """The (kind, 0-based vertices) components of the representative of
@@ -451,10 +452,10 @@ class MatchingEngine:
         return mask
 
     def _image(self, mask, swaps):
-        """reduce(sigma . mask) of a basis mask, sigma the product of the
-        disjoint vertex transpositions ``swaps``; an image on the mask itself
-        is its own normal form, and is not reduced."""
-        sigma = list(range(1, self.n + 1))
+        """reduce(sigma . mask) of a basis mask, sigma the identity with
+        the disjoint vertex transpositions ``swaps``; an image on the mask
+        itself is its own normal form, and is not reduced."""
+        sigma = list(self._identity)
         for u, v in swaps:
             sigma[u], sigma[v] = v + 1, u + 1
         s, img = self.layout.relabel(sigma, mask)
@@ -463,17 +464,20 @@ class MatchingEngine:
     def _live_rep(self, word):
         """The representative of ``word``, or None when a stabiliser
         generator, the flip of the first pair of a kind or the swap of the
-        first two components of a kind, sends it to its negative."""
+        first two components of a kind, sends it to its negative; the first
+        such move ends the test."""
         comps = self.components(word)
-        rep, moves = self._mask(comps), []
+        rep = self._mask(comps)
+        dead = {rep: -1}
         for i, (k, vs) in enumerate(comps):
             if i and comps[i - 1][0] == k:
                 continue  # not the first of its kind
-            if len(vs) == 2:
-                moves.append([vs])
+            if len(vs) == 2 and self._image(rep, (vs,)) == dead:
+                return None
             if i + 1 < len(comps) and comps[i + 1][0] == k:
-                moves.append(list(zip(vs, comps[i + 1][1])))
-        return None if any(self._image(rep, swaps) == {rep: -1} for swaps in moves) else rep
+                if self._image(rep, tuple(zip(vs, comps[i + 1][1]))) == dead:
+                    return None
+        return rep
 
     def is_zero(self, word):
         """Whether the class of ``word`` is zero, by :meth:`_live_rep`."""

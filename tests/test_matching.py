@@ -82,6 +82,31 @@ def test_every_pair_flip_relabels_to_plus_one(n):
             assert len(vs) == 1 or eng._image(rep, [vs]) == {rep: 1}, (word, vs)
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_every_stabiliser_generator_of_every_walked_word_is_tested(n):
+    """Every walked word is live, so the zero test, which stops at the first
+    dead move, tests each stabiliser generator: one flip per pair kind, of
+    its first component, and one swap per kind with at least two
+    components.  Each goes through ``_image`` once and is relabelled once."""
+    calls = []
+
+    class Counting(MatchingEngine):
+        def _image(self, mask, swaps):
+            calls.append(swaps)
+            return super()._image(mask, swaps)
+
+    eng = Counting(n)
+    relabel, relabels = eng.layout.relabel, []
+    eng.layout.relabel = lambda sigma, mask: relabels.append(sigma) or relabel(sigma, mask)
+    for word in matching_words(n, MatchingEngine.odd_kinds()):
+        calls.clear()
+        relabels.clear()
+        assert eng._live_rep(word) is not None, word
+        flips = sum(1 for k in range(3, 6) if word[k])
+        swaps = sum(1 for count in word if count >= 2)
+        assert len(calls) == len(relabels) == flips + swaps, word
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_every_live_representative_is_its_own_normal_form(n):
     """What lets the zero test skip the normal form of an image on the

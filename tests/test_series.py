@@ -6,10 +6,14 @@ inverting factors one at a time.
 """
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +210,50 @@ def test_cheah_specializes_to_macdonald():
     z4 = cheah_zeta(PUNCTURED_TORUS_HODGE, 7)
     z = macdonald_zeta(PUNCTURED_TORUS_HC, 7)
     assert [c.substitute_one("x").substitute_one("y") for c in z4] == z
+
+
+@pytest.mark.parametrize(
+    "zeta, data",
+    [(cheah_zeta, PUNCTURED_TORUS_HODGE), (macdonald_zeta, PUNCTURED_TORUS_HC)],
+    ids=["cheah", "macdonald"],
+)
+def test_zeta_calls_share_no_poly(zeta, data):
+    """One factored form per table, but every call expands it into new
+    polynomials: mutating one result leaves the next call's unchanged."""
+    first = zeta(data, 6)
+    want = [dict(c.terms) for c in first]
+    for c in first:
+        c.terms[0] = 99
+    assert [c.terms for c in zeta(data, 6)] == want
+
+
+def test_a_table_that_raises_caches_nothing_and_a_float_reads_no_int_form():
+    size = series._zeta_form.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative Betti or Hodge"):
+            cheah_zeta([(1, 1, 0, -1)], 3)
+    assert series._zeta_form.cache_info().currsize == size
+    cheah_zeta(PUNCTURED_TORUS_HODGE, 3)
+    for table in (PUNCTURED_TORUS_HODGE[:2] + ((2, 1, 1, 1.0),), ((1, 1, 0, True),)):
+        with pytest.raises(TypeError, match="holds a value that is not an int"):
+            cheah_zeta(table, 3)
+
+
+def test_import_builds_no_zeta_form():
+    # the forms are built on first use, so importing the package (the
+    # benchmark's setup) pays for none of them
+    src = str(Path(series.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import conftorus; from conftorus import series; "
+        "print(series._zeta_form.cache_info().currsize)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"
 
 
 # -- vakil-wood --------------------------------------------------------------
@@ -671,6 +719,24 @@ def test_float_coefficients_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("order", [True, False, 2.0, "3"], ids=["true", "false", "float", "str"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        conf_series_betti,
+        conf_series_hodge,
+        lambda order: expand(genus0_gf(), order),
+        lambda order: vakil_wood_conf(macdonald_zeta(PUNCTURED_TORUS_HC, 4), order),
+    ],
+    ids=["betti", "hodge", "expand", "vakil-wood"],
+)
+def test_a_series_order_that_is_not_an_int_is_a_type_error(call, order):
+    """A bool is not read as 0 or 1, a float is not truncated and a str is
+    not compared: each is refused by name."""
+    with pytest.raises(TypeError, match=f"^t_order must be an int, got {re.escape(repr(order))}$"):
+        call(order)
+
+
 # -- guards on reachable bad input ----------------------------------------------
 
 
@@ -701,6 +767,8 @@ def _k4(n):
         (lambda: cheah_zeta([(1, 1, 0, -1)], 3), ValueError, "negative Betti or Hodge"),
         (lambda: vakil_wood_conf(macdonald_zeta(PUNCTURED_TORUS_HC, 3), 4),
          ValueError, "too short"),
+        # it used to return []
+        (lambda: vakil_wood_conf([MultiPoly.one()], -1), ValueError, "t_order must be >= 0"),
         (lambda: w(-1), ValueError, "negative degree"),
         (lambda: decode_betti(_k4(2), 2), DecodeError, "other than u"),
         (lambda: decode_betti(MultiPoly.monomial(u=2, t=1), 1), DecodeError, "other than u"),
@@ -718,7 +786,7 @@ def _k4(n):
     ],
     ids=["negative-exponent", "key-pair", "key-five", "key-float", "key-float-entry",
          "key-bool", "key-str", "key-too-wide", "substitute-t", "multiplicity", "t-order",
-         "negative-dimension", "short-series", "w-negative", "betti-holds-x", "betti-holds-t", "hodge-holds-t",
+         "negative-dimension", "short-series", "vakil-wood-t-order", "w-negative", "betti-holds-x", "betti-holds-t", "hodge-holds-t",
          "hodge-no-preimage", "hodge-exponent-above-n", "hodge-negative"],
 )
 def test_reachable_guards_name_the_problem(call, exc, fragment):
