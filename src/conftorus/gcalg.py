@@ -74,7 +74,6 @@ __all__ = [
     "symmetrize",
     "multiply",
     "Layout",
-    "Relabelling",
 ]
 
 
@@ -313,6 +312,10 @@ def symmetrize(e: Element, n: int) -> Element:
 
 
 _SIGN = (-1, 1)  # coefficient of a d-term by the parity of its sign count
+# the largest n at which Layout.differential_mask builds a repeated key's 2^n
+# lists (1,024 at n = 10); every caller is below it: the d∘d sweep at n <= 5,
+# the oracle's d_rank and invariant_d_rank at n <= 8
+_D_LISTS_MAX_N = 10
 
 
 class Layout:
@@ -353,7 +356,6 @@ class Layout:
         self._gy = self.gfull | (((1 << n) - 1) << self.ybit0)  # g- and y-bits
         # (g- and y-bits of the last mask, its d per x-letter set once asked twice)
         self._d_last = (-1, None)
-        self._forests = (None, [])  # (q, increasing_forests(q)) last built
 
     # -- encoding ----------------------------------------------------------
 
@@ -428,9 +430,9 @@ class Layout:
 
         One pass: each position adds the number of earlier positions above
         it, read off the mask of the earlier ones.  The positions must be
-        distinct (a repeat would be lost in the mask); every caller
-        (``apply_perm``, the letter table of :class:`Relabelling` and
-        ``BidegreeSpace.reduce_mask``) passes distinct ones."""
+        distinct (a repeat would be lost in the mask); both callers
+        (``apply_perm`` and ``BidegreeSpace.reduce_mask``) pass distinct
+        ones."""
         inv = mask = 0
         for b in bits:
             inv += (mask >> b).bit_count()
@@ -440,7 +442,9 @@ class Layout:
     @staticmethod
     def apply_perm(table, mask):
         """Relabel a mask bit by bit; returns (sign, mask').  The reference
-        for :class:`Relabelling`, which fills its g-part memo with it."""
+        for :meth:`relabel`, and the relabelling of the coinvariant oracle
+        and the kernel reference, which share no code with the matching
+        engine's."""
         imgs = []
         m = mask
         while m:
@@ -519,9 +523,12 @@ class Layout:
         key, on its second mask, as the identity suite's d∘d sweep does.
         The per-mask caller is the oracle's ``SpectralEngine.d_rank``; the
         matching engine calls :meth:`differential_list`.  A key asked twice
-        costs its 2^n lists: 0.13 s and 36 MB at n = 14, 3.4 s and 418 MB at
-        n = 18 (one process each, shared 2-vCPU host, CPython 3.11).
+        would cost its 2^n lists, 0.13 s and 36 MB at n = 14 and 3.4 s and
+        418 MB at n = 18, so above n = ``_D_LISTS_MAX_N`` every call is
+        answered by :meth:`differential_list` and no list is kept.
         """
+        if self.n > _D_LISTS_MAX_N:
+            return self.differential_list(mask)
         key = mask & self._gy
         last, lists = self._d_last
         if last != key:
@@ -633,13 +640,8 @@ class Layout:
 
     def increasing_forests(self, q):
         """Every forest with q edges in which each vertex has at most one
-        smaller neighbour, as (g-mask, component minima, 0-based).
-
-        The list of the last q is kept and returned again, so callers must
-        not mutate it; the engine's report asks by falling q, for every
-        block it reads, and so builds each q once."""
-        if self._forests[0] == q:
-            return self._forests[1]
+        smaller neighbour, as (g-mask, component minima, 0-based), in a new
+        list on every call."""
         n = self.n
         # q edges need 0 <= q <= n - 1; at n = 0 only the empty forest, q = 0
         forests = [(0, ())] if 0 <= q < max(n, 1) else []
@@ -655,49 +657,7 @@ class Layout:
                         for u in range(v)
                     )
             forests = grown
-        self._forests = (q, forests)
         return forests
-
-
-class Relabelling:
-    """A permutation ``sigma`` of 1..n acting on the masks of a layout.
-
-    ``table`` is its bit image table, for :meth:`Layout.apply_perm`.
-    Calling the object gives the same ``(sign, sigma . mask)`` from three
-    lookups.  sigma sends pair bits to pair bits and each letter to a letter
-    of its own kind, and the blocks are ordered g < x < y, so no two blocks
-    interleave: the image is the OR of the three block images, and the sign
-    is the product of the three block signs.  The x- and y-blocks share one
-    table of 2^n entries, a letter set to (sign, image).  The g-part comes
-    from a memo filled by :meth:`Layout.apply_perm`.  It holds the g-parts
-    of one edge count q at a time, as the engine's report visits q in
-    falling order; those of basis masks are the c(n, n - q) increasing
-    forests with q edges.
-    """
-
-    def __init__(self, layout, sigma):
-        n = layout.n
-        self.table = layout.perm_table(sigma)
-        self._gfull, self._xbit0, self._ybit0 = layout.gfull, layout.xbit0, layout.ybit0
-        self._low = (1 << n) - 1
-        self._letters = [
-            Layout.sort_bits([sigma[v] - 1 for v in range(n) if s >> v & 1])
-            for s in range(1 << n)
-        ]
-        self._q, self._gparts = None, {}  # g-parts with q edges -> (sign, image)
-
-    def __call__(self, mask):
-        g = mask & self._gfull
-        gpart = self._gparts.get(g)
-        if gpart is None:
-            if g.bit_count() != self._q:
-                self._q = g.bit_count()
-                self._gparts.clear()
-            gpart = self._gparts[g] = Layout.apply_perm(self.table, g)
-        sg, ig = gpart
-        sx, ix = self._letters[mask >> self._xbit0 & self._low]
-        sy, iy = self._letters[mask >> self._ybit0]
-        return sg * sx * sy, ig | ix << self._xbit0 | iy << self._ybit0
 
 
 def _stirling(n, k):

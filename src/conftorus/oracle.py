@@ -568,6 +568,8 @@ class _Suite:
     _SPANS = {check: (low, cap) for _, check, low, cap, *_ in CHECKS}
 
     def __init__(self, n_max):
+        if not isinstance(n_max, int) or isinstance(n_max, bool):
+            raise TypeError(f"n_max must be an int, got {n_max!r}")
         if n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {n_max}")
         self.n_max = n_max
@@ -899,6 +901,7 @@ def run_selftest(n_max, include_arnold=True):
     """Execute the identity suite; returns a JSON-ready list of results, one
     :func:`conftorus.series.check_result` record per check.  A failing check stops at its
     first counterexample and names it.  A negative ``n_max`` is a
-    ``ValueError``: every check would pass on an empty range."""
+    ``ValueError``: every check would pass on an empty range; one that is
+    not an ``int`` (a bool, a float, a string) is a ``TypeError``."""
     suite = _Suite(n_max)
     return suite.run(include_arnold=include_arnold)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from . import series as series_mod
-from .gcalg import BidegreeSpace, Layout, Relabelling
+from .gcalg import BidegreeSpace, Layout
 from .linalg import (
     SignedUnionFind,
     SparseEchelon,
@@ -131,8 +131,9 @@ class SpectralEngine:
     and the invariant data for one n.
 
     :meth:`report` reads the page off the coinvariants
-    (:meth:`coinvariants`, :meth:`d_rank`).  :meth:`invariants` and
-    :meth:`invariant_d_rank` compute the same dimensions from the fixed
+    (:meth:`coinvariants`, :meth:`d_rank`), which relabel bit by bit and
+    share no relabelling code with the matching engine.  :meth:`invariants`
+    and :meth:`invariant_d_rank` compute the same dimensions from the fixed
     space, by a kernel and its back-substitution; they are the reference
     the tests compare against, and they serve :func:`invariant_basis`.
     """
@@ -149,14 +150,15 @@ class SpectralEngine:
         # the transposition by powers of the cycle gives every (i n).  They
         # move the largest labels or fix n, so they send more basis masks to
         # basis masks than (1 2) and the n-cycle, and fewer images need
-        # reduce_mask.  The coinvariants read their block tables, the kernel
-        # reference their bit tables.
+        # reduce_mask.  Both E2 sources relabel bit by bit through their bit
+        # tables (Layout.apply_perm), not through the matching engine's
+        # Layout.relabel.
         self.generators = []
         if n >= 2:
             self.generators.append((*range(1, n - 1), n, n - 1))
         if n > 2:
             self.generators.append((*range(2, n), 1, n))
-        self._perm_tables = [Relabelling(self.layout, sigma) for sigma in self.generators]
+        self._perm_tables = [self.layout.perm_table(sigma) for sigma in self.generators]
 
     # -- spaces --------------------------------------------------------------
 
@@ -176,48 +178,24 @@ class SpectralEngine:
         members = set(masks)
         classes = SignedUnionFind()
         rest = []
-
-        def relate(mask, s, img):
-            # img is off the basis: the row reduce(s * img) - mask
-            row = add_terms(space.reduce_mask(img, s), ((mask, -1),))
-            if len(row) == 2:
-                (a, ca), (b, cb) = row.items()
-                if ca * cb in (1, -1):
-                    classes.union(a, b, -ca * cb)
-                    return
-            if row:
-                rest.append(row)
-
-        # The first table, if any, is (n-1 n), which is (1 2) at n = 2: an
-        # involution tau.  If tau . m = s * m' for basis masks m < m', then
-        # tau . m' = s * m, so the row at m' is the row at m.  Over the masks
-        # in increasing order, m meets m' first, while both are roots of
-        # the fresh union-find; m' is put under the smaller m, as union
-        # would put it, and is skipped when met.  A basis mask is its own
-        # normal form, so tau . m = m says nothing and tau . m = -m makes m
-        # zero.  The images off the basis become rows only after the pairs,
-        # whose masks must both still be roots.
-        off, parent = [], classes.parent
-        for tau in self._perm_tables[:1]:
+        for table in self._perm_tables:
             for mask in masks:
-                if mask in parent:
+                s, img = Layout.apply_perm(table, mask)
+                if img in members:
+                    # a basis mask is its own normal form: sigma . m = m
+                    # says nothing, sigma . m = -m makes m zero
+                    if img != mask or s != 1:
+                        classes.union(mask, img, s)
                     continue
-                s, img = tau(mask)
-                if img not in members:
-                    off.append((mask, s, img))
-                elif img > mask:
-                    parent[img] = (mask, s)
-                elif s != 1:  # img == mask
-                    classes.zero.add(mask)
-        for mask, s, img in off:
-            relate(mask, s, img)
-        for relabel in self._perm_tables[1:]:
-            for mask in masks:
-                s, img = relabel(mask)
-                if img not in members:
-                    relate(mask, s, img)
-                elif img != mask or s != 1:
-                    classes.union(mask, img, s)
+                # img is off the basis: the row reduce(s * img) - mask
+                row = add_terms(space.reduce_mask(img, s), ((mask, -1),))
+                if len(row) == 2:
+                    (a, ca), (b, cb) = row.items()
+                    if ca * cb in (1, -1):
+                        classes.union(a, b, -ca * cb)
+                        continue
+                if row:
+                    rest.append(row)
         # shortest first keeps fill-in down; the pivot set, and so the
         # basis, does not depend on the order
         ech = SparseEchelon()
@@ -245,16 +223,13 @@ class SpectralEngine:
         generating permutation sigma.  A row that says ``m = +-m'`` (most
         of them: sigma . m is often a basis mask itself) goes to a signed
         union-find, whose classes are represented by their smallest mask; a
-        class whose masks must equal their own negative is zero.  The
-        transposition (n-1 n) comes first, and is an involution: the two
-        masks of a pair it swaps say one relation, which is recorded once,
-        the larger mask under the smaller, and a mask it sends to its own
-        negative is marked zero, with no union-find search.  The other
-        rows, rewritten onto the representatives, go to one forward
-        echelon.  The live representatives that are not pivots span the
-        quotient; they are the masks a single echelon of every row would
-        leave, since the max-column pivot set depends only on the span of
-        the rows."""
+        class whose masks must equal their own negative is zero, and a mask
+        that a generator fixes with sign +1 says nothing.  sigma . m is
+        taken bit by bit (:meth:`Layout.apply_perm`).  The other rows,
+        rewritten onto the representatives, go to one forward echelon.
+        The live representatives that are not pivots span the quotient;
+        they are the masks a single echelon of every row would leave, since
+        the max-column pivot set depends only on the span of the rows."""
         keys = self.space(p, q).block_keys
         return {ab: basis for ab in keys if (basis := self._basis(p, q, ab))}
 
@@ -304,8 +279,8 @@ class SpectralEngine:
             constraint_cols = []
             for mask in cols:
                 col = {}
-                for tno, relabel in enumerate(self._perm_tables):
-                    s, img = lay.apply_perm(relabel.table, mask)
+                for tno, table in enumerate(self._perm_tables):
+                    s, img = lay.apply_perm(table, mask)
                     vec = space.reduce_mask(img, s)
                     vec[mask] = vec.get(mask, 0) - 1
                     for m, v in vec.items():

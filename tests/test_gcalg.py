@@ -9,6 +9,7 @@ with Fractions.
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from pathlib import Path
@@ -26,7 +27,6 @@ from conftorus.gcalg import (
     G,
     Layout,
     Monomial,
-    Relabelling,
     X,
     Y,
     differential,
@@ -591,6 +591,19 @@ def test_differential_mask_returns_a_fresh_list_in_g_bit_order(shuffled):
             assert removed == sorted(removed), mask
 
 
+@pytest.mark.parametrize("n", [gcalg._D_LISTS_MAX_N, gcalg._D_LISTS_MAX_N + 1, 16])
+def test_differential_mask_keeps_no_lists_above_its_cap(n):
+    """A key asked twice builds its 2^n lists up to n = _D_LISTS_MAX_N
+    (1,024 lists at 10); above it both calls give differential_list, and
+    the x-letter tables behind the lists are never built."""
+    lay = Layout(n)
+    g12 = lay.encode(normalize((G(1, 2),)))
+    want = lay.differential_list(g12)
+    assert lay.differential_mask(g12) == want
+    assert lay.differential_mask(g12) == want
+    assert ("_x_rows" in vars(lay)) == (n <= gcalg._D_LISTS_MAX_N)
+
+
 def test_layout_construction_builds_no_table_exponential_in_n():
     # the x-letter sign tables of differential_mask hold 2n.2^(n-1) entries
     # and are built when a memo key first repeats, not by the constructor
@@ -703,35 +716,31 @@ def test_sort_bits_sign_and_mask():
         assert (sign, mask) == (want.sign, lay.encode(want))
 
 
-def engine_generators(n):
-    """The generators of S_n the engine relabels by, read from the engine."""
-    return SpectralEngine(n).generators
-
-
 @pytest.mark.parametrize("n", range(2, 7))
 def test_block_relabel_matches_apply_perm_on_the_quotient_basis(n):
-    # both generators on one layout, taken in turn on each mask, as the
-    # engine does: neither may read the other's g-part images
-    lay = Layout(n)
-    relabels = [Relabelling(lay, sigma) for sigma in engine_generators(n)]
-    for q in range(lay.npairs, -1, -1):
-        for p in range(2 * n + 1):
-            for mask in BidegreeSpace(n, p, q, layout=lay).quotient_basis:
-                for rel in relabels:
-                    assert rel(mask) == lay.apply_perm(rel.table, mask), (p, q, mask)
+    # the matching engine's sparse relabel against the oracle's bit tables,
+    # for both generators of the oracle on every basis mask, past the n <= 4
+    # of the free-mask check below
+    eng = SpectralEngine(n)
+    lay = eng.layout
+    for sigma, table in zip(eng.generators, eng._perm_tables):
+        assert table == lay.perm_table(sigma)
+        for q in range(lay.npairs, -1, -1):
+            for p in range(2 * n + 1):
+                for mask in BidegreeSpace(n, p, q, layout=lay).quotient_basis:
+                    assert lay.relabel(sigma, mask) == lay.apply_perm(table, mask), (p, q, mask)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_block_relabel_matches_apply_perm_on_every_free_mask(n):
-    """Relabelling and the sparse Layout.relabel each give
-    apply_perm(perm_table(sigma), m) for every free mask m and every sigma
-    in S_n."""
+    """The sparse Layout.relabel gives apply_perm(perm_table(sigma), m)
+    for every free mask m and every sigma in S_n."""
     lay = Layout(n)
     for sigma in permutations(range(1, n + 1)):
-        rel = Relabelling(lay, sigma)
+        table = lay.perm_table(sigma)
         bad = next(
             (m for m in range(1 << lay.nbits)
-             if not rel(m) == lay.apply_perm(rel.table, m) == lay.relabel(sigma, m)),
+             if lay.apply_perm(table, m) != lay.relabel(sigma, m)),
             None,
         )
         assert bad is None, (sigma, lay.decode(bad))
@@ -777,12 +786,14 @@ def test_an_n_that_is_not_an_int_is_a_type_error(n):
 @pytest.mark.parametrize("n", range(4))
 def test_block_relabel_matches_sn_act(n):
     lay = Layout(n)
+    # the bit tables of the oracle and the sparse relabel of the matching
+    # engine, each against the Element path
     for sigma in permutations(range(1, n + 1)):
-        rel = Relabelling(lay, sigma)
+        table = lay.perm_table(sigma)
         for mask in range(1 << lay.nbits):
-            s, img = rel(mask)
             want = sn_act(sigma, Element.from_monomial(lay.decode(mask)))
-            assert Element.from_monomial(lay.decode(img, s)) == want, (sigma, mask)
+            for s, img in (lay.apply_perm(table, mask), lay.relabel(sigma, mask)):
+                assert Element.from_monomial(lay.decode(img, s)) == want, (sigma, mask)
 
 
 # -- the Hodge mirror tau ------------------------------------------------------------
@@ -843,7 +854,7 @@ def test_tau_commutes_with_d_and_the_engine_relabellings(n):
     """tau carries Hodge block (p, q, a, b) onto (p, q, b, a) as a complex of
     S_n-modules, which is why the report ranks only the blocks with a <= b."""
     lay = Layout(n)
-    relabels = [Relabelling(lay, sigma) for sigma in engine_generators(n)]
+    relabels = [partial(lay.apply_perm, table) for table in SpectralEngine(n)._perm_tables]
     assert tau_counterexample(lay, lay.differential_mask, relabels) is None
 
 

@@ -3,8 +3,10 @@
 The tuple ``Element`` path, the genus-zero Arnold oracle, the series and the
 kernel E2 reference reach the same numbers as the coinvariant engine without
 its code, and the matching engine, which serves ``e3_dims``, reaches them
-without the coinvariant engine's elimination or the series, so their
-agreement checks something.  Each row of ``ROUTES`` names a route, the
+without the coinvariant engine's elimination, its bit-by-bit relabelling or
+the series, while the coinvariant engine, its oracle, uses none of the
+matching engine's relabel, words or representatives, so their agreement
+checks something.  Each row of ``ROUTES`` names a route, the
 code objects it is made of (``module`` or ``module:qualified.name``) and
 the package names those objects may not reference.  An AST walk collects
 every ``Name`` and ``Attribute`` in each object and in every module-level
@@ -53,7 +55,7 @@ ROUTES = [
         "tuple Element path",
         ("gcalg:differential", "gcalg:sn_act", "gcalg:symmetrize", "gcalg:multiply",
          "gcalg:normalize"),
-        ("Layout", "BidegreeSpace", "Relabelling", "reduce_mask", "forest_form"),
+        ("Layout", "BidegreeSpace", "reduce_mask", "forest_form"),
     ),
     (
         "genus-zero Arnold oracle",
@@ -75,8 +77,13 @@ ROUTES = [
         "matching engine",
         ("specseq:MatchingEngine", "specseq:matching_words"),
         ("_eliminate", "_basis", "_relations", "coinvariants", "SignedUnionFind",
-         "Relabelling", "increasing_forests", "conf_series_betti", "conf_series_hodge",
-         "decode_betti", "decode_hodge", "vakil_wood_conf"),
+         "apply_perm", "perm_table", "increasing_forests", "conf_series_betti",
+         "conf_series_hodge", "decode_betti", "decode_hodge", "vakil_wood_conf"),
+    ),
+    (
+        "coinvariant oracle",
+        ("specseq:SpectralEngine._eliminate", "specseq:SpectralEngine.d_rank"),
+        ("relabel", "MatchingEngine", "matching_words", "onto_rep"),
     ),
 ]
 
@@ -215,4 +222,21 @@ def test_a_matching_engine_that_decodes_the_series_is_named():
     assert route_violations(route, objects[:1], forbidden, ast.parse(source)) == [
         "matching engine: specseq:_betti line 2 names conf_series_betti",
         "matching engine: specseq:_betti line 2 names decode_betti",
+    ]
+
+
+def test_a_coinvariant_oracle_that_relabels_like_the_matching_engine_is_named():
+    """The negative control for the oracle row: an ``_eliminate`` that
+    takes sigma . m from the matching engine's sparse ``Layout.relabel``
+    would share its sign faults, and fails with its line."""
+    source = (
+        "class SpectralEngine:\n"
+        "    def _eliminate(self, p, q, ab):\n"
+        "        for sigma in self.generators:\n"
+        "            for mask in self.space(p, q).block(ab):\n"
+        "                s, img = self.layout.relabel(sigma, mask)\n"
+    )
+    route, objects, forbidden = ROUTES[5]
+    assert route_violations(route, objects[:1], forbidden, ast.parse(source)) == [
+        "coinvariant oracle: specseq:SpectralEngine._eliminate line 5 names relabel"
     ]

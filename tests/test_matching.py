@@ -4,6 +4,7 @@ rests on, held on the oracle's bases, its walk over the words, and negative
 controls in test-local subclasses that break its zero test and its d."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -115,6 +116,24 @@ def test_every_live_representative_is_its_own_normal_form(n):
     for (p, q, _), reps in MatchingEngine(n).blocks.items():
         space = BidegreeSpace(n, p, q, layout=lay)
         assert [rep for rep in reps if space.reduce_mask(rep) != {rep: 1}] == []
+
+
+def test_every_d_term_of_a_live_representative_is_its_own_normal_form_or_zero():
+    """Removing an edge of a decorated matching leaves a decorated matching
+    with each letter on the smallest vertex of its component, or x_i y_i on
+    one vertex, which is zero: over n <= 12, 572 of the 2,324 d-terms of the
+    live representatives reduce to themselves with their coefficient, the
+    other 1,752 to zero, and none to anything else."""
+    kinds = Counter()
+    for n in range(13):
+        eng = MatchingEngine(n)
+        for (p, q, _), reps in eng.blocks.items():
+            target = BidegreeSpace(n, p + 2, q - 1, layout=eng.layout)
+            for rep in reps:
+                for m, c in eng.layout.differential_list(rep):
+                    got = target.reduce_mask(m, c)
+                    kinds["zero" if not got else "self" if got == {m: c} else m] += 1
+    assert kinds == {"self": 572, "zero": 1752}
 
 
 @pytest.mark.parametrize("n", range(9))

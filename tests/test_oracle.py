@@ -179,6 +179,14 @@ def test_selftest_rejects_negative_n_max(n):
         run_selftest(n)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "3"])
+def test_selftest_rejects_an_n_max_that_is_not_an_int(n):
+    """True is not read as 1, with every check from n = 2 on skipped, and a
+    float or a string does not fail later with an unrelated message."""
+    with pytest.raises(TypeError, match=f"n_max must be an int, got {n!r}$"):
+        run_selftest(n)
+
+
 def _bit_list(mask):
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 

@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from conftorus.gcalg import BidegreeSpace, Element, Layout, Relabelling, X, Y, symmetrize
+from conftorus.gcalg import BidegreeSpace, Element, Layout, X, Y, symmetrize
 from conftorus.linalg import SignedUnionFind, SparseEchelon, rank_of_rows
 from conftorus.series import w
 from conftorus.specseq import (
@@ -206,7 +206,7 @@ def test_coinvariants_of_a_pair_fixing_1_fail_the_e2_comparison_n4():
     eng = SpectralEngine(4)
     transposition, _ = eng.generators
     assert transposition == (1, 2, 4, 3)
-    eng._perm_tables = [Relabelling(eng.layout, sigma) for sigma in (transposition, (1, 3, 4, 2))]
+    eng._perm_tables = [eng.layout.perm_table(sigma) for sigma in (transposition, (1, 3, 4, 2))]
     e2 = coinvariant_e2(eng)
     want = kernel_e2(SpectralEngine(4))
     assert e2 != want
@@ -276,38 +276,33 @@ def test_report_eliminates_and_ranks_only_blocks_with_a_at_most_b(monkeypatch):
 
 
 def test_eliminate_sends_no_fixed_mask_with_sign_plus_one_to_the_union_find(monkeypatch):
-    """A row sigma . m = m says nothing and costs two finds; sigma . m = -m
-    still makes m zero.  The transposition tau = (n-1 n) takes both kinds
-    with no union, and each pair of basis masks it swaps once: over the
-    reports for n <= 5 it relabels 1,207 of its 1,867 masks, skipping the
-    larger mask of each of its 660 pairs, and marks its 218 masks with
-    tau . m = -m zero directly.  Only the cycle's 8 such masks reach union:
-    1,650 unions and 4,040 finds, where sending every row that says
-    m = +-m' to the union-find took 3,188 and 7,116.  Every report is
-    unchanged."""
+    """A row sigma . m = m says nothing and costs two finds, so it is
+    skipped; sigma . m = -m still makes m zero, as the union of m with
+    itself.  Over the reports for n <= 5 each generator relabels every
+    mask of the blocks they eliminate, once and bit by bit: 1,867 masks
+    under the transposition (n-1 n), 1,859 under the cycle, which exists
+    from n = 3.  Of the images, 111 fix their mask with sign +1 and reach
+    no union, and the 226 with sign -1 reach it as (m, m, -1): 3,188
+    unions and 7,116 finds, where the sign +1 rows would add 111 unions
+    and 222 finds.  Every report is unchanged."""
     want = [e3_dims(n).to_json() for n in range(6)]
     engines = [SpectralEngine(n) for n in range(6)]
-    taus = {id(eng._perm_tables[0]) for eng in engines if eng._perm_tables}
-    fixed, tau_masks, relabels, unions, finds = Counter(), Counter(), Counter(), Counter(), Counter()
-    eliminate, call = SpectralEngine._eliminate, Relabelling.__call__
+    names = {id(table): tno for eng in engines for tno, table in enumerate(eng._perm_tables)}
+    fixed, relabels, unions, finds = Counter(), Counter(), Counter(), Counter()
+    eliminate, apply_perm = SpectralEngine._eliminate, Layout.apply_perm
     union, find = SignedUnionFind.union, SignedUnionFind.find
 
     def counted_eliminate(self, p, q, ab):
-        masks = self.space(p, q).block(ab)
-        members = set(masks)
-        for tno, relabel in enumerate(self._perm_tables):
-            for mask in masks:
-                s, img = call(relabel, mask)
+        for tno, table in enumerate(self._perm_tables):
+            for mask in self.space(p, q).block(ab):
+                s, img = apply_perm(table, mask)
                 if img == mask:
                     fixed[(tno, s)] += 1
-                if tno == 0:
-                    tau_masks["all"] += 1
-                    tau_masks["pairs"] += img in members and img > mask
         return eliminate(self, p, q, ab)
 
-    def counted_call(self, mask):
-        relabels["tau" if id(self) in taus else "cycle"] += 1
-        return call(self, mask)
+    def counted_apply_perm(table, mask):
+        relabels[("transposition", "cycle")[names[id(table)]]] += 1
+        return apply_perm(table, mask)
 
     def counted_union(self, a, b, s):
         unions[(a == b, s)] += 1
@@ -318,37 +313,15 @@ def test_eliminate_sends_no_fixed_mask_with_sign_plus_one_to_the_union_find(monk
         return find(self, k)
 
     monkeypatch.setattr(SpectralEngine, "_eliminate", counted_eliminate)
-    monkeypatch.setattr(Relabelling, "__call__", counted_call)
+    monkeypatch.setattr(Layout, "apply_perm", staticmethod(counted_apply_perm))
     monkeypatch.setattr(SignedUnionFind, "union", counted_union)
     monkeypatch.setattr(SignedUnionFind, "find", counted_find)
     assert [eng.report().to_json() for eng in engines] == want
     assert fixed == {(0, 1): 100, (0, -1): 218, (1, 1): 11, (1, -1): 8}
-    assert tau_masks == {"all": 1867, "pairs": 660}
-    assert relabels == {"tau": 1867 - 660, "cycle": 1859}
-    assert unions == {(False, 1): 1101, (False, -1): 541, (True, -1): fixed[(1, -1)]}
-    assert sum(unions.values()) == 1650
-    assert finds["all"] == 4040
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_first_generator_is_the_involution_the_coinvariant_step_pairs_by(n):
-    """_eliminate takes the first table's rows pair by pair, which holds
-    only for an involution: the first generator is (n-1 n), and applying it
-    twice to every basis mask of the report's blocks gives (1, m)."""
-    eng = SpectralEngine(n)
-    assert eng.generators[0] == (*range(1, n - 1), n, n - 1)
-    tau = eng._perm_tables[0]
-    seen = 0
-    for p, q in inside_the_algebra(n):
-        for a, b in eng.space(p, q).block_keys:
-            if a > b:
-                continue
-            for mask in eng.space(p, q).block((a, b)):
-                s, img = tau(mask)
-                s2, back = tau(img)
-                assert (s * s2, back) == (1, mask), (p, q, mask)
-                seen += 1
-    assert seen
+    assert relabels == {"transposition": 1867, "cycle": 1859}
+    assert unions == {(False, 1): 2421, (False, -1): 541, (True, -1): 218 + 8}
+    assert sum(unions.values()) == 3188
+    assert finds["all"] == 7116
 
 
 def inside_the_algebra(n):
@@ -405,54 +378,6 @@ def test_d_rank_leaving_the_algebra_is_zero_and_builds_nothing(n):
     for key in sorted(keys):
         assert eng.d_rank(*key) == 0, key
     assert eng._spaces == {}
-
-
-def test_report_relabels_each_g_part_once_and_builds_each_forest_list_once(monkeypatch):
-    """The coinvariant step relabels letters by table, not bit by bit: over
-    a report, Layout.apply_perm runs once per g-part that a generator
-    relabels.  The cycle relabels every basis mask, so every g-part of a
-    basis mask; the transposition skips the larger mask of each pair it
-    swaps, and relabels exactly the g-parts of the masks it does relabel.
-    The forests of each q = 0..n-1 are built once: they are asked for once
-    per a <= b block of row q, floor(p/2) + 1 blocks for each p = 0..n-q,
-    and every ask returns the same list."""
-    calls, relabelled, forests = Counter(), {}, {}
-    apply_perm, increasing_forests = Layout.apply_perm, Layout.increasing_forests
-    call = Relabelling.__call__
-
-    def counted_apply_perm(table, mask):
-        calls[(id(table), mask)] += 1
-        return apply_perm(table, mask)
-
-    def recorded_call(self, mask):
-        relabelled.setdefault(id(self), set()).add(mask)
-        return call(self, mask)
-
-    def recorded_forests(lay, q):
-        out = increasing_forests(lay, q)
-        forests.setdefault(q, []).append(out)
-        return out
-
-    monkeypatch.setattr(Layout, "apply_perm", staticmethod(counted_apply_perm))
-    monkeypatch.setattr(Relabelling, "__call__", recorded_call)
-    monkeypatch.setattr(Layout, "increasing_forests", recorded_forests)
-    eng = SpectralEngine(5)
-    eng.report()
-    monkeypatch.undo()  # the reads below build spaces outside the algebra
-    gfull = eng.layout.gfull
-    gparts = {m & gfull for p, q in bidegrees(eng) for m in eng.space(p, q).quotient_basis}
-    tau, cycle = eng._perm_tables
-    tau_gparts = {m & gfull for m in relabelled[id(tau)]}
-    assert tau_gparts <= gparts
-    assert {m & gfull for m in relabelled[id(cycle)]} == gparts
-    assert calls == Counter(
-        {(id(tau.table), g): 1 for g in tau_gparts}
-        | {(id(cycle.table), g): 1 for g in gparts}
-    )
-    assert sorted(forests) == list(range(eng.n))
-    for q, built in forests.items():
-        blocks = sum(p // 2 + 1 for p in range(eng.n - q + 1))
-        assert len(built) == blocks and all(out is built[0] for out in built), q
 
 
 # -- E3 dimensions -----------------------------------------------------------
