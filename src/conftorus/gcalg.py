@@ -51,7 +51,6 @@ elimination of every relation multiple for small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple, Optional
@@ -312,10 +311,6 @@ def symmetrize(e: Element, n: int) -> Element:
 
 
 _SIGN = (-1, 1)  # coefficient of a d-term by the parity of its sign count
-# the largest n at which Layout.differential_mask builds a repeated key's 2^n
-# lists (1,024 at n = 10); every caller is below it: the d∘d sweep at n <= 5,
-# the oracle's d_rank and invariant_d_rank at n <= 8
-_D_LISTS_MAX_N = 10
 
 
 class Layout:
@@ -353,9 +348,6 @@ class Layout:
                 for bx, by in ((self.xbit0 + j - 1, self.ybit0 + i - 1),
                                (self.xbit0 + i - 1, self.ybit0 + j - 1))
             ]
-        self._gy = self.gfull | (((1 << n) - 1) << self.ybit0)  # g- and y-bits
-        # (g- and y-bits of the last mask, its d per x-letter set once asked twice)
-        self._d_last = (-1, None)
 
     # -- encoding ----------------------------------------------------------
 
@@ -483,26 +475,7 @@ class Layout:
             moved |= 1 << c
         return (-1 if inv & 1 else 1), fixed | moved
 
-    @cached_property
-    def _x_rows(self):
-        """Per x-letter bit of a d-term, and per sign parity of the rest of
-        the term: the (index, x-letters, coefficient) of every x-letter set
-        that misses the bit, in index order.  The coefficient adds the
-        x-letters strictly between the term's letters, read off its
-        between-mask.  2n.2^(n-1) entries, built on first use."""
-        sets = [(k, k << self.xbit0) for k in range(1 << self.n)]
-        rows = {}
-        for add, between in chain.from_iterable(self._d_terms.values()):
-            xbit = add & ~self._gy
-            if xbit not in rows:
-                rows[xbit] = tuple(
-                    [(k, xs, _SIGN[(par + (xs & between).bit_count()) & 1])
-                     for k, xs in sets if not xs & xbit]
-                    for par in (0, 1)
-                )
-        return rows
-
-    def differential_mask(self, mask):
+    def differential_list(self, mask):
         """d of a normal-form mask as a new list of (mask', int coeff).
 
         The g-bit of g_ij is replaced by -(x_j y_i) and by -(x_i y_j), in
@@ -510,38 +483,8 @@ class Layout:
         Leibniz sign (-1)^(g-bits of the mask below it) and the Koszul sign
         of moving its two letters into place, (-1)^(letters of the mask
         strictly between them).  Distinct (g-bit, term) pairs give distinct
-        masks, so no two terms combine.
-
-        The path follows the calls, one memo key (g-part and y-letters) at
-        a time.  A key other than the last one asked gets only its own list,
-        from :meth:`differential_list`, and becomes the last key.  When the
-        same key is asked again, each of its terms goes into the list of
-        every x-letter set it misses, signed from :attr:`_x_rows`, and this
-        call and the next ones on that key return copies of those 2^n lists.
-        Only the last key is kept.  A sweep over one g-part's letter sets
-        with the x-letters varying fastest builds the 2^n lists once per
-        key, on its second mask, as the identity suite's d∘d sweep does.
-        The per-mask caller is the oracle's ``SpectralEngine.d_rank``; the
-        matching engine calls :meth:`differential_list`.  A key asked twice
-        would cost its 2^n lists, 0.13 s and 36 MB at n = 14 and 3.4 s and
-        418 MB at n = 18, so above n = ``_D_LISTS_MAX_N`` every call is
-        answered by :meth:`differential_list` and no list is kept.
-        """
-        if self.n > _D_LISTS_MAX_N:
-            return self.differential_list(mask)
-        key = mask & self._gy
-        last, lists = self._d_last
-        if last != key:
-            self._d_last = (key, None)
-            return self.differential_list(mask)
-        if lists is None:
-            lists = self._d_lists(key)
-            self._d_last = (key, lists)
-        return lists[(mask ^ key) >> self.xbit0][:]
-
-    def differential_list(self, mask):
-        """d of one mask, term by term from ``_d_terms``, with no memo: for
-        callers that may ask one key twice in a row at large n."""
+        masks, so no two terms combine.  Each call builds its list from
+        ``_d_terms`` alone, with no memo."""
         out = []
         pos = 0  # parity of the g-bits below the current one
         m = mask & self.gfull
@@ -554,27 +497,6 @@ class Layout:
                     out.append((mask ^ low | add, _SIGN[par]))
             pos ^= 1
         return out
-
-    def _d_lists(self, key):
-        """d of every mask with g-part and y-letters ``key``, as 2^n lists
-        indexed by the x-letter set, term by term from :attr:`_x_rows`."""
-        g = key & self.gfull
-        ys = key ^ g
-        rows = self._x_rows
-        lists = [[] for _ in range(1 << self.n)]
-        pos = 0  # parity of the g-bits below the current one
-        m = g
-        while m:
-            low = m & -m
-            m ^= low
-            for add, between in self._d_terms[low]:
-                if not ys & add:
-                    t = key ^ low | add
-                    par = (pos + (ys & between).bit_count()) & 1
-                    for k, xs, c in rows[add & ~self._gy][par]:
-                        lists[k].append((t | xs, c))
-            pos ^= 1
-        return lists
 
     def enumerate_masks(self, p, q):
         """All free-basis masks of bidegree (p, q) in lex enumeration order."""

@@ -491,23 +491,48 @@ def _canonical_shapes(n):
     return shapes
 
 
+def _d_block(lay, key, cols):
+    """d of the 2^n masks ``key | k << lay.xbit0``, one list per x-letter
+    set k, for a ``key`` of g-part and y-letters, built from d(key).
+
+    A term t of d(key) adds one x-letter and one y-letter, ``t & ~key``.
+    It goes into the list of every x-letter set X that misses its x-letter
+    as t | X, its sign flipped by each letter of X strictly between its two
+    letters: every letter of X above its x-letter, as the y-letter lies
+    above all x-letters.  Each list keeps the term order of d(key).
+    ``cols`` holds, per x-letter and coefficient, the (k, X, signed
+    coefficient) of each set that misses the letter, filled on first use;
+    it depends on n alone, so the sweep passes one dict for all its keys."""
+    size = 1 << lay.n
+    lists = [[] for _ in range(size)]
+    for t, c in lay.differential_list(key):
+        x = (t & ~key) >> lay.xbit0 & (size - 1)  # the x-letter as a bit of k
+        if (x, c) not in cols:
+            cols[x, c] = [(k, k << lay.xbit0, -c if (k & -x).bit_count() & 1 else c)
+                          for k in range(size) if not k & x]
+        for k, xs, s in cols[x, c]:
+            lists[k].append((t | xs, s))
+    return lists
+
+
 def _dd_counterexample(lay):
     """The first free mask failing part (a) or (b) of
     :meth:`_Suite.check_dd_zero` in this layout, or None."""
-    dmask = lay.differential_mask
+    dlist = lay.differential_list
     lmasks = [letters << lay.xbit0 for letters in range(1 << (2 * lay.n))]
     # the y-letters are the high bits of k, so the letter sets come in
     # blocks of 2^n that share their y-letters.  A term c.T of d(G) is its
     # g-part times two letters a, all g-bits below every letter, so its
     # product with L has the coefficient c times the sign of a.L (0 if they
     # meet); cols[a, c][b] lists (k - b.2^n, L, coefficient) for each L of
-    # block b that a misses
+    # block b that a misses.  xcols is the x-letter table of _d_block, which
+    # builds the other side of each block
     size = 1 << lay.n
     blocks = [lmasks[k:k + size] for k in range(0, len(lmasks), size)]
-    cols = {}
+    cols, xcols = {}, {}
     for g in range(lay.gfull + 1):
-        terms = dmask(g)
-        dd = ((m3, c2 * c3) for m2, c2 in terms for m3, c3 in dmask(m2))
+        terms = dlist(g)
+        dd = ((m3, c2 * c3) for m2, c2 in terms for m3, c3 in dlist(m2))
         if add_terms({}, dd):
             return g
         split = []
@@ -522,13 +547,14 @@ def _dd_counterexample(lay):
             split.append((t, cols[key]))
         # d(G|L) lists its terms in the order of d(G), so a passing block
         # matches list for list; a block that differs is tested mask by
-        # mask, up to the order of the terms
+        # mask, up to the order of the terms.  block[0] is the block's
+        # y-letters
         for b, block in enumerate(blocks):
             want = [[] for _ in block]
             for t, col in split:
                 for i, lmask, c in col[b]:
                     want[i].append((t | lmask, c))
-            got = [dmask(g | lmask) for lmask in block]
+            got = _d_block(lay, g | block[0], xcols)
             if got != want:
                 for lmask, gl, wl in zip(block, got, want):
                     if gl != wl and add_terms({}, gl) != dict(wl):
@@ -592,23 +618,18 @@ class _Suite:
 
     def check_dd_zero(self):
         """d(d(m)) = 0 for every free mask m = G|L at each n of its range,
-        where G is the g-part and L the letter set, at the cost of one
-        ``differential_mask`` call per mask.  Part (b) compares the 2^n
-        letter sets that share their y-letters as one block of lists; only
-        a block that differs is tested mask by mask, up to the order of the
-        terms, to find its first failing mask.
-
-        The sweep reads each block with its x-letters rising, so
-        ``differential_mask`` answers x-letter set 0 of a block, the first
-        mask on a new g-part and y-letters, with a one-off list and the
-        other 2^n - 1 from the key's 2^n lists.  Every answer read is
-        compared, but the list those 2^n build for x-letter set 0 is never
-        read here; the test suite reads it by asking each key's letter
-        sets in reverse.
+        where G is the g-part and L the letter set, with one d answer per
+        mask.  Part (b) takes the 2^n letter sets that share their
+        y-letters as one block: :func:`_d_block` builds their d-lists from
+        ``Layout.differential_list`` of the block's first mask, and the
+        block is compared with d(G).L as lists; only a block that differs
+        is tested mask by mask, up to the order of the terms, to find its
+        first failing mask.  No answer is kept past its block.
 
         (a) d(d(G)) = 0 for every pure g-part G, two levels deep.
-        (b) differential_mask(G|L) = d(G).L for every free mask, the right
-            side multiplying each term of d(G) by L with ``Layout.merge``.
+        (b) d(G|L) = d(G).L for every free mask, the left side from the
+            block, the right side multiplying each term of d(G) by L with
+            ``Layout.merge``.
 
         Together they give, for every free mask:
             d(d(G|L)) = d(d(G).L)      by (b) for G|L,

@@ -257,7 +257,7 @@ class SpectralEngine:
         for mask in source:
             img = classes.project(
                 term
-                for m2, c2 in self.layout.differential_mask(mask)
+                for m2, c2 in self.layout.differential_list(mask)
                 for term in target.reduce_mask(m2, c2).items()
             )
             if img:
@@ -307,7 +307,7 @@ class SpectralEngine:
             for mask, c in vec.items():
                 if mask not in dcache:
                     acc = {}
-                    for m2, c2 in self.layout.differential_mask(mask):
+                    for m2, c2 in self.layout.differential_list(mask):
                         add_terms(acc, target.reduce_mask(m2, c2).items())
                     dcache[mask] = acc
                 add_terms(img, ((m3, c * v) for m3, v in dcache[mask].items()))

@@ -525,52 +525,24 @@ def test_element_display_and_bidegree_guard():
             bad.bidegree()
 
 
-def test_differential_mask_matches_element_path():
-    # the engine's bitmask d, term by term against the tuple-based one.  In
-    # numeric order the g-part changes on every call once there is a pair
-    # (n >= 2), so every call is a one-off and the x-letter tables of the
-    # 2^n lists are never built; at n = 1, x1 repeats the empty mask's key
+def test_differential_list_matches_element_path():
+    # the engine's bitmask d, term by term against the tuple-based one
     for n in range(5):
         lay = Layout(n)
         for mask in range(1 << lay.nbits):
             want = differential(Element.from_monomial(lay.decode(mask)))
-            got = lay.differential_mask(mask)
+            got = lay.differential_list(mask)
             assert len({m for m, _ in got}) == len(got), mask
             assert {lay.decode(m).gens: c for m, c in got} == want.coeffs, mask
-        assert ("_x_rows" in vars(lay)) == (n == 1), n
-
-
-def test_differential_mask_memo_holds_in_any_call_order():
-    # differential_mask answers a new g-part and y-letters with one list
-    # and builds the key's 2^n lists when the key repeats.  Grouped by
-    # g-part with the x-letters rising, the lists serve every x-letter set
-    # but 0; with them falling, every set but the largest, 0 among them.
-    # Shuffled calls change key almost every time.  All must give the
-    # Element path's d
-    rng = random.Random(16)
-    for n in range(5):
-        lay = Layout(n)
-        want = {
-            mask: {
-                lay.encode(Monomial(gens)): c
-                for gens, c in differential(Element.from_monomial(lay.decode(mask))).coeffs.items()
-            }
-            for mask in range(1 << lay.nbits)
-        }
-        letters = [k << lay.xbit0 for k in range(1 << (2 * n))]
-        g_major = [g | lmask for g in range(lay.gfull + 1) for lmask in letters]
-        reverse = [g | lmask for g in range(lay.gfull + 1) for lmask in letters[::-1]]
-        shuffled = rng.sample(g_major, len(g_major))
-        for mask in g_major + reverse + shuffled:
-            assert dict(lay.differential_mask(mask)) == want[mask], mask
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
-def test_differential_mask_returns_a_fresh_list_in_g_bit_order(shuffled):
+def test_differential_list_returns_a_fresh_list_in_g_bit_order(shuffled):
     # the d∘d sweep compares whole blocks of answers as lists, so the order
     # is part of the answer: the removed g-bit never decreases along the
     # list, and g_ij gives x_j.y_i before x_i.y_j.  Each call returns a new
-    # list, so a caller's edits never reach the memo
+    # list, so a caller's edits never reach the next answer, and the masks
+    # may be asked in any order
     rng = random.Random(34)
     for n in range(5):
         lay = Layout(n)
@@ -578,10 +550,10 @@ def test_differential_mask_returns_a_fresh_list_in_g_bit_order(shuffled):
         if shuffled:
             rng.shuffle(masks)
         for mask in masks:
-            got = lay.differential_mask(mask)
+            got = lay.differential_list(mask)
             want = list(got)
             got.append((mask, 0))
-            assert lay.differential_mask(mask) == want, mask
+            assert lay.differential_list(mask) == want, mask
             removed = []
             for m, _ in want:
                 low = mask & ~m
@@ -591,22 +563,9 @@ def test_differential_mask_returns_a_fresh_list_in_g_bit_order(shuffled):
             assert removed == sorted(removed), mask
 
 
-@pytest.mark.parametrize("n", [gcalg._D_LISTS_MAX_N, gcalg._D_LISTS_MAX_N + 1, 16])
-def test_differential_mask_keeps_no_lists_above_its_cap(n):
-    """A key asked twice builds its 2^n lists up to n = _D_LISTS_MAX_N
-    (1,024 lists at 10); above it both calls give differential_list, and
-    the x-letter tables behind the lists are never built."""
-    lay = Layout(n)
-    g12 = lay.encode(normalize((G(1, 2),)))
-    want = lay.differential_list(g12)
-    assert lay.differential_mask(g12) == want
-    assert lay.differential_mask(g12) == want
-    assert ("_x_rows" in vars(lay)) == (n <= gcalg._D_LISTS_MAX_N)
-
-
 def test_layout_construction_builds_no_table_exponential_in_n():
-    # the x-letter sign tables of differential_mask hold 2n.2^(n-1) entries
-    # and are built when a memo key first repeats, not by the constructor
+    # every table the constructor builds grows polynomially in n: the pair
+    # bits, the d-terms per pair and the bits per vertex
     for name, value in vars(Layout(40)).items():
         assert not hasattr(value, "__len__") or len(value) <= 10**4, name
 
@@ -840,7 +799,7 @@ def skewed_differential(lay):
 
     def d(mask):
         out = []
-        for m2, c in lay.differential_mask(mask):
+        for m2, c in lay.differential_list(mask):
             new = m2 & ~mask  # the two letters that replaced g_ij
             xs, ys = (new >> lay.xbit0) & ((1 << lay.n) - 1), new >> lay.ybit0
             out.append((m2, -c if xs > ys else c))
@@ -855,7 +814,7 @@ def test_tau_commutes_with_d_and_the_engine_relabellings(n):
     S_n-modules, which is why the report ranks only the blocks with a <= b."""
     lay = Layout(n)
     relabels = [partial(lay.apply_perm, table) for table in SpectralEngine(n)._perm_tables]
-    assert tau_counterexample(lay, lay.differential_mask, relabels) is None
+    assert tau_counterexample(lay, lay.differential_list, relabels) is None
 
 
 def test_tau_check_fails_on_a_differential_without_xy_symmetry():

@@ -6,8 +6,10 @@ its code, and the matching engine, which serves ``e3_dims``, reaches them
 without the coinvariant engine's elimination, its bit-by-bit relabelling or
 the series, while the coinvariant engine, its oracle, uses none of the
 matching engine's relabel, words or representatives, so their agreement
-checks something.  Each row of ``ROUTES`` names a route, the
-code objects it is made of (``module`` or ``module:qualified.name``) and
+checks something.  The d∘d sweep reads d only through ``Layout``'s public
+``differential_list``, so its blocks share no table or memo with
+``Layout``.  Each row of ``ROUTES`` names a route, the code objects it is
+made of (``module`` or ``module:qualified.name``) and
 the package names those objects may not reference.  An AST walk collects
 every ``Name`` and ``Attribute`` in each object and in every module-level
 class or function of its module that it names, transitively, and a failure
@@ -84,6 +86,11 @@ ROUTES = [
         "coinvariant oracle",
         ("specseq:SpectralEngine._eliminate", "specseq:SpectralEngine.d_rank"),
         ("relabel", "MatchingEngine", "matching_words", "onto_rep"),
+    ),
+    (
+        "dd sweep",
+        ("oracle:_dd_counterexample", "oracle:_d_block"),
+        ("_d_terms", "_gy", "_x_rows", "_d_lists", "_d_last", "differential_mask"),
     ),
 ]
 
@@ -239,4 +246,21 @@ def test_a_coinvariant_oracle_that_relabels_like_the_matching_engine_is_named():
     route, objects, forbidden = ROUTES[5]
     assert route_violations(route, objects[:1], forbidden, ast.parse(source)) == [
         "coinvariant oracle: specseq:SpectralEngine._eliminate line 5 names relabel"
+    ]
+
+
+def test_a_dd_sweep_block_that_reads_the_layout_tables_is_named():
+    """The negative control for the sweep row: a block builder that takes
+    its terms from ``Layout``'s private d-table fails, through the sweep
+    that calls it, with its line."""
+    source = (
+        "def _d_block(lay, key, cols):\n"
+        "    return [lay._d_terms[key & -key]]\n"
+        "\n"
+        "def _dd_counterexample(lay):\n"
+        "    return _d_block(lay, 1, {})\n"
+    )
+    route, objects, forbidden = ROUTES[6]
+    assert route_violations(route, objects[:1], forbidden, ast.parse(source)) == [
+        "dd sweep: oracle:_d_block line 2 names _d_terms"
     ]

@@ -404,14 +404,49 @@ def test_run_selftest_n3_all_pass():
     assert not failed, failed
 
 
+# -- the d∘d sweep's block builder ------------------------------------------------
+
+
+def test_d_block_gives_differential_list_of_every_free_mask():
+    # list k of the block of key K is d(K | k << xbit0), list for list and
+    # in term order, for every free mask at n <= 4 (CI runs n = 5), so the
+    # sweep's check of the blocks against d(G).L also checks Layout's d
+    for n in range(5):
+        lay = Layout(n)
+        cols = {}
+        for g in range(lay.gfull + 1):
+            for ys in range(1 << n):
+                key = g | ys << lay.ybit0
+                lists = oracle._d_block(lay, key, cols)
+                assert len(lists) == 1 << n, key
+                for k, terms in enumerate(lists):
+                    assert terms == lay.differential_list(key | k << lay.xbit0), (key, k)
+
+
 # -- negative controls for d_squared_zero: faults injected into the bitmask d ---
 
 
-def _dd_zero_with(monkeypatch, fault):
-    original = Layout.differential_mask
+def _fault_d(monkeypatch, fault):
+    """Apply ``fault(lay, mask, terms)`` to every d answer the sweep reads:
+    each ``Layout.differential_list`` call, and list k of each block of key
+    K as the answer for mask K | k << xbit0.  The block is built from the
+    unfaulted d, so no answer takes the fault twice."""
+    d_list, d_block = Layout.differential_list, oracle._d_block
+
+    def block(lay, key, cols):
+        with monkeypatch.context() as m:
+            m.setattr(Layout, "differential_list", d_list)
+            lists = d_block(lay, key, cols)
+        return [fault(lay, key | k << lay.xbit0, terms) for k, terms in enumerate(lists)]
+
     monkeypatch.setattr(
-        Layout, "differential_mask", lambda self, mask: fault(self, mask, original(self, mask))
+        Layout, "differential_list", lambda self, mask: fault(self, mask, d_list(self, mask))
     )
+    monkeypatch.setattr(oracle, "_d_block", block)
+
+
+def _dd_zero_with(monkeypatch, fault):
+    _fault_d(monkeypatch, fault)
     return _Suite(4).check_dd_zero()
 
 
@@ -431,24 +466,29 @@ def test_dd_zero_catches_dropped_four_letter_terms(monkeypatch):
     assert _dd_zero_with(monkeypatch, drop) == "g12.x2.y1"
 
 
-def test_dd_zero_calls_differential_mask_once_per_free_mask(monkeypatch):
-    # part (b) takes every free mask once; part (a) adds d(G) and d of each
-    # of its terms for every pure g-part G
-    seen = Counter()
-    original = Layout.differential_mask
+def test_dd_zero_answers_each_free_mask_once(monkeypatch):
+    # part (b) answers every free mask once, through one block of 2^n lists
+    # per g-part and y-letters.  differential_list is asked d(G) and d of
+    # each of its 2|G| terms by part (a), and d(key) once per block by part
+    # (b): 2^C(n,2).(1 + C(n,2)) + 2^(C(n,2) + n) calls
+    answered, calls = Counter(), Counter()
+    d_list, d_block = Layout.differential_list, oracle._d_block
 
-    def counted(self, mask):
-        seen[self.n, mask] += 1
-        return original(self, mask)
+    def counted_list(self, mask):
+        calls[self.n] += 1
+        return d_list(self, mask)
 
-    monkeypatch.setattr(Layout, "differential_mask", counted)
+    def counted_block(lay, key, cols):
+        lists = d_block(lay, key, cols)
+        answered.update((lay.n, key | k << lay.xbit0) for k in range(len(lists)))
+        return lists
+
+    monkeypatch.setattr(Layout, "differential_list", counted_list)
+    monkeypatch.setattr(oracle, "_d_block", counted_block)
     assert _Suite(4).check_dd_zero() is None
-    for n in range(2, 5):
-        lay = Layout(n)
-        masks = {mask for nn, mask in seen if nn == n}
-        assert masks == set(range(1 << lay.nbits))
-        calls = sum(seen[n, mask] for mask in masks)
-        assert calls == (1 << lay.nbits) + (1 << lay.npairs) * (1 + lay.npairs)
+    assert calls == {2: 12, 3: 96, 4: 1472}
+    free = [(n, mask) for n in range(2, 5) for mask in range(1 << comb(n, 2) + 2 * n)]
+    assert sorted(answered) == free and set(answered.values()) == {1}
 
 
 def test_dd_zero_catches_a_dropped_leibniz_sign_on_a_pure_g_part(monkeypatch):
@@ -488,13 +528,10 @@ def test_dd_sweep_verdict_ignores_the_order_of_terms(monkeypatch):
     # reversing the term list of every mask with letters breaks the list
     # compare of each block holding a mask with two or more terms (none at
     # n = 2); the per-mask fallback still passes every mask
-    original = Layout.differential_mask
+    def reversed_with_letters(lay, mask, terms):
+        return terms[::-1] if mask & ~lay.gfull else terms
 
-    def reversed_with_letters(self, mask):
-        terms = original(self, mask)
-        return terms[::-1] if mask & ~self.gfull else terms
-
-    monkeypatch.setattr(Layout, "differential_mask", reversed_with_letters)
+    _fault_d(monkeypatch, reversed_with_letters)
     fallbacks = [_add_terms_calls(monkeypatch, n) - 2 ** comb(n, 2) for n in (2, 3, 4)]
     assert fallbacks[0] == 0 and min(fallbacks[1:]) > 0, fallbacks
 
