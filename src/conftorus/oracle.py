@@ -491,45 +491,76 @@ def _canonical_shapes(n):
     return shapes
 
 
-def _d_block(lay, key, cols):
-    """d of the 2^n masks ``key | k << lay.xbit0``, one list per x-letter
-    set k, for a ``key`` of g-part and y-letters, built from d(key).
+def _x_table(n):
+    """Per set x of x-letters (the x-letters as bits 0..n-1), the 2^n-bit
+    sets (recv, odd) of x-letter sets k: recv the sets that miss x, odd the
+    sets with an odd number of letters above the lowest letter of x.  A
+    term of d adds one x-letter, so :func:`_d_block` reads the one-hot rows;
+    the others serve a term that adds no x-letter or several, which only a
+    faulty d gives."""
+    size = 1 << n
+    return [
+        (sum(1 << k for k in range(size) if not k & x),
+         sum(1 << k for k in range(size) if (k & -x).bit_count() & 1))
+        for x in range(size)
+    ]
+
+
+def _d_block(lay, key, xtable):
+    """d of the 2^n masks ``key | k << lay.xbit0``, for a ``key`` of g-part
+    and y-letters, as one triple (t, recv, neg) per term t of d(key).
 
     A term t of d(key) adds one x-letter and one y-letter, ``t & ~key``.
-    It goes into the list of every x-letter set X that misses its x-letter
-    as t | X, its sign flipped by each letter of X strictly between its two
-    letters: every letter of X above its x-letter, as the y-letter lies
-    above all x-letters.  Each list keeps the term order of d(key).
-    ``cols`` holds, per x-letter and coefficient, the (k, X, signed
-    coefficient) of each set that misses the letter, filled on first use;
-    it depends on n alone, so the sweep passes one dict for all its keys."""
-    size = 1 << lay.n
-    lists = [[] for _ in range(size)]
+    It is a term of d(key | X), as t | X, for every x-letter set X that
+    misses its x-letter, its sign flipped by each letter of X strictly
+    between its two letters: every letter of X above its x-letter, as the
+    y-letter lies above all x-letters.  ``recv`` is the 2^n-bit set of
+    those k, and ``neg`` the subset where the coefficient is -1, both read
+    off ``xtable`` (:func:`_x_table`); :func:`_block_list` decodes list k."""
+    low = (1 << lay.n) - 1
+    block = []
     for t, c in lay.differential_list(key):
-        x = (t & ~key) >> lay.xbit0 & (size - 1)  # the x-letter as a bit of k
-        if (x, c) not in cols:
-            cols[x, c] = [(k, k << lay.xbit0, -c if (k & -x).bit_count() & 1 else c)
-                          for k in range(size) if not k & x]
-        for k, xs, s in cols[x, c]:
-            lists[k].append((t | xs, s))
-    return lists
+        recv, odd = xtable[(t & ~key) >> lay.xbit0 & low]
+        block.append((t, recv, recv & odd if c > 0 else recv & ~odd))
+    return block
+
+
+def _block_list(lay, block, k):
+    """List k of a block of triples: the d answer of the block's mask with
+    x-letter set k, in the order of the triples."""
+    xs = k << lay.xbit0
+    return [(t ^ xs, -1 if neg >> k & 1 else 1) for t, recv, neg in block if recv >> k & 1]
+
+
+def _product_bits(lay, a, c, ys):
+    """(recv, neg) of c times the letters ``a`` times each letter set
+    ``ys | k << lay.xbit0`` of a block, by ``Layout.merge``: recv the
+    2^n-bit set of the k whose product is nonzero, neg those where it
+    is -1."""
+    recv = neg = 0
+    for k in range(1 << lay.n):
+        s = c * lay.merge(a, ys | k << lay.xbit0)[0]
+        if s:
+            recv |= 1 << k
+        if s < 0:
+            neg |= 1 << k
+    return recv, neg
 
 
 def _dd_counterexample(lay):
     """The first free mask failing part (a) or (b) of
     :meth:`_Suite.check_dd_zero` in this layout, or None."""
     dlist = lay.differential_list
-    lmasks = [letters << lay.xbit0 for letters in range(1 << (2 * lay.n))]
-    # the y-letters are the high bits of k, so the letter sets come in
-    # blocks of 2^n that share their y-letters.  A term c.T of d(G) is its
-    # g-part times two letters a, all g-bits below every letter, so its
-    # product with L has the coefficient c times the sign of a.L (0 if they
-    # meet); cols[a, c][b] lists (k - b.2^n, L, coefficient) for each L of
-    # block b that a misses.  xcols is the x-letter table of _d_block, which
-    # builds the other side of each block
+    # the y-letters are the high bits of a letter set, so the letter sets
+    # come in blocks of 2^n that share their y-letters, b << ybit0.  A term
+    # c.T of d(G) is its g-part times two letters a, all g-bits below every
+    # letter, so its product with L has the coefficient c times the sign of
+    # a.L (0 if they meet); cols[a, c][b] is the (recv, neg) of those
+    # products over block b.  xtable is the x-letter table of _d_block,
+    # which builds the other side of each block
     size = 1 << lay.n
-    blocks = [lmasks[k:k + size] for k in range(0, len(lmasks), size)]
-    cols, xcols = {}, {}
+    xtable = _x_table(lay.n)
+    cols = {}
     for g in range(lay.gfull + 1):
         terms = dlist(g)
         dd = ((m3, c2 * c3) for m2, c2 in terms for m3, c3 in dlist(m2))
@@ -539,26 +570,24 @@ def _dd_counterexample(lay):
         for t, c in terms:
             key = (t & ~lay.gfull, c)
             if key not in cols:
-                cols[key] = [
-                    [(i, lmask, s) for i, lmask in enumerate(block)
-                     if (s := c * lay.merge(key[0], lmask)[0])]
-                    for block in blocks
-                ]
+                cols[key] = [_product_bits(lay, *key, b << lay.ybit0) for b in range(size)]
             split.append((t, cols[key]))
         # d(G|L) lists its terms in the order of d(G), so a passing block
-        # matches list for list; a block that differs is tested mask by
-        # mask, up to the order of the terms.  block[0] is the block's
-        # y-letters
-        for b, block in enumerate(blocks):
-            want = [[] for _ in block]
+        # matches triple for triple; a block that differs is decoded and
+        # tested mask by mask, up to the order of the terms
+        for b in range(size):
+            ys = b << lay.ybit0
+            want = []
             for t, col in split:
-                for i, lmask, c in col[b]:
-                    want[i].append((t | lmask, c))
-            got = _d_block(lay, g | block[0], xcols)
+                recv, neg = col[b]
+                if recv:
+                    want.append((t | ys, recv, neg))
+            got = _d_block(lay, g | ys, xtable)
             if got != want:
-                for lmask, gl, wl in zip(block, got, want):
+                for k in range(size):
+                    gl, wl = _block_list(lay, got, k), _block_list(lay, want, k)
                     if gl != wl and add_terms({}, gl) != dict(wl):
-                        return g | lmask
+                        return g | ys | k << lay.xbit0
     return None
 
 
@@ -620,11 +649,15 @@ class _Suite:
         """d(d(m)) = 0 for every free mask m = G|L at each n of its range,
         where G is the g-part and L the letter set, with one d answer per
         mask.  Part (b) takes the 2^n letter sets that share their
-        y-letters as one block: :func:`_d_block` builds their d-lists from
-        ``Layout.differential_list`` of the block's first mask, and the
-        block is compared with d(G).L as lists; only a block that differs
-        is tested mask by mask, up to the order of the terms, to find its
-        first failing mask.  No answer is kept past its block.
+        y-letters as one block: :func:`_d_block` encodes their d-lists as
+        one triple (t, recv, neg) per term of
+        ``Layout.differential_list`` of the block's first mask, recv and
+        neg the 2^n-bit sets of the letter sets that receive t and of
+        those where it is negative, and the block is compared with d(G).L,
+        encoded the same way, triple for triple; only a block that differs
+        is decoded by :func:`_block_list` and tested mask by mask, up to
+        the order of the terms, to find its first failing mask.  No answer
+        is kept past its block.
 
         (a) d(d(G)) = 0 for every pure g-part G, two levels deep.
         (b) d(G|L) = d(G).L for every free mask, the left side from the

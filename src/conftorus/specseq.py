@@ -611,8 +611,11 @@ def verify_against_series(n, report: SpectralReport | None = None):
     """Exact comparison of the engine output with the series decoders.
 
     Returns a dict with ``match`` plus both sides; every mismatch is listed.
-    A report of another n is a ``ValueError``, not a mismatch.
+    A report of another n is a ``ValueError``, not a mismatch, and an n
+    that is not an int a ``TypeError``.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"n must be an int, got {n!r}")
     if report is None:
         report = e3_dims(n)
     elif report.n != n:

@@ -89,7 +89,10 @@ ROUTES = [
     ),
     (
         "dd sweep",
-        ("oracle:_dd_counterexample", "oracle:_d_block"),
+        (
+            "oracle:_dd_counterexample", "oracle:_d_block", "oracle:_block_list",
+            "oracle:_x_table", "oracle:_product_bits",
+        ),
         ("_d_terms", "_gy", "_x_rows", "_d_lists", "_d_last", "differential_mask"),
     ),
 ]

@@ -408,36 +408,76 @@ def test_run_selftest_n3_all_pass():
 
 
 def test_d_block_gives_differential_list_of_every_free_mask():
-    # list k of the block of key K is d(K | k << xbit0), list for list and
-    # in term order, for every free mask at n <= 4 (CI runs n = 5), so the
-    # sweep's check of the blocks against d(G).L also checks Layout's d
+    # list k decoded from the block of key K is d(K | k << xbit0), list for
+    # list and in term order, for every free mask at n <= 4 (CI runs n = 5),
+    # so the sweep's check of the blocks against d(G).L also checks Layout's d
     for n in range(5):
         lay = Layout(n)
-        cols = {}
+        xtable = oracle._x_table(n)
         for g in range(lay.gfull + 1):
             for ys in range(1 << n):
                 key = g | ys << lay.ybit0
-                lists = oracle._d_block(lay, key, cols)
-                assert len(lists) == 1 << n, key
-                for k, terms in enumerate(lists):
-                    assert terms == lay.differential_list(key | k << lay.xbit0), (key, k)
+                block = oracle._d_block(lay, key, xtable)
+                assert all(0 < recv < 1 << (1 << n) and not neg & ~recv
+                           for _, recv, neg in block), key
+                for k in range(1 << n):
+                    mask = key | k << lay.xbit0
+                    assert oracle._block_list(lay, block, k) == lay.differential_list(mask), mask
+
+
+def test_product_bits_are_the_x_table_signed_by_the_y_letters():
+    # the want side's merge-derived (recv, neg) of c.a.L over a block is the
+    # got side's x-table row of a's x-letter, its odd sets negative when c
+    # times the sign of a.Y is 1 and the others when it is -1, and empty
+    # when a's y-letter is in the block's y-letters Y
+    for n in range(1, 5):
+        lay = Layout(n)
+        xtable = oracle._x_table(n)
+        for i in range(n):
+            for j in range(n):
+                a = 1 << lay.xbit0 + i | 1 << lay.ybit0 + j
+                recv, odd = xtable[1 << i]
+                for b in range(1 << n):
+                    ys = b << lay.ybit0
+                    for c in (1, -1):
+                        got = oracle._product_bits(lay, a, c, ys)
+                        if b >> j & 1:
+                            assert got == (0, 0), (n, a, ys)
+                            continue
+                        s = c * lay.merge(a, ys)[0]
+                        assert got == (recv, recv & odd if s > 0 else recv & ~odd), (n, a, ys, c)
 
 
 # -- negative controls for d_squared_zero: faults injected into the bitmask d ---
 
 
+def _encode(lay, lists):
+    """A block of triples from its 2^n lists, one triple per entry, so that
+    list k decodes to ``lists[k]`` whatever its masks and order."""
+    block = []
+    for k, terms in enumerate(lists):
+        for m, c in terms:
+            assert c in (1, -1), c
+            block.append((m ^ k << lay.xbit0, 1 << k, 1 << k if c < 0 else 0))
+    return block
+
+
 def _fault_d(monkeypatch, fault):
     """Apply ``fault(lay, mask, terms)`` to every d answer the sweep reads:
     each ``Layout.differential_list`` call, and list k of each block of key
-    K as the answer for mask K | k << xbit0.  The block is built from the
-    unfaulted d, so no answer takes the fault twice."""
+    K as the answer for mask K | k << xbit0, decoded, faulted and encoded
+    again.  The block is built from the unfaulted d, so no answer takes the
+    fault twice."""
     d_list, d_block = Layout.differential_list, oracle._d_block
 
-    def block(lay, key, cols):
+    def block(lay, key, xtable):
         with monkeypatch.context() as m:
             m.setattr(Layout, "differential_list", d_list)
-            lists = d_block(lay, key, cols)
-        return [fault(lay, key | k << lay.xbit0, terms) for k, terms in enumerate(lists)]
+            triples = d_block(lay, key, xtable)
+        return _encode(lay, [
+            fault(lay, key | k << lay.xbit0, oracle._block_list(lay, triples, k))
+            for k in range(1 << lay.n)
+        ])
 
     monkeypatch.setattr(
         Layout, "differential_list", lambda self, mask: fault(self, mask, d_list(self, mask))
@@ -467,10 +507,11 @@ def test_dd_zero_catches_dropped_four_letter_terms(monkeypatch):
 
 
 def test_dd_zero_answers_each_free_mask_once(monkeypatch):
-    # part (b) answers every free mask once, through one block of 2^n lists
-    # per g-part and y-letters.  differential_list is asked d(G) and d of
-    # each of its 2|G| terms by part (a), and d(key) once per block by part
-    # (b): 2^C(n,2).(1 + C(n,2)) + 2^(C(n,2) + n) calls
+    # part (b) answers every free mask once, through one block of triples
+    # per g-part and y-letters that decodes to 2^n lists and holds no
+    # letter set past them.  differential_list is asked d(G) and d of each
+    # of its 2|G| terms by part (a), and d(key) once per block by part (b):
+    # 2^C(n,2).(1 + C(n,2)) + 2^(C(n,2) + n) calls
     answered, calls = Counter(), Counter()
     d_list, d_block = Layout.differential_list, oracle._d_block
 
@@ -478,10 +519,13 @@ def test_dd_zero_answers_each_free_mask_once(monkeypatch):
         calls[self.n] += 1
         return d_list(self, mask)
 
-    def counted_block(lay, key, cols):
-        lists = d_block(lay, key, cols)
-        answered.update((lay.n, key | k << lay.xbit0) for k in range(len(lists)))
-        return lists
+    def counted_block(lay, key, xtable):
+        block = d_block(lay, key, xtable)
+        size = 1 << lay.n
+        assert all(recv >> size == 0 for _, recv, _ in block), key
+        decoded = {k: oracle._block_list(lay, block, k) for k in range(size)}
+        answered.update((lay.n, key | k << lay.xbit0) for k in decoded)
+        return block
 
     monkeypatch.setattr(Layout, "differential_list", counted_list)
     monkeypatch.setattr(oracle, "_d_block", counted_block)

@@ -510,6 +510,17 @@ def test_verify_against_series_refuses_a_report_of_another_n(reports):
         verify_against_series(3, reports[4])
 
 
+@pytest.mark.parametrize("n, of", [(True, 1), (False, 0), (2.0, 2), ("3", 3)])
+def test_verify_against_series_rejects_an_n_that_is_not_an_int(reports, n, of):
+    # each n equals the n of its report, so only the type check can refuse
+    # it, before the series names its own argument
+    want = f"n must be an int, got {n!r}$"
+    with pytest.raises(TypeError, match=want):
+        verify_against_series(n, reports[of])
+    with pytest.raises(TypeError, match=want):
+        verify_against_series(n)
+
+
 def test_verify_against_series_sees_an_entry_only_the_series_has(reports):
     import copy
 
