@@ -629,6 +629,9 @@ class BidegreeSpace:
     """
 
     def __init__(self, n, p, q, layout=None):
+        for name, v in (("p", p), ("q", q)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(f"{name} must be an int, got {v!r}")
         self.n, self.p, self.q = n, p, q
         self.layout = lay = layout or Layout(n)
         self.free_dim = comb(lay.npairs, q) * comb(2 * n, p) if p >= 0 and q >= 0 else 0

@@ -491,75 +491,14 @@ def _canonical_shapes(n):
     return shapes
 
 
-def _x_table(n):
-    """Per set x of x-letters (the x-letters as bits 0..n-1), the 2^n-bit
-    sets (recv, odd) of x-letter sets k: recv the sets that miss x, odd the
-    sets with an odd number of letters above the lowest letter of x.  A
-    term of d adds one x-letter, so :func:`_d_block` reads the one-hot rows;
-    the others serve a term that adds no x-letter or several, which only a
-    faulty d gives."""
-    size = 1 << n
-    return [
-        (sum(1 << k for k in range(size) if not k & x),
-         sum(1 << k for k in range(size) if (k & -x).bit_count() & 1))
-        for x in range(size)
-    ]
-
-
-def _d_block(lay, key, xtable):
-    """d of the 2^n masks ``key | k << lay.xbit0``, for a ``key`` of g-part
-    and y-letters, as one triple (t, recv, neg) per term t of d(key).
-
-    A term t of d(key) adds one x-letter and one y-letter, ``t & ~key``.
-    It is a term of d(key | X), as t | X, for every x-letter set X that
-    misses its x-letter, its sign flipped by each letter of X strictly
-    between its two letters: every letter of X above its x-letter, as the
-    y-letter lies above all x-letters.  ``recv`` is the 2^n-bit set of
-    those k, and ``neg`` the subset where the coefficient is -1, both read
-    off ``xtable`` (:func:`_x_table`); :func:`_block_list` decodes list k."""
-    low = (1 << lay.n) - 1
-    block = []
-    for t, c in lay.differential_list(key):
-        recv, odd = xtable[(t & ~key) >> lay.xbit0 & low]
-        block.append((t, recv, recv & odd if c > 0 else recv & ~odd))
-    return block
-
-
-def _block_list(lay, block, k):
-    """List k of a block of triples: the d answer of the block's mask with
-    x-letter set k, in the order of the triples."""
-    xs = k << lay.xbit0
-    return [(t ^ xs, -1 if neg >> k & 1 else 1) for t, recv, neg in block if recv >> k & 1]
-
-
-def _product_bits(lay, a, c, ys):
-    """(recv, neg) of c times the letters ``a`` times each letter set
-    ``ys | k << lay.xbit0`` of a block, by ``Layout.merge``: recv the
-    2^n-bit set of the k whose product is nonzero, neg those where it
-    is -1."""
-    recv = neg = 0
-    for k in range(1 << lay.n):
-        s = c * lay.merge(a, ys | k << lay.xbit0)[0]
-        if s:
-            recv |= 1 << k
-        if s < 0:
-            neg |= 1 << k
-    return recv, neg
-
-
 def _dd_counterexample(lay):
-    """The first free mask failing part (a) or (b) of
+    """The first key failing part (a) or (b) of
     :meth:`_Suite.check_dd_zero` in this layout, or None."""
     dlist = lay.differential_list
-    # the y-letters are the high bits of a letter set, so the letter sets
-    # come in blocks of 2^n that share their y-letters, b << ybit0.  A term
-    # c.T of d(G) is its g-part times two letters a, all g-bits below every
-    # letter, so its product with L has the coefficient c times the sign of
-    # a.L (0 if they meet); cols[a, c][b] is the (recv, neg) of those
-    # products over block b.  xtable is the x-letter table of _d_block,
-    # which builds the other side of each block
-    size = 1 << lay.n
-    xtable = _x_table(lay.n)
+    ysets = [b << lay.ybit0 for b in range(1 << lay.n)]
+    # a term c.T of d(G) is its g-part times letters a, all g-bits below
+    # every letter, so its product with Y is c times the sign of a.Y (0 if
+    # they meet); cols[a, c] lists that coefficient for each Y in ysets
     cols = {}
     for g in range(lay.gfull + 1):
         terms = dlist(g)
@@ -568,26 +507,17 @@ def _dd_counterexample(lay):
             return g
         split = []
         for t, c in terms:
-            key = (t & ~lay.gfull, c)
-            if key not in cols:
-                cols[key] = [_product_bits(lay, *key, b << lay.ybit0) for b in range(size)]
-            split.append((t, cols[key]))
-        # d(G|L) lists its terms in the order of d(G), so a passing block
-        # matches triple for triple; a block that differs is decoded and
-        # tested mask by mask, up to the order of the terms
-        for b in range(size):
-            ys = b << lay.ybit0
-            want = []
-            for t, col in split:
-                recv, neg = col[b]
-                if recv:
-                    want.append((t | ys, recv, neg))
-            got = _d_block(lay, g | ys, xtable)
-            if got != want:
-                for k in range(size):
-                    gl, wl = _block_list(lay, got, k), _block_list(lay, want, k)
-                    if gl != wl and add_terms({}, gl) != dict(wl):
-                        return g | ys | k << lay.xbit0
+            a = t & ~lay.gfull
+            if (a, c) not in cols:
+                cols[a, c] = [c * lay.merge(a, ys)[0] for ys in ysets]
+            split.append((t, cols[a, c]))
+        for b, ys in enumerate(ysets):
+            want = [(t | ys, col[b]) for t, col in split if col[b]]
+            # d(G|Y) lists its terms in the order of d(G), so a passing key
+            # matches list for list; the fallback forgives only the order
+            got = dlist(g | ys)
+            if got != want and add_terms({}, got) != dict(want):
+                return g | ys
     return None
 
 
@@ -646,27 +576,22 @@ class _Suite:
     # -- individual checks ---------------------------------------------------
 
     def check_dd_zero(self):
-        """d(d(m)) = 0 for every free mask m = G|L at each n of its range,
-        where G is the g-part and L the letter set, with one d answer per
-        mask.  Part (b) takes the 2^n letter sets that share their
-        y-letters as one block: :func:`_d_block` encodes their d-lists as
-        one triple (t, recv, neg) per term of
-        ``Layout.differential_list`` of the block's first mask, recv and
-        neg the 2^n-bit sets of the letter sets that receive t and of
-        those where it is negative, and the block is compared with d(G).L,
-        encoded the same way, triple for triple; only a block that differs
-        is decoded by :func:`_block_list` and tested mask by mask, up to
-        the order of the terms, to find its first failing mask.  No answer
-        is kept past its block.
+        """d(d(m)) = 0 on the keys of each n of its range: a key is a
+        g-part G times a set Y of y-letters, and each key is asked of
+        ``Layout.differential_list`` once.
 
         (a) d(d(G)) = 0 for every pure g-part G, two levels deep.
-        (b) d(G|L) = d(G).L for every free mask, the left side from the
-            block, the right side multiplying each term of d(G) by L with
-            ``Layout.merge``.
+        (b) d(G|Y) = d(G).Y for every key, the right side multiplying each
+            term of d(G) by Y with ``Layout.merge``.  d(G|Y) lists its terms
+            in the order of d(G), so the lists are compared whole, and only
+            a key whose lists differ is compared up to the order of terms.
 
-        Together they give, for every free mask:
-            d(d(G|L)) = d(d(G).L)      by (b) for G|L,
-                      = d(d(G)).L      by (b) for each term of d(G),
+        The same identity d(G|L) = d(G).L for a letter set L that holds
+        x-letters is checked on every free mask by comparing
+        ``differential_list`` with ``merge`` directly, in tier-1 for n <= 4
+        and in CI for n = 5.  With it, for every free mask:
+            d(d(G|L)) = d(d(G).L)      for G|L,
+                      = d(d(G)).L      for each term of d(G),
                       = 0              by (a).
         """
         for n in self.ns("check_dd_zero"):

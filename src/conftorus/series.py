@@ -436,6 +436,8 @@ def vakil_wood_conf(z, t_order):
 
 def w(i):
     """Weight of the i-th cohomology: 3i/2 for even i, (3i-1)/2 for odd."""
+    if type(i) is not int:
+        raise TypeError(f"i must be an int, got {i!r}")
     if i < 0:
         raise ValueError("negative degree")
     return 3 * i // 2 if i % 2 == 0 else (3 * i - 1) // 2
@@ -443,6 +445,8 @@ def w(i):
 
 def w_inverse(v):
     """The unique i with w(i) == v, or None."""
+    if type(v) is not int:
+        raise TypeError(f"v must be an int, got {v!r}")
     if v < 0:
         return None
     for i in ((2 * v) // 3, (2 * v + 1) // 3):

@@ -15,6 +15,7 @@ from math import comb, factorial
 from pathlib import Path
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -38,7 +39,7 @@ from conftorus.gcalg import (
     symmetrize,
 )
 from conftorus.linalg import add_terms
-from conftorus.specseq import MatchingEngine, SpectralEngine, e3_dims
+from conftorus.specseq import MatchingEngine, SpectralEngine, e3_dims, invariant_basis
 
 
 def brute_force_sign(gens):
@@ -740,6 +741,19 @@ def test_an_n_that_is_not_an_int_is_a_type_error(n):
         Layout(n)
     with pytest.raises(TypeError, match=want):
         e3_dims(n)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+@pytest.mark.parametrize("which", ["p", "q"])
+def test_a_bidegree_that_is_not_an_int_is_a_type_error(which, bad):
+    """``BidegreeSpace(2, True, 0)`` does not build the (1, 0) space, and a
+    float or a string is refused by name, not by an unrelated message; so
+    are ``relation_span`` and ``invariant_basis``, which build the space."""
+    p, q = (bad, 0) if which == "p" else (0, bad)
+    want = f"^{which} must be an int, got {re.escape(repr(bad))}$"
+    for build in (BidegreeSpace, relation_span, invariant_basis):
+        with pytest.raises(TypeError, match=want):
+            build(2, p, q)
 
 
 @pytest.mark.parametrize("n", range(4))

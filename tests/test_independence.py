@@ -6,9 +6,10 @@ its code, and the matching engine, which serves ``e3_dims``, reaches them
 without the coinvariant engine's elimination, its bit-by-bit relabelling or
 the series, while the coinvariant engine, its oracle, uses none of the
 matching engine's relabel, words or representatives, so their agreement
-checks something.  The d∘d sweep reads d only through ``Layout``'s public
-``differential_list``, so its blocks share no table or memo with
-``Layout``.  Each row of ``ROUTES`` names a route, the code objects it is
+checks something.  The d∘d sweep asks d only of ``Layout``'s public
+``differential_list``, one list per key, and builds the other side of each
+comparison with ``merge``, so it shares no table with the d it checks.
+Each row of ``ROUTES`` names a route, the code objects it is
 made of (``module`` or ``module:qualified.name``) and
 the package names those objects may not reference.  An AST walk collects
 every ``Name`` and ``Attribute`` in each object and in every module-level
@@ -89,10 +90,7 @@ ROUTES = [
     ),
     (
         "dd sweep",
-        (
-            "oracle:_dd_counterexample", "oracle:_d_block", "oracle:_block_list",
-            "oracle:_x_table", "oracle:_product_bits",
-        ),
+        ("oracle:_dd_counterexample",),
         ("_d_terms", "_gy", "_x_rows", "_d_lists", "_d_last", "differential_mask"),
     ),
 ]

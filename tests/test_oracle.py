@@ -404,85 +404,70 @@ def test_run_selftest_n3_all_pass():
     assert not failed, failed
 
 
-# -- the d∘d sweep's block builder ------------------------------------------------
+# -- Layout's d on every free mask: d(G|L) = d(G).L --------------------------------
 
 
-def test_d_block_gives_differential_list_of_every_free_mask():
-    # list k decoded from the block of key K is d(K | k << xbit0), list for
-    # list and in term order, for every free mask at n <= 4 (CI runs n = 5),
-    # so the sweep's check of the blocks against d(G).L also checks Layout's d
+def _mask_off_d_of_g_times_letters(lay):
+    """The first free mask G|L, G its g-part and L its letter set, whose
+    ``differential_list`` is not d(G).L list for list, each term of d(G)
+    multiplied by L with ``merge``; None when there is none.  The same check
+    runs in CI at n = 5."""
+    for g in range(lay.gfull + 1):
+        terms = lay.differential_list(g)
+        for letters in range(1 << 2 * lay.n):
+            ls = letters << lay.xbit0
+            want = []
+            for t, c in terms:
+                s, m = lay.merge(t, ls)
+                if s:
+                    want.append((m, c * s))
+            if lay.differential_list(g | ls) != want:
+                return g | ls
+    return None
+
+
+def test_differential_list_is_d_of_the_g_part_times_the_letters_on_every_free_mask():
+    # the d∘d sweep asks d only of g-parts with y-letters; this covers every
+    # free mask at n <= 4, those with x-letters included
     for n in range(5):
-        lay = Layout(n)
-        xtable = oracle._x_table(n)
-        for g in range(lay.gfull + 1):
-            for ys in range(1 << n):
-                key = g | ys << lay.ybit0
-                block = oracle._d_block(lay, key, xtable)
-                assert all(0 < recv < 1 << (1 << n) and not neg & ~recv
-                           for _, recv, neg in block), key
-                for k in range(1 << n):
-                    mask = key | k << lay.xbit0
-                    assert oracle._block_list(lay, block, k) == lay.differential_list(mask), mask
+        assert _mask_off_d_of_g_times_letters(Layout(n)) is None, n
 
 
-def test_product_bits_are_the_x_table_signed_by_the_y_letters():
-    # the want side's merge-derived (recv, neg) of c.a.L over a block is the
-    # got side's x-table row of a's x-letter, its odd sets negative when c
-    # times the sign of a.Y is 1 and the others when it is -1, and empty
-    # when a's y-letter is in the block's y-letters Y
-    for n in range(1, 5):
-        lay = Layout(n)
-        xtable = oracle._x_table(n)
-        for i in range(n):
-            for j in range(n):
-                a = 1 << lay.xbit0 + i | 1 << lay.ybit0 + j
-                recv, odd = xtable[1 << i]
-                for b in range(1 << n):
-                    ys = b << lay.ybit0
-                    for c in (1, -1):
-                        got = oracle._product_bits(lay, a, c, ys)
-                        if b >> j & 1:
-                            assert got == (0, 0), (n, a, ys)
-                            continue
-                        s = c * lay.merge(a, ys)[0]
-                        assert got == (recv, recv & odd if s > 0 else recv & ~odd), (n, a, ys, c)
+def test_d_of_g_times_letters_catches_x_letters_left_out_of_the_sign(monkeypatch):
+    # a d that leaves the x-letters of the mask out of each term's Koszul
+    # sign, on masks with two or more x-letters; the sweep asks d of no such
+    # mask, so only the direct check sees it
+    d_list = Layout.differential_list
+
+    def fault(self, mask):
+        xs = mask & ((1 << self.n) - 1) << self.xbit0
+        terms = d_list(self, mask)
+        if xs.bit_count() < 2:
+            return terms
+        out = []
+        for m, c in terms:
+            added = m & ~mask  # the term's two letters
+            low, high = added & -added, 1 << added.bit_length() - 1
+            between = (high - 1) & ~(2 * low - 1)
+            out.append((m, -c if (xs & between).bit_count() & 1 else c))
+        return out
+
+    monkeypatch.setattr(Layout, "differential_list", fault)
+    hits = ((lay, _mask_off_d_of_g_times_letters(lay)) for lay in map(Layout, range(5)))
+    lay, mask = next((lay, mask) for lay, mask in hits if mask is not None)
+    assert str(lay.decode(mask)) == "g12.x1.x3"
 
 
 # -- negative controls for d_squared_zero: faults injected into the bitmask d ---
 
 
-def _encode(lay, lists):
-    """A block of triples from its 2^n lists, one triple per entry, so that
-    list k decodes to ``lists[k]`` whatever its masks and order."""
-    block = []
-    for k, terms in enumerate(lists):
-        for m, c in terms:
-            assert c in (1, -1), c
-            block.append((m ^ k << lay.xbit0, 1 << k, 1 << k if c < 0 else 0))
-    return block
-
-
 def _fault_d(monkeypatch, fault):
-    """Apply ``fault(lay, mask, terms)`` to every d answer the sweep reads:
-    each ``Layout.differential_list`` call, and list k of each block of key
-    K as the answer for mask K | k << xbit0, decoded, faulted and encoded
-    again.  The block is built from the unfaulted d, so no answer takes the
-    fault twice."""
-    d_list, d_block = Layout.differential_list, oracle._d_block
-
-    def block(lay, key, xtable):
-        with monkeypatch.context() as m:
-            m.setattr(Layout, "differential_list", d_list)
-            triples = d_block(lay, key, xtable)
-        return _encode(lay, [
-            fault(lay, key | k << lay.xbit0, oracle._block_list(lay, triples, k))
-            for k in range(1 << lay.n)
-        ])
-
+    """Apply ``fault(lay, mask, terms)`` to every ``Layout.differential_list``
+    answer, the only d the sweep reads."""
+    d_list = Layout.differential_list
     monkeypatch.setattr(
         Layout, "differential_list", lambda self, mask: fault(self, mask, d_list(self, mask))
     )
-    monkeypatch.setattr(oracle, "_d_block", block)
 
 
 def _dd_zero_with(monkeypatch, fault):
@@ -491,52 +476,52 @@ def _dd_zero_with(monkeypatch, fault):
 
 
 def test_dd_zero_catches_sign_flip_on_x1(monkeypatch):
+    # part (a) sees it first: d(d(g12.g13)) asks d of terms that carry x1
     def flip(lay, mask, terms):
         if mask >> lay.xbit0 & 1:
             return [(m, -c) for m, c in terms]
         return terms
 
-    assert _dd_zero_with(monkeypatch, flip) == "g12.x1"
+    assert _dd_zero_with(monkeypatch, flip) == "g12.g13"
 
 
 def test_dd_zero_catches_dropped_four_letter_terms(monkeypatch):
     def drop(lay, mask, terms):
         return [(m, c) for m, c in terms if (m & ~lay.gfull).bit_count() < 4]
 
-    assert _dd_zero_with(monkeypatch, drop) == "g12.x2.y1"
+    assert _dd_zero_with(monkeypatch, drop) == "g12.y1.y3"
 
 
-def test_dd_zero_answers_each_free_mask_once(monkeypatch):
-    # part (b) answers every free mask once, through one block of triples
-    # per g-part and y-letters that decodes to 2^n lists and holds no
-    # letter set past them.  differential_list is asked d(G) and d of each
-    # of its 2|G| terms by part (a), and d(key) once per block by part (b):
-    # 2^C(n,2).(1 + C(n,2)) + 2^(C(n,2) + n) calls
-    answered, calls = Counter(), Counter()
-    d_list, d_block = Layout.differential_list, oracle._d_block
+def test_dd_zero_answers_each_key_once(monkeypatch):
+    # part (b) asks d once of every key, a g-part G with y-letters Y, and part
+    # (a) asks d(G) once more and d of each of its 2|G| terms, which carry
+    # one x-letter: 2^C(n,2).(1 + C(n,2)) + 2^(C(n,2) + n) calls
+    asked = Counter()
+    d_list = Layout.differential_list
 
     def counted_list(self, mask):
-        calls[self.n] += 1
+        asked[self.n, mask] += 1
         return d_list(self, mask)
 
-    def counted_block(lay, key, xtable):
-        block = d_block(lay, key, xtable)
-        size = 1 << lay.n
-        assert all(recv >> size == 0 for _, recv, _ in block), key
-        decoded = {k: oracle._block_list(lay, block, k) for k in range(size)}
-        answered.update((lay.n, key | k << lay.xbit0) for k in decoded)
-        return block
-
     monkeypatch.setattr(Layout, "differential_list", counted_list)
-    monkeypatch.setattr(oracle, "_d_block", counted_block)
     assert _Suite(4).check_dd_zero() is None
+    calls = Counter()
+    for (n, _), k in asked.items():
+        calls[n] += k
     assert calls == {2: 12, 3: 96, 4: 1472}
-    free = [(n, mask) for n in range(2, 5) for mask in range(1 << comb(n, 2) + 2 * n)]
-    assert sorted(answered) == free and set(answered.values()) == {1}
+    # the masks without x-letters are the keys: each asked once, and each
+    # pure g-part (Y empty) once more by part (a)
+    lays = {n: Layout(n) for n in range(2, 5)}
+    keys = {
+        (n, g | b << lay.ybit0): 1 if b else 2
+        for n, lay in lays.items() for g in range(lay.gfull + 1) for b in range(1 << n)
+    }
+    xs = {n: ((1 << n) - 1) << lay.xbit0 for n, lay in lays.items()}
+    assert {(n, m): k for (n, m), k in asked.items() if not m & xs[n]} == keys
 
 
 def test_dd_zero_catches_a_dropped_leibniz_sign_on_a_pure_g_part(monkeypatch):
-    # the same fault on every mask: d(G|L) = d(G).L still holds, so only
+    # the same fault on every mask: d(G|Y) = d(G).Y still holds, so only
     # part (a), d(d(G)) = 0 on the pure g-parts, can see it
     def unsigned(lay, mask, terms):
         out = []
@@ -562,16 +547,16 @@ def _add_terms_calls(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_passing_dd_sweep_compares_whole_blocks(monkeypatch, n):
-    # part (a) sums d(d(G)) once per pure g-part; part (b) compares each
-    # block of 2^n letter sets as lists, so a passing sweep never takes the
-    # per-mask, order-insensitive fallback
+    # part (a) sums d(d(G)) once per pure g-part; part (b) compares the two
+    # lists of each key whole, so a passing sweep never takes the per-key,
+    # order-insensitive fallback
     assert _add_terms_calls(monkeypatch, n) == 2 ** comb(n, 2)
 
 
 def test_dd_sweep_verdict_ignores_the_order_of_terms(monkeypatch):
     # reversing the term list of every mask with letters breaks the list
-    # compare of each block holding a mask with two or more terms (none at
-    # n = 2); the per-mask fallback still passes every mask
+    # compare of each key with y-letters and two or more terms (none at
+    # n = 2); the per-key fallback still passes every key
     def reversed_with_letters(lay, mask, terms):
         return terms[::-1] if mask & ~lay.gfull else terms
 

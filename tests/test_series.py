@@ -473,6 +473,16 @@ def test_w_inverse_gaps():
         assert w_inverse(w(i)) == i
 
 
+@pytest.mark.parametrize("v", [True, 2.0, "2"])
+def test_w_and_w_inverse_refuse_a_value_that_is_not_an_int(v):
+    """``w(2.0)`` would be 3.0 and ``w(True)`` 1: a bool, a float or a str
+    is refused by name, so no float leaves the module."""
+    with pytest.raises(TypeError, match=f"^i must be an int, got {re.escape(repr(v))}$"):
+        w(v)
+    with pytest.raises(TypeError, match=f"^v must be an int, got {re.escape(repr(v))}$"):
+        w_inverse(v)
+
+
 def test_w_image_scan():
     image = {w(i) for i in range(10)}
     for v in range(15):
