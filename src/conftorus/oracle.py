@@ -65,6 +65,14 @@ __all__ = [
 ]
 
 
+def _check_n(n, name="n"):
+    """Refuse an n that is not an int >= 0; a bool is no int."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"{name} must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # the genus-zero algebra
 # ---------------------------------------------------------------------------
@@ -86,10 +94,11 @@ class ArnoldAlgebra:
     The relations of degree q are the multiples mu * r of the triangle
     relations r = g_ij g_ik - g_ij g_jk + g_ik g_jk, with mu a product of
     q - 2 other g's.  A monomial holding a whole triangle is zero, so only
-    triangle-free monomials are enumerated: :meth:`_walk` adds edges in
-    increasing order and carries the closing mask, the edges that would
-    close a triangle on two edges already chosen.  A multiplier mu holding
-    a triangle kills every term of mu * r and is never visited.
+    triangle-free monomials are enumerated: the generator :meth:`_walk`
+    adds edges in increasing order from an explicit stack and yields each
+    mask with its closing mask, the edges that would close a triangle on
+    two edges already chosen.  A multiplier mu holding a triangle kills
+    every term of mu * r and is never yielded.
 
     For a triangle-free mu disjoint from the triangle T, a term t of
     mu * r_T holds a triangle exactly when t meets closing(mu): a triangle
@@ -115,17 +124,13 @@ class ArnoldAlgebra:
     2.0-2.5 s, of which degree 7 takes 0.55-0.95 s."""
 
     def __init__(self, n):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError(f"n must be an int, got {n!r}")
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
+        _check_n(n)
         self.n = n
         self.pairs = [
             (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
         ]
         self.bit = {p: b for b, p in enumerate(self.pairs)}
         self.npairs = len(self.pairs)
-        self.triangles = []
         # the terms (t, c, lo, hi) of r_T, lo and hi the positions just past
         # the two bits of t; and per edge e the wedges (f, g) as bits: f < e
         # shares a vertex with e and g closes the triangle on e and f
@@ -134,7 +139,6 @@ class ArnoldAlgebra:
         for i, j, k in combinations(range(1, n + 1), 3):
             eij, eik, ejk = (1 << self.bit[p] for p in ((i, j), (i, k), (j, k)))
             tri = eij | eik | ejk
-            self.triangles.append(tri)
             terms = ((eij | eik, 1), (eij | ejk, -1), (eik | ejk, 1))
             self._relations.append(
                 (tri, tuple((t, c, (t & -t).bit_length(), t.bit_length()) for t, c in terms))
@@ -156,50 +160,42 @@ class ArnoldAlgebra:
             for sigma in perms
         ]
 
-    def _walk(self, q, visit):
-        """Call ``visit(mask, closing)`` once on every triangle-free mask of
-        q edges; ``closing`` holds the edges that would close a triangle on
-        two edges of ``mask``."""
+    def _walk(self, q):
+        """Yield ``(mask, closing)`` once for every triangle-free mask of q
+        edges, in lexicographic order of their edge lists; ``closing`` holds
+        the edges that would close a triangle on two edges of ``mask``."""
         if q < 0:
             return
         wedges, top = self._wedges, self.npairs
-
-        def grow(start, mask, closing, left):
+        # (first edge to try, mask, closing, edges left); the children of a
+        # mask are pushed highest edge first, so the lowest is popped first
+        stack = [(0, 0, 0, q)]
+        while stack:
+            start, mask, closing, left = stack.pop()
             if not left:
-                visit(mask, closing)
-                return
-            for e in range(start, top - left + 1):
+                yield mask, closing
+                continue
+            for e in range(top - left, start - 1, -1):
                 if closing >> e & 1:
                     continue
                 grown = closing
                 for f, g in wedges[e]:
                     if mask & f:
                         grown |= g
-                grow(e + 1, mask | 1 << e, grown, left - 1)
-
-        # grow reaches itself through its closure cell, and through visit the
-        # caller's sets; emptying the cell frees them by reference counting
-        try:
-            grow(0, 0, 0, q)
-        finally:
-            del grow
+                stack.append((e + 1, mask | 1 << e, grown, left - 1))
 
     def degree(self, q) -> _Degree:
         if q in self._degrees:
             return self._degrees[q]
-        zero, ech, basis = set(), SparseEchelon(), []
+        zero, ech = set(), SparseEchelon()
         relations = self._relations
-
-        def find_zero(mu, closing):
+        for mu, closing in self._walk(q - 2):
             for tri, _ in relations:
                 hit = tri & closing
                 # one edge of T closed: only the term without it survives
                 if hit and not hit & (hit - 1) and not tri & mu:
                     zero.add(mu | tri ^ hit)
-
-        add_row = ech.add_row
-
-        def eliminate(mu, closing):
+        for mu, closing in self._walk(q - 2):
             blocked = mu | closing
             for tri, terms in relations:
                 if tri & blocked:
@@ -213,15 +209,8 @@ class ArnoldAlgebra:
                         parity = ((mu >> lo).bit_count() + (mu >> hi).bit_count()) & 1
                         row[prod] = -c if parity else c
                 if row:
-                    add_row(row)
-
-        def read_basis(mask, closing):
-            if mask not in zero and mask not in ech.rows:
-                basis.append(mask)
-
-        self._walk(q - 2, find_zero)
-        self._walk(q - 2, eliminate)
-        self._walk(q, read_basis)
+                    ech.add_row(row)
+        basis = [mask for mask, _ in self._walk(q) if mask not in zero and mask not in ech.rows]
         deg = _Degree(len(basis), tuple(sorted(basis)), zero, ech)
         self._degrees[q] = deg
         return deg
@@ -326,30 +315,28 @@ def make_v_monomial(xs=(), ys=(), xpairs=(), ypairs=()):
     return vm
 
 
+def _v_monomials(free, xs, ys, xpairs, ypairs):
+    """The V(n) monomials that extend xs, ys, xpairs and ypairs by a choice
+    for every index in ``free``.  Each step decides the fate of the smallest
+    free index, so every monomial is reached by exactly one path, with its
+    tuples sorted."""
+    if not free:
+        yield VMonomial(xs, ys, xpairs, ypairs)
+        return
+    head, tail = free[0], free[1:]
+    yield from _v_monomials(tail, xs, ys, xpairs, ypairs)  # unused
+    yield from _v_monomials(tail, xs + (head,), ys, xpairs, ypairs)
+    yield from _v_monomials(tail, xs, ys + (head,), xpairs, ypairs)
+    for t, partner in enumerate(tail):
+        remaining = tail[:t] + tail[t + 1 :]
+        yield from _v_monomials(remaining, xs, ys, xpairs + ((head, partner),), ypairs)
+        yield from _v_monomials(remaining, xs, ys, xpairs, ypairs + ((head, partner),))
+
+
 def v_basis(n):
     """All index-disjoint monomials on {1..n}, every degree."""
-    out = []
-
-    def grow(free, xs, ys, xpairs, ypairs):
-        if not free:
-            out.append(VMonomial(xs, ys, xpairs, ypairs))
-            return
-        # each call decides the fate of the smallest free index, so every
-        # monomial is reached by exactly one path, with its tuples sorted
-        head, tail = free[0], free[1:]
-        grow(tail, xs, ys, xpairs, ypairs)  # unused
-        grow(tail, xs + (head,), ys, xpairs, ypairs)
-        grow(tail, xs, ys + (head,), xpairs, ypairs)
-        for t, partner in enumerate(tail):
-            remaining = tail[:t] + tail[t + 1 :]
-            grow(remaining, xs, ys, xpairs + ((head, partner),), ypairs)
-            grow(remaining, xs, ys, xpairs, ypairs + ((head, partner),))
-
-    try:
-        grow(tuple(range(1, n + 1)), (), (), (), ())
-    finally:
-        del grow  # the cell that lets grow recurse would hold it in a cycle
-    return out
+    _check_n(n)
+    return list(_v_monomials(tuple(range(1, n + 1)), (), (), (), ()))
 
 
 def phi(vm: VMonomial) -> Element:
@@ -553,10 +540,7 @@ class _Suite:
     _SPANS = {check: (low, cap) for _, check, low, cap, *_ in CHECKS}
 
     def __init__(self, n_max):
-        if not isinstance(n_max, int) or isinstance(n_max, bool):
-            raise TypeError(f"n_max must be an int, got {n_max!r}")
-        if n_max < 0:
-            raise ValueError(f"n_max must be nonnegative, got {n_max}")
+        _check_n(n_max, "n_max")
         self.n_max = n_max
         self._engines = {}
 
@@ -846,34 +830,29 @@ class _Suite:
         return records
 
 
+def _paths_on(indices, q_left, acc_gens):
+    """The products of ``acc_gens`` with paths on disjoint ordered tuples
+    of ``indices``, q_left edges in all, each normalized."""
+    if q_left == 0:
+        yield normalize(tuple(acc_gens))
+        return
+    if not indices:
+        return
+    head, rest = indices[0], indices[1:]
+    yield from _paths_on(rest, q_left, acc_gens)  # head unused
+    # head starts a path of length r edges (r <= q_left)
+    for r in range(1, q_left + 1):
+        for others in permutations(rest, r):
+            tup = (head,) + others
+            gens = [G(tup[t], tup[t + 1]) for t in range(r)]
+            remaining = [i for i in rest if i not in others]
+            yield from _paths_on(remaining, q_left - r, acc_gens + gens)
+
+
 def _path_products(n, q):
     """Products of path monomials g_{I_1}..g_{I_r} over disjoint ordered
     tuples, with q edges in total."""
-    out = []
-
-    def paths_on(indices, q_left, acc_gens):
-        if q_left == 0:
-            out.append(normalize(tuple(acc_gens)))
-            return
-        if not indices:
-            return
-        head = indices[0]
-        # head unused
-        paths_on(indices[1:], q_left, acc_gens)
-        # head starts a path of length r edges (r <= q_left)
-        rest = indices[1:]
-        for r in range(1, q_left + 1):
-            for others in permutations(rest, r):
-                tup = (head,) + others
-                gens = [G(tup[t], tup[t + 1]) for t in range(r)]
-                remaining = [i for i in rest if i not in others]
-                paths_on(remaining, q_left - r, acc_gens + gens)
-
-    try:
-        paths_on(list(range(1, n + 1)), q, [])
-    finally:
-        del paths_on  # the cell that lets paths_on recurse would hold it in a cycle
-    return out
+    return list(_paths_on(list(range(1, n + 1)), q, []))
 
 
 def run_selftest(n_max, include_arnold=True):

@@ -320,12 +320,13 @@ class FactoredRatFun:
         return den
 
 
-def _check_order(t_order):
-    """Refuse a series order that is not an int >= 0; a bool is no int."""
-    if type(t_order) is not int:
-        raise TypeError(f"t_order must be an int, got {t_order!r}")
-    if t_order < 0:
-        raise ValueError("t_order must be >= 0")
+def _check_order(value, name="t_order"):
+    """Refuse a series order, or the n of a coefficient, that is not an
+    int >= 0; a bool is no int."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 def expand(f: FactoredRatFun, t_order: int):
@@ -348,6 +349,7 @@ def expand(f: FactoredRatFun, t_order: int):
 
 def multiply_series(a, b, t_order):
     """Truncated product of two coefficient lists."""
+    _check_order(t_order)
     out = [{} for _ in range(t_order + 1)]
     for i, ai in enumerate(a[: t_order + 1]):
         for j, bj in enumerate(b[: t_order + 1 - i]):
@@ -475,6 +477,7 @@ def decode_betti(coeff_n, n, weight_inverse=None):
     ``weight_inverse`` defaults to the punctured-torus weight; the genus-zero
     sanity series decodes with the pure weight 2i instead.
     """
+    _check_order(n, "n")
     preimage = _weight_preimages(coeff_n, n, weight_inverse or w_inverse)
     h = {}
     for k, v in coeff_n.terms.items():
@@ -499,6 +502,7 @@ def decode_hodge(coeff_n, n):
     ``h^{n-p, n-q}`` of the i-th cohomology, where ``e = 2n - w(i)``;
     every entry must sit on the weight line a + b = w(i) = 2n - e.
     """
+    _check_order(n, "n")
     preimage = _weight_preimages(coeff_n, n, w_inverse)
     table = {}
     for k, v in coeff_n.terms.items():
@@ -531,6 +535,7 @@ def coefficient_json(poly, n):
     """Serialize one series coefficient; values as exact integer strings.
     The coefficient of t^n holds no t, and a term that does is a
     :class:`DecodeError`, as in :func:`decode_hodge`."""
+    _check_order(n, "n")
     coeffs = []
     for (u, x, y, t), v in sorted(poly.unpacked().items(), key=lambda kv: kv[0][:3]):
         if t:
@@ -616,6 +621,8 @@ def genus0_gf():
 
 def genus0_weight_inverse(v):
     """Inverse of the genus-zero weight i -> 2i."""
+    if type(v) is not int:
+        raise TypeError(f"v must be an int, got {v!r}")
     return v // 2 if v >= 0 and v % 2 == 0 else None
 
 

@@ -24,8 +24,10 @@ them block by block:
   on.
 * The fixed space itself, as the kernel of the two generating
   permutations on quotient coordinates (:meth:`SpectralEngine.invariants`),
-  is kept as a reference; the identity suite's fixed-space checks read its
-  vectors.
+  is kept as a reference.  The identity suite's fixed-space checks read
+  only its dimension and its space; callers of
+  :meth:`SpectralEngine.invariant_d_rank` and :func:`invariant_basis` read
+  its vectors.
 """
 
 from __future__ import annotations
@@ -366,10 +368,19 @@ class SpectralEngine:
 _PLACED = (3, 4, 5, 0, 1, 2)
 
 
+def _check_n(n):
+    """Refuse an n that is not an int >= 0; a bool is no int."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"n must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+
+
 def matching_words(n, once=()):
     """Every word of weight n, the six kind counts, in lexicographic order;
     a kind in ``once`` occurs at most once.  The last kind, y-pairs, takes
     the weight the others leave."""
+    _check_n(n)
     words = [((), n)]  # (the counts so far, the weight left)
     for k in range(5):
         size, most = k // 3 + 1, 1 if k in once else n
@@ -614,8 +625,7 @@ def verify_against_series(n, report: SpectralReport | None = None):
     A report of another n is a ``ValueError``, not a mismatch, and an n
     that is not an int a ``TypeError``.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"n must be an int, got {n!r}")
+    _check_n(n)
     if report is None:
         report = e3_dims(n)
     elif report.n != n:

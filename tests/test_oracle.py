@@ -1,6 +1,7 @@
 """Oracle structures: the genus-zero algebra, V(n), phi/psi and the suite."""
 
 import random
+import re
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -33,6 +34,7 @@ from conftorus.oracle import (
     run_selftest,
     v_basis,
 )
+from conftorus.specseq import matching_words
 
 
 # -- genus-zero algebra ---------------------------------------------------------
@@ -66,7 +68,7 @@ def test_arnold_quotient_dims_are_falling_factorial_coefficients():
 
 
 def _holds_triangle(alg, mask):
-    return any(mask & t == t for t in alg.triangles)
+    return any(mask & tri == tri for tri, _ in alg._relations)
 
 
 def test_arnold_echelon_holds_no_zero_monomial():
@@ -96,18 +98,19 @@ def test_arnold_echelon_holds_no_zero_monomial():
 def test_arnold_walk_visits_each_triangle_free_mask_once(n):
     """The walk meets every triangle-free mask of q edges once and nothing
     else, and its closing mask is every edge outside the mask that would
-    complete a triangle."""
+    complete a triangle; it yields the masks in lexicographic order of
+    their edge lists, the order the relation-row sign check reads rows in."""
     alg = ArnoldAlgebra(n)
     by_size = {}
     for mask in range(1 << alg.npairs):
         if not _holds_triangle(alg, mask):
             by_size.setdefault(mask.bit_count(), set()).add(mask)
     for q in range(alg.npairs + 1):
-        seen = []
-        alg._walk(q, lambda mask, closing: seen.append((mask, closing)))
+        seen = list(alg._walk(q))
         masks = [mask for mask, _ in seen]
         assert len(set(masks)) == len(masks), (n, q)
         assert set(masks) == by_size.get(q, set()), (n, q)
+        assert masks == sorted(masks, key=_bit_list), (n, q)
         for mask, closing in seen:
             brute = 0
             for e in range(alg.npairs):
@@ -215,10 +218,8 @@ def _first_relation_sign_error(alg, monkeypatch):
     for q in range(2, alg.npairs + 1):
         sent.clear()
         zero = alg.degree(q).zero
-        multipliers = []
-        alg._walk(q - 2, lambda mu, closing: multipliers.append((mu, closing)))
         k = 0
-        for mu, closing in multipliers:
+        for mu, closing in alg._walk(q - 2):
             for tri, terms in alg._relations:
                 if tri & (mu | closing):
                     continue
@@ -253,9 +254,7 @@ def _first_relabel_sign_error(alg):
     if alg.n > 2:
         sigmas.append((*range(2, alg.n + 1), 1))
     assert len(alg._perm_tables) == len(sigmas)
-    masks = []
-    for q in range(alg.npairs + 1):
-        alg._walk(q, lambda mask, closing: masks.append(mask))
+    masks = [mask for q in range(alg.npairs + 1) for mask, _ in alg._walk(q)]
     for sigma, table in zip(sigmas, alg._perm_tables):
         for mask in masks:
             images = [
@@ -310,6 +309,20 @@ def test_v_basis_counts():
         assert len(basis) == count
         assert len(set(basis)) == count
         assert all(vm == make_v_monomial(*vm) for vm in basis)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", -1], ids=["true", "float", "str", "negative"])
+@pytest.mark.parametrize("enumerator", [v_basis, check_left_inverse, matching_words])
+def test_enumerators_refuse_an_n_that_is_not_a_count(enumerator, n):
+    """``v_basis(True)`` gave n = 1's 3 monomials, ``check_left_inverse(-1)``
+    passed on an empty basis and ``matching_words(-1)`` returned []; a float
+    or a str failed with Python's own message."""
+    if n == -1:
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+            enumerator(n)
+    else:
+        with pytest.raises(TypeError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+            enumerator(n)
 
 
 def test_v_monomial_rejects_repeated_index():

@@ -476,11 +476,14 @@ def test_w_inverse_gaps():
 @pytest.mark.parametrize("v", [True, 2.0, "2"])
 def test_w_and_w_inverse_refuse_a_value_that_is_not_an_int(v):
     """``w(2.0)`` would be 3.0 and ``w(True)`` 1: a bool, a float or a str
-    is refused by name, so no float leaves the module."""
+    is refused by name, so no float leaves the module; the genus-zero
+    inverse, which gave ``genus0_weight_inverse(2.0) == 1.0``, too."""
     with pytest.raises(TypeError, match=f"^i must be an int, got {re.escape(repr(v))}$"):
         w(v)
     with pytest.raises(TypeError, match=f"^v must be an int, got {re.escape(repr(v))}$"):
         w_inverse(v)
+    with pytest.raises(TypeError, match=f"^v must be an int, got {re.escape(repr(v))}$"):
+        genus0_weight_inverse(v)
 
 
 def test_w_image_scan():
@@ -745,6 +748,30 @@ def test_a_series_order_that_is_not_an_int_is_a_type_error(call, order):
     not compared: each is refused by name."""
     with pytest.raises(TypeError, match=f"^t_order must be an int, got {re.escape(repr(order))}$"):
         call(order)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3", -1], ids=["true", "float", "str", "negative"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda n: decode_betti(conf_series_betti(2)[2], n), "n"),
+        (lambda n: decode_hodge(conf_series_hodge(2)[2], n), "n"),
+        (lambda n: coefficient_json(conf_series_hodge(2)[2], n), "n"),
+        (lambda order: multiply_series(conf_series_betti(2), conf_series_betti(2), order),
+         "t_order"),
+    ],
+    ids=["decode-betti", "decode-hodge", "coefficient-json", "multiply-series"],
+)
+def test_an_n_or_order_that_is_not_one_is_refused_by_name(call, name, bad):
+    """``decode_betti(c, True)`` named a u-exponent at t^True, ``decode_hodge``
+    blamed ``w_inverse``'s v, ``coefficient_json`` wrote ``"n": true`` and
+    ``multiply_series(a, b, -1)`` returned []: each now names its argument."""
+    if bad == -1:
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            call(bad)
+    else:
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+            call(bad)
 
 
 # -- guards on reachable bad input ----------------------------------------------
