@@ -51,6 +51,7 @@ elimination of every relation multiple for small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple, Optional
@@ -247,39 +248,72 @@ def differential(e: Element) -> Element:
     """Graded derivation: d(g_ij) = y_i x_j - x_i y_j, d(x)=d(y)=0.
 
     Leibniz is applied left to right: d(ab) = d(a) b + (-1)^{deg a} a d(b).
-    """
+    In normal form d(g_ij) = -(x_j y_i) - (x_i y_j), so the g-generator at
+    position pos of a monomial is replaced by the letter pairs (x_j, y_i)
+    and (x_i, y_j), each with the sign -(-1)^pos.  Each g-generator's two
+    pairs are built once per call, on its first occurrence."""
     out = Element()
+    acc = out.coeffs
+    repls = {}  # g-generator -> its two replacement letter pairs
     for gens, c in e.coeffs.items():
         for pos, gen in enumerate(gens):
             if gen.kind != "g":
                 continue
+            pairs = repls.get(gen)
+            if pairs is None:
+                pairs = repls[gen] = ((X(gen.j), Y(gen.i)), (X(gen.i), Y(gen.j)))
             rest = gens[:pos] + gens[pos + 1 :]
-            prefix_sign = -1 if pos % 2 else 1
-            for repl, s in (
-                ((X(gen.j), Y(gen.i)), -1),
-                ((X(gen.i), Y(gen.j)), -1),
-            ):
-                prod = normalize(rest + repl)
+            lead = c if pos % 2 else -c
+            for pair in pairs:
+                prod = normalize(rest + pair)
                 if prod is not None:
-                    coeff = c * s * prefix_sign * prod.sign
-                    add_terms(out.coeffs, [(prod.gens, coeff)])
+                    add_terms(acc, ((prod.gens, lead * prod.sign),))
     return out
+
+
+def _check_n(n):
+    """Refuse an n that is not an int >= 0; a bool is no int."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"n must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
 
 
 def sn_act(sigma, e: Element) -> Element:
     """Relabel indices by the permutation ``sigma`` (tuple, sigma[i-1] image
-    of i) and renormalize."""
+    of i) and renormalize, the Koszul sign read off the new tuple order.
 
-    def relabel(gen):
-        if gen.kind == "g":
-            return G(sigma[gen.i - 1], sigma[gen.j - 1])
-        return Generator(gen.kind, sigma[gen.i - 1])
-
+    Each generator's image is built once per call, on its first occurrence,
+    and kept in a dict for the terms after.  ``sigma`` must be a tuple of
+    ints that permutes 1..k (a ``TypeError`` or ``ValueError`` naming it
+    otherwise), and every generator of ``e`` must have its indices in 1..k
+    (a ``ValueError`` naming the generator and sigma)."""
+    if type(sigma) is not tuple or any(type(v) is not int for v in sigma):
+        raise TypeError(f"sigma must be a tuple of ints, got {sigma!r}")
+    k = len(sigma)
+    if sorted(sigma) != list(range(1, k + 1)):
+        raise ValueError(f"sigma must be a permutation of 1..{k}, got {sigma!r}")
     out = Element()
-    images = (
-        (normalize(tuple(relabel(g) for g in gens)), c) for gens, c in e.coeffs.items()
-    )
-    add_terms(out.coeffs, ((m.gens, c * m.sign) for m, c in images))
+    acc = out.coeffs
+    images = {}  # generator -> its image under sigma
+    for gens, c in e.coeffs.items():
+        relabelled = []
+        for gen in gens:
+            image = images.get(gen)
+            if image is None:
+                if not 0 < gen.i <= k or gen.j > k:
+                    raise ValueError(
+                        f"generator {gen} has an index outside 1..{k}, "
+                        f"the domain of sigma {sigma!r}"
+                    )
+                if gen.kind == "g":
+                    image = G(sigma[gen.i - 1], sigma[gen.j - 1])
+                else:
+                    image = Generator(gen.kind, sigma[gen.i - 1])
+                images[gen] = image
+            relabelled.append(image)
+        m = normalize(relabelled)
+        add_terms(acc, ((m.gens, c * m.sign),))
     return out
 
 
@@ -292,7 +326,12 @@ def symmetrize(e: Element, n: int) -> Element:
     (k k) the identity.  So if T is the sum of tau . e over S_(k-1), the
     sum over S_k is T plus (i k) . T for i = 1..k-1: starting from the
     identity's term, each k = 2..n takes k - 1 relabellings of the running
-    sum, n(n-1)/2 in all after the identity's, against n! single terms."""
+    sum, n(n-1)/2 in all after the identity's, against n! single terms.
+
+    ``n`` must be an int >= 0 (a ``TypeError`` or ``ValueError`` naming it
+    otherwise), and every index of ``e`` at most n, as :func:`sn_act`
+    requires."""
+    _check_n(n)
     ids = range(1, n + 1)
     total = sn_act(tuple(ids), e)
     for k in ids[1:]:
@@ -319,13 +358,15 @@ class Layout:
     Bits 0..G-1: pairs (i<j) in lex order; then n x-bits; then n y-bits.
     Bit order coincides with monomial normal form, so Koszul signs of
     products are popcount parities of bit interleavings.
+
+    :meth:`bit_gen` states the encoding.  ``gen_masks``, its inverse table
+    {Generator: 1 << bit} that :meth:`encode`, :meth:`gen_bit` and
+    ``BidegreeSpace.reduce`` read, is built from it on first use, so the
+    engines' layouts, which never encode, never build it.
     """
 
     def __init__(self, n):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError(f"n must be an int, got {n!r}")
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
+        _check_n(n)
         self.n = n
         self.pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         self.npairs = len(self.pairs)
@@ -351,12 +392,14 @@ class Layout:
 
     # -- encoding ----------------------------------------------------------
 
+    @cached_property
+    def gen_masks(self):
+        """{Generator: 1 << bit} over every bit, the inverse of
+        :meth:`bit_gen`, built from it on first use."""
+        return {self.bit_gen(b): 1 << b for b in range(self.nbits)}
+
     def gen_bit(self, gen: Generator):
-        if gen.kind == "g":
-            return self.pair_bit[(gen.i, gen.j)]
-        if gen.kind == "x":
-            return self.xbit0 + gen.i - 1
-        return self.ybit0 + gen.i - 1
+        return self.gen_masks[gen].bit_length() - 1
 
     def bit_gen(self, b):
         if b < self.npairs:
@@ -367,9 +410,10 @@ class Layout:
         return Y(b - self.ybit0 + 1)
 
     def encode(self, m: Monomial):
+        table = self.gen_masks
         mask = 0
         for gen in m.gens:
-            mask |= 1 << self.gen_bit(gen)
+            mask |= table[gen]
         return mask
 
     def decode(self, mask, sign=1):
@@ -491,10 +535,12 @@ class Layout:
         while m:
             low = m & -m
             m ^= low
-            for add, between in self._d_terms[low]:
-                if not mask & add:
-                    par = (pos + (mask & between).bit_count()) & 1
-                    out.append((mask ^ low | add, _SIGN[par]))
+            (add1, between1), (add2, between2) = self._d_terms[low]
+            rest = mask ^ low
+            if not mask & add1:
+                out.append((rest | add1, _SIGN[(pos + (mask & between1).bit_count()) & 1]))
+            if not mask & add2:
+                out.append((rest | add2, _SIGN[(pos + (mask & between2).bit_count()) & 1]))
             pos ^= 1
         return out
 
@@ -704,15 +750,19 @@ class BidegreeSpace:
         element, in the format of :meth:`reduce_mask`; zero coefficients
         are left out, so the zero class reduces to ``{}``."""
         lay = self.layout
+        table, gfull = lay.gen_masks, lay.gfull
         acc = {}
         for gens, c in e.coeffs.items():
-            m = Monomial(gens)
-            if m.bidegree != (self.p, self.q):
+            mask = 0
+            for gen in gens:
+                mask |= table[gen]
+            q = (mask & gfull).bit_count()
+            if mask.bit_count() - q != self.p or q != self.q:
                 raise ValueError(
-                    f"element of bidegree {m.bidegree} in space "
+                    f"element of bidegree {(mask.bit_count() - q, q)} in space "
                     f"({self.p},{self.q})"
                 )
-            add_terms(acc, self.reduce_mask(lay.encode(m), c).items())
+            add_terms(acc, self.reduce_mask(mask, c).items())
         return acc
 
 

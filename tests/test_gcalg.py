@@ -442,13 +442,37 @@ def test_reduce_rejects_wrong_bidegree():
     """An element, a bidegree or a generator outside the algebra is a
     ValueError."""
     space = BidegreeSpace(2, 1, 1)
-    with pytest.raises(ValueError):
-        space.reduce(Element.from_generators(X(1)))
+    for gens, bidegree in (((X(1),), "(1, 0)"), ((G(1, 2), X(1), Y(2)), "(2, 1)"), ((), "(0, 0)")):
+        want = f"^element of bidegree {re.escape(bidegree)} in space \\(1,1\\)$"
+        with pytest.raises(ValueError, match=want):
+            space.reduce(Element.from_generators(*gens))
     for n in (0, 2):
         with pytest.raises(ValueError, match="bidegree must be nonnegative"):
             free_basis(n, -1, 0)
     with pytest.raises(ValueError, match="g_ii is not a generator"):
         G(1, 1)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_generator_table_is_the_normal_form_order_and_bit_gen_inverts_it(n):
+    """``Layout.gen_masks`` is built on first use, gives each generator the
+    bit of its place in normal-form order (pairs in lex order, then x, then
+    y), ``1 << gen_bit(gen)``, and ``bit_gen`` inverts it; a generator
+    outside the layout is a ``KeyError``."""
+    lay = Layout(n)
+    assert "gen_masks" not in vars(lay)
+    gens = [G(i, j) for i, j in combinations(range(1, n + 1), 2)]
+    gens += [X(i) for i in range(1, n + 1)] + [Y(i) for i in range(1, n + 1)]
+    assert lay.gen_masks == {gen: 1 << b for b, gen in enumerate(gens)}
+    assert "gen_masks" in vars(lay)
+    for gen in gens:
+        assert lay.gen_masks[gen] == 1 << lay.gen_bit(gen), gen
+        assert lay.bit_gen(lay.gen_bit(gen)) == gen
+        assert lay.encode(Monomial((gen,))) == lay.gen_masks[gen]
+    # a generator of a larger n has no bit in this layout
+    for gen in (X(n + 1), Y(n + 1), G(n + 1, n + 2)):
+        with pytest.raises(KeyError):
+            lay.gen_bit(gen)
 
 
 # -- differential --------------------------------------------------------------------
@@ -642,6 +666,40 @@ def test_symmetrize_idempotent():
         s = symmetrize(Element.from_generators(*gens), n)
         assert s and all(type(c) is int for c in s.coeffs.values())
         assert symmetrize(s, n) == s.scale(factorial(n)), n
+
+
+_X3 = Element.from_generators(X(3))
+
+
+@pytest.mark.parametrize(
+    "act, args, error, message",
+    [
+        (sn_act, ((1, 1, 3), _X3), ValueError,
+         "sigma must be a permutation of 1..3, got (1, 1, 3)"),
+        (sn_act, ((1, 2, 4), _X3), ValueError,
+         "sigma must be a permutation of 1..3, got (1, 2, 4)"),
+        (sn_act, ((2, 1), _X3), ValueError,
+         "generator x3 has an index outside 1..2, the domain of sigma (2, 1)"),
+        (sn_act, ((1,), Element({(gcalg.Generator("x", 0),): 1})), ValueError,
+         "generator x0 has an index outside 1..1, the domain of sigma (1,)"),
+        (sn_act, ([2, 1, 3], _X3), TypeError, "sigma must be a tuple of ints, got [2, 1, 3]"),
+        (sn_act, ((1, 2.0, 3), _X3), TypeError,
+         "sigma must be a tuple of ints, got (1, 2.0, 3)"),
+        (symmetrize, (_X3, 2), ValueError,
+         "generator x3 has an index outside 1..2, the domain of sigma (1, 2)"),
+        (symmetrize, (_X3, True), TypeError, "n must be an int, got True"),
+        (symmetrize, (_X3, -1), ValueError, "n must be nonnegative, got -1"),
+        (symmetrize, (_X3, 2.0), TypeError, "n must be an int, got 2.0"),
+    ],
+    ids=["repeated-image", "image-past-k", "index-past-sigma", "index-zero", "list-sigma",
+         "float-entry", "index-past-n", "bool-n", "negative-n", "float-n"],
+)
+def test_sn_act_and_symmetrize_refuse_a_sigma_or_n_that_does_not_fit(act, args, error, message):
+    """A sigma that is not a permutation of 1..k, a generator with an index
+    outside 1..k and an n that is not a count are refused by name, not
+    relabelled into a wrong answer or failed with an unrelated message."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        act(*args)
 
 
 def brute_force_sort_bits(bits):
