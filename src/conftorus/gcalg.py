@@ -56,7 +56,7 @@ from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple, Optional
 
-from .linalg import add_terms
+from .linalg import add_terms, check_int
 
 __all__ = [
     "Generator",
@@ -91,7 +91,17 @@ class Generator(NamedTuple):
         return f"{self.kind}{self.i}"
 
 
+def _label(name, i):
+    """The point label ``i``, refused by ``name`` unless an int >= 1."""
+    check_int(i, name, negative_ok=True)
+    if i < 1:
+        raise ValueError(f"{name} must be positive, got {i}")
+    return i
+
+
 def G(i, j):
+    """g_ij of labels i != j, ints >= 1 refused by name; ``G(j, i)`` is ``G(i, j)``."""
+    i, j = _label("i", i), _label("j", j)
     if i == j:
         raise ValueError("g_ii is not a generator")
     if i > j:
@@ -100,11 +110,13 @@ def G(i, j):
 
 
 def X(i):
-    return Generator("x", i)
+    """x_i of the label i, an int >= 1, refused by name otherwise."""
+    return Generator("x", _label("i", i))
 
 
 def Y(i):
-    return Generator("y", i)
+    """y_i of the label i, an int >= 1, refused by name otherwise."""
+    return Generator("y", _label("i", i))
 
 
 @dataclass(frozen=True)
@@ -271,14 +283,6 @@ def differential(e: Element) -> Element:
     return out
 
 
-def _check_n(n):
-    """Refuse an n that is not an int >= 0; a bool is no int."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"n must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-
-
 def sn_act(sigma, e: Element) -> Element:
     """Relabel indices by the permutation ``sigma`` (tuple, sigma[i-1] image
     of i) and renormalize, the Koszul sign read off the new tuple order.
@@ -307,7 +311,7 @@ def sn_act(sigma, e: Element) -> Element:
                         f"the domain of sigma {sigma!r}"
                     )
                 if gen.kind == "g":
-                    image = G(sigma[gen.i - 1], sigma[gen.j - 1])
+                    image = Generator("g", *sorted((sigma[gen.i - 1], sigma[gen.j - 1])))
                 else:
                     image = Generator(gen.kind, sigma[gen.i - 1])
                 images[gen] = image
@@ -331,7 +335,7 @@ def symmetrize(e: Element, n: int) -> Element:
     ``n`` must be an int >= 0 (a ``TypeError`` or ``ValueError`` naming it
     otherwise), and every index of ``e`` at most n, as :func:`sn_act`
     requires."""
-    _check_n(n)
+    check_int(n, "n")
     ids = range(1, n + 1)
     total = sn_act(tuple(ids), e)
     for k in ids[1:]:
@@ -366,7 +370,7 @@ class Layout:
     """
 
     def __init__(self, n):
-        _check_n(n)
+        check_int(n, "n")
         self.n = n
         self.pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         self.npairs = len(self.pairs)
@@ -402,12 +406,12 @@ class Layout:
         return self.gen_masks[gen].bit_length() - 1
 
     def bit_gen(self, b):
+        # no label check: decode calls this per bit, on labels 1..n
         if b < self.npairs:
-            i, j = self.pairs[b]
-            return G(i, j)
+            return Generator("g", *self.pairs[b])
         if b < self.ybit0:
-            return X(b - self.xbit0 + 1)
-        return Y(b - self.ybit0 + 1)
+            return Generator("x", b - self.xbit0 + 1)
+        return Generator("y", b - self.ybit0 + 1)
 
     def encode(self, m: Monomial):
         table = self.gen_masks
@@ -675,9 +679,8 @@ class BidegreeSpace:
     """
 
     def __init__(self, n, p, q, layout=None):
-        for name, v in (("p", p), ("q", q)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"{name} must be an int, got {v!r}")
+        check_int(p, "p", negative_ok=True)
+        check_int(q, "q", negative_ok=True)
         self.n, self.p, self.q = n, p, q
         self.layout = lay = layout or Layout(n)
         self.free_dim = comb(lay.npairs, q) * comb(2 * n, p) if p >= 0 and q >= 0 else 0
@@ -773,8 +776,8 @@ class BidegreeSpace:
 
 def free_basis(n, p, q):
     """All sign-+1 monomials of bidegree (p, q); size C(#pairs,q)*C(2n,p)."""
-    if p < 0 or q < 0:
-        raise ValueError("bidegree must be nonnegative")
+    check_int(p, "p")
+    check_int(q, "q")
     lay = Layout(n)
     return [lay.decode(m) for m in lay.enumerate_masks(p, q)]
 

@@ -43,6 +43,15 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 
+def check_int(value, name, negative_ok=False):
+    """The engine side's one argument check, naming ``name``: a TypeError unless
+    ``value`` is an int (a bool is none), a ValueError if negative and not ``negative_ok``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 0 and not negative_ok:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def add_terms(acc, pairs):
     """Add each ``(key, value)`` pair into the dict ``acc``, deleting a key
     whose sum is zero, so ``acc`` never holds a zero; returns ``acc``."""

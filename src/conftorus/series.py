@@ -320,13 +320,13 @@ class FactoredRatFun:
         return den
 
 
-def _check_order(value, name="t_order"):
-    """Refuse a series order, or the n of a coefficient, that is not an
-    int >= 0; a bool is no int."""
+def _check_order(value, name="t_order", negative_ok=False):
+    """The series side's copy of :func:`conftorus.linalg.check_int`, with
+    the same texts: this module imports nothing from the package."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0")
+    if value < 0 and not negative_ok:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def expand(f: FactoredRatFun, t_order: int):
@@ -438,19 +438,13 @@ def vakil_wood_conf(z, t_order):
 
 def w(i):
     """Weight of the i-th cohomology: 3i/2 for even i, (3i-1)/2 for odd."""
-    if type(i) is not int:
-        raise TypeError(f"i must be an int, got {i!r}")
-    if i < 0:
-        raise ValueError("negative degree")
+    _check_order(i, "i")
     return 3 * i // 2 if i % 2 == 0 else (3 * i - 1) // 2
 
 
 def w_inverse(v):
     """The unique i with w(i) == v, or None."""
-    if type(v) is not int:
-        raise TypeError(f"v must be an int, got {v!r}")
-    if v < 0:
-        return None
+    _check_order(v, "v", negative_ok=True)
     for i in ((2 * v) // 3, (2 * v + 1) // 3):
         if i >= 0 and w(i) == v:
             return i
@@ -621,8 +615,7 @@ def genus0_gf():
 
 def genus0_weight_inverse(v):
     """Inverse of the genus-zero weight i -> 2i."""
-    if type(v) is not int:
-        raise TypeError(f"v must be an int, got {v!r}")
+    _check_order(v, "v", negative_ok=True)
     return v // 2 if v >= 0 and v % 2 == 0 else None
 
 

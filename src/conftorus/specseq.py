@@ -42,6 +42,7 @@ from .linalg import (
     SignedUnionFind,
     SparseEchelon,
     add_terms,
+    check_int,
     kernel_of_columns,
     rank_of_rows,
 )
@@ -125,6 +126,12 @@ class SpectralReport:
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+def _check_report(report):
+    """Refuse a ``report`` that is not a :class:`SpectralReport`, by name."""
+    if not isinstance(report, SpectralReport):
+        raise TypeError(f"report must be a SpectralReport, got {report!r}")
 
 
 class SpectralEngine:
@@ -368,19 +375,11 @@ class SpectralEngine:
 _PLACED = (3, 4, 5, 0, 1, 2)
 
 
-def _check_n(n):
-    """Refuse an n that is not an int >= 0; a bool is no int."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"n must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-
-
 def matching_words(n, once=()):
     """Every word of weight n, the six kind counts, in lexicographic order;
     a kind in ``once`` occurs at most once.  The last kind, y-pairs, takes
     the weight the others leave."""
-    _check_n(n)
+    check_int(n, "n")
     words = [((), n)]  # (the counts so far, the weight left)
     for k in range(5):
         size, most = k // 3 + 1, 1 if k in once else n
@@ -591,6 +590,7 @@ def purity_check(report: SpectralReport):
     a d_r arrow (r >= 3) changes p - q by 2r - 1 >= 5, so no arrow joins two
     pure entries.
     """
+    _check_report(report)
     bad = {(p, q) for (p, q), d in report.e3_inv.items() if d and p - q not in (0, 1)}
     bad |= {
         (p, q)
@@ -606,6 +606,7 @@ def betti_and_hodge(report: SpectralReport):
 
     Purity is not checked here; :func:`purity_check` reports it.
     """
+    _check_report(report)
     betti_map = {}
     for (p, q), d in report.e3_inv.items():
         betti_map[p + q] = betti_map.get(p + q, 0) + d
@@ -623,12 +624,13 @@ def verify_against_series(n, report: SpectralReport | None = None):
 
     Returns a dict with ``match`` plus both sides; every mismatch is listed.
     A report of another n is a ``ValueError``, not a mismatch, and an n
-    that is not an int a ``TypeError``.
+    or a report of the wrong type a ``TypeError``.
     """
-    _check_n(n)
+    check_int(n, "n")
     if report is None:
         report = e3_dims(n)
-    elif report.n != n:
+    _check_report(report)
+    if report.n != n:
         raise ValueError(f"report of n={report.n} checked against the series of n={n}")
     series_betti = series_mod.decode_betti(series_mod.conf_series_betti(n)[n], n)
     series_hodge = series_mod.decode_hodge(series_mod.conf_series_hodge(n)[n], n)

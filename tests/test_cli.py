@@ -350,18 +350,22 @@ def test_removed_flags_are_rejected(capsys, argv):
 
 
 def test_closed_pipe_exits_without_traceback():
-    # `conftorus betti ... | head -1`: unbuffered, so every line is its own
-    # write and the n = 6 lines come about a second after the header.
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # its first write fails on every run; a reader that closes the pipe
+    # after the header would race a command that takes 0.2 s in all.
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = ["betti", "--n", "0..6", "--format", "csv"]
-    with subprocess.Popen(
-        [sys.executable, "-m", "conftorus.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    ) as proc:
-        assert proc.stdout.readline() == b"n,i,h_i\n"
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=60)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with subprocess.Popen(
+            [sys.executable, "-m", "conftorus.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            _, err = proc.communicate(timeout=60)
+    finally:
+        os.close(write_end)
     assert proc.returncode == 1
     assert b"Traceback" not in err and b"BrokenPipeError" not in err

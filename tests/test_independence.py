@@ -93,6 +93,12 @@ ROUTES = [
         ("oracle:_dd_counterexample",),
         ("_d_terms", "_gy", "_x_rows", "_d_lists", "_d_last", "differential_mask"),
     ),
+    (
+        "engine argument check",
+        ("linalg:check_int",),
+        ("conftorus", "series", *SIBLINGS,
+         *(name for m in ("series", *SIBLINGS) for name in public_defs(m))),
+    ),
 ]
 
 

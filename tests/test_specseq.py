@@ -399,18 +399,6 @@ def test_e3_dims_n0(reports):
     assert reports[0].e3_inv == {(0, 0): 1}
 
 
-@pytest.mark.parametrize("n", [-1, -3])
-def test_e3_dims_rejects_negative_n(n):
-    with pytest.raises(ValueError, match=f"n must be nonnegative, got {n}$"):
-        e3_dims(n)
-
-
-@pytest.mark.parametrize("n", [-1, -3])
-def test_spectral_engine_rejects_negative_n(n):
-    with pytest.raises(ValueError, match=f"n must be nonnegative, got {n}$"):
-        SpectralEngine(n)
-
-
 # -- purity --------------------------------------------------------------------
 
 
