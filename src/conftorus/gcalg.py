@@ -679,8 +679,11 @@ class BidegreeSpace:
     """
 
     def __init__(self, n, p, q, layout=None):
+        check_int(n, "n")
         check_int(p, "p", negative_ok=True)
         check_int(q, "q", negative_ok=True)
+        if layout is not None and layout.n != n:
+            raise ValueError(f"layout is for n={layout.n}, not n={n}")
         self.n, self.p, self.q = n, p, q
         self.layout = lay = layout or Layout(n)
         self.free_dim = comb(lay.npairs, q) * comb(2 * n, p) if p >= 0 and q >= 0 else 0

@@ -12,20 +12,23 @@ spectral engine's coinvariant blocks, where most rows (86% at n = 6) are
 such identifications.
 
 ``SparseEchelon`` is a forward-only integer echelon form; it serves the
-genus-zero oracle's quotient elimination
-(:class:`conftorus.oracle.ArnoldAlgebra`), the rows of the coinvariant
-blocks the union-find cannot absorb, the reference invariant kernels and
-the differential ranks.  Pivot = largest column key of the row, so the
-surviving coset representatives are the small monomials.  Elimination is
-fraction-free: a row is reduced against a pivot entry 1 in place, and is
-scaled by the pivot entry and divided by its content (gcd) only when that
-entry is not 1.  Every installed row is divided by its content and has a
-positive pivot entry, so it is the same row however it was reached.
+rows of the coinvariant blocks the union-find cannot absorb, the reference
+invariant kernels and the differential ranks.  The genus-zero oracle
+(:class:`conftorus.oracle.ArnoldAlgebra`) reduces its relation rows by
+normal forms of its own and sends an echelon only what they leave of a
+row (nothing, for n <= 7) and its coinvariant rows.  Pivot = largest
+column key of the row, so the surviving coset representatives are the
+small monomials.  Elimination is fraction-free: a row is reduced against a
+pivot entry 1 in place, and is scaled by the pivot entry and divided by
+its content (gcd) only when that entry is not 1.  Every installed row is
+divided by its content and has a positive pivot entry, so it is the same
+row however it was reached.
 
-No vector is reduced to a normal form.  ``rank_of_rows(rows, base)`` seeds
-an echelon with the rows of another one and counts the rank the new rows
-add; it serves the engine's d-ranks, modulo a target block's relations,
-and the genus-zero oracle's S_n-coinvariants, modulo a degree's relations.
+The echelon reduces no vector to a normal form.  ``rank_of_rows(rows,
+base)`` seeds an echelon with the rows of another one and counts the rank
+the new rows add; it serves the engine's d-ranks, modulo a target block's
+relations, and the genus-zero oracle's S_n-coinvariants, modulo what a
+degree's relation rows left in its echelon.
 
 ``kernel_of_columns`` eliminates its equations shortest first (most have
 two terms) and back-substitutes sparsely: each column is indexed to the

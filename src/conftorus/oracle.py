@@ -26,6 +26,8 @@ and :func:`conftorus.series.check_result` builds every record of
 from __future__ import annotations
 
 import random
+from array import array
+from functools import partial
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -75,7 +77,8 @@ class _Degree(NamedTuple):
     dim: int
     basis: tuple
     zero: set
-    ech: SparseEchelon
+    nf: dict  # lead -> its normal form, a flat (key, coeff, ...) tuple
+    extra: SparseEchelon
 
 
 class ArnoldAlgebra:
@@ -97,24 +100,36 @@ class ArnoldAlgebra:
     mu * r_T holds a triangle exactly when t meets closing(mu): a triangle
     with one edge in t has its other two in mu, and the only triangle with
     two edges in t is T, whose third edge mu misses.  Each edge of T lies
-    in two of the three terms, so a row keeps 3, 1 or 0 terms.  The
-    multipliers are walked twice.  The first walk puts the monomial of
-    every 1-term row in the set ``zero``; the second sends every 3-term
-    row, stripped of its zero monomials, to one ``SparseEchelon``, so no
-    echelon row holds a zero monomial; a row stripped of every term is not
-    sent.  A walk at degree q then reads the basis: every triangle-free
-    monomial that is neither zero nor a pivot.
+    in two of the three terms, so a row keeps 3, 1 or 0 terms.  One walk
+    over the multipliers puts the monomial of every 1-term row in the set
+    ``zero`` and stores every 3-term row as a code mu * R + k, R the number
+    of triangles and T the k-th, in an unsigned 64-bit array (a list past
+    n = 11, where the codes outgrow 64 bits).  The terms of r_T rise, so
+    once ``zero`` is whole, the lead of a row, its last term that is not a
+    zero monomial, is read from its code without building the row; a row
+    stripped of every term has no lead and is never built.  The first row
+    with each lead is kept and the others are deferred;
+    :func:`_eliminate` turns the kept rows into normal forms, smallest lead
+    first, and reduces every deferred row by them, as in Faugere's F4: one
+    fixed set of reducers, computed once, and no chain of echelon steps.
+    What a deferred row leaves goes to the echelon ``extra``.  No row is
+    assumed to reduce to zero: every remainder is computed (for n <= 7 each
+    is empty, so ``extra`` stays empty).  The basis is every triangle-free
+    monomial that is neither zero, nor a lead, nor a pivot of ``extra``.
 
     A degree is cached until :meth:`invariant_dim` reads it, then dropped,
     so :func:`arnold_conf_betti` holds one degree at a time and no
     caller that reads every quotient dimension first builds one twice.
 
-    At n = 7 the degrees q = 2..7 send 142,345 rows for a total rank of
-    47,065, 63,000 of them at the empty degree 7 (13,860 more multiples
-    there lose every term).  Built, the n = 7 degrees hold 19.5 MB together
-    (tracemalloc), degree 6 the most at 7.1 MB.  On a 2-vCPU Linux
+    At n = 7 the degrees q = 2..7 build 142,345 rows, 63,000 of them at
+    the empty degree 7 (13,860 more multiples there lose every term).  The
+    47,065 kept rows are the whole rank; each of the other 95,280 reads at
+    most three normal forms and leaves no remainder.  Built, the n = 7
+    degrees hold 13.0 MB together (tracemalloc), degree 6 the most at
+    5.3 MB, 6.8 MB at its peak while it is built.  On a 2-vCPU Linux
     container (CPython 3.11) ``arnold_conf_betti(n)`` for n = 2..7 takes
-    2.0-2.5 s, of which degree 7 takes 0.55-0.95 s."""
+    1.3-1.9 s, of which degree 7 takes 0.35-0.45 s; for n = 8 it takes
+    36 s at 185 MB peak RSS."""
 
     def __init__(self, n):
         check_int(n, "n")
@@ -178,35 +193,63 @@ class ArnoldAlgebra:
                 stack.append((e + 1, mask | 1 << e, grown, left - 1))
 
     def degree(self, q) -> _Degree:
+        check_int(q, "q", negative_ok=True)
         if q in self._degrees:
             return self._degrees[q]
-        zero, ech = set(), SparseEchelon()
         relations = self._relations
+        nrel = len(relations)
+        # mu * nrel + k names the row mu * r_T of the k-th triangle T; codes
+        # fit 64 bits up to n = 11, and a list holds them past it
+        zero, codes = set(), array("Q") if nrel << self.npairs <= 1 << 64 else []
         for mu, closing in self._walk(q - 2):
-            for tri, _ in relations:
+            blocked, base = mu | closing, mu * nrel
+            for k, (tri, _) in enumerate(relations):
+                if not tri & blocked:
+                    codes.append(base + k)
+                    continue
                 hit = tri & closing
                 # one edge of T closed: only the term without it survives
                 if hit and not hit & (hit - 1) and not tri & mu:
                     zero.add(mu | tri ^ hit)
-        for mu, closing in self._walk(q - 2):
-            blocked = mu | closing
-            for tri, terms in relations:
-                if tri & blocked:
-                    continue
-                row = {}
-                for t, c, lo, hi in terms:
-                    prod = mu | t
-                    if prod not in zero:
-                        # sorting mu . t moves each bit of t past the bits
-                        # of mu above it
-                        parity = ((mu >> lo).bit_count() + (mu >> hi).bit_count()) & 1
-                        row[prod] = -c if parity else c
-                if row:
-                    ech.add_row(row)
-        basis = [mask for mask, _ in self._walk(q) if mask not in zero and mask not in ech.rows]
-        deg = _Degree(len(basis), tuple(sorted(basis)), zero, ech)
+        # the terms of r_T rise, and mu misses T, so the lead of mu * r_T
+        # is its last term that is not a zero monomial
+        tops = [[t for t, *_ in reversed(terms)] for _, terms in relations]
+        kept, deferred = {}, codes[:0]
+        for code in codes:
+            mu, k = divmod(code, nrel)
+            for t in tops[k]:
+                lead = mu | t
+                if lead not in zero:
+                    if lead in kept:
+                        deferred.append(code)
+                    else:
+                        kept[lead] = code
+                    break
+        del codes  # before the normal forms are built, to lower the peak
+        extra = SparseEchelon()
+        nf = _eliminate(kept, deferred, partial(self._row, zero), extra)
+        basis = [
+            mask for mask, _ in self._walk(q)
+            if mask not in zero and mask not in nf and mask not in extra.rows
+        ]
+        deg = _Degree(len(basis), tuple(sorted(basis)), zero, nf, extra)
         self._degrees[q] = deg
         return deg
+
+    def _row(self, zero, code):
+        """The row mu * r_T named by ``code``, stripped of its zero
+        monomials, as (monomial, coefficient) pairs in increasing order."""
+        relations = self._relations
+        mu, k = divmod(code, len(relations))
+        row = []
+        for t, c, lo, hi in relations[k][1]:
+            prod = mu | t
+            if prod not in zero:
+                # sorting mu . t moves each bit of t past the bits of mu
+                # above it
+                parity = ((mu >> lo).bit_count() + (mu >> hi).bit_count()) & 1
+                row.append((prod, -c if parity else c))
+        return row
 
     def quotient_dim(self, q):
         return self.degree(q).dim
@@ -227,9 +270,10 @@ class ArnoldAlgebra:
         modulo the rows sigma . m - m, for sigma in {(1 2), n-cycle}, which
         generate S_n.  In characteristic zero averaging maps the fixed space
         isomorphically onto the coinvariants, so this is also the dimension
-        of the fixed space.  The rows are reduced against the degree's own
-        echelon, and the rank they add to it is the codimension of the
-        coinvariants in the quotient.  The degree is dropped once read."""
+        of the fixed space.  Each row is written as sign * NF(sigma . m) - m
+        with the degree's normal forms, and the rank the rows add to its
+        ``extra`` is the codimension of the coinvariants in the quotient.
+        The degree is dropped once read."""
         deg = self.degree(q)
         del self._degrees[q]
         rows = []
@@ -237,10 +281,51 @@ class ArnoldAlgebra:
             for table in self._perm_tables:
                 # sigma is an automorphism, so sigma . m is never a zero monomial
                 sign, img = self._relabel(table, mask)
-                row = {img: sign}
-                row[mask] = row.get(mask, 0) - 1
-                rows.append(row)
-        return deg.dim - rank_of_rows(rows, deg.ech.rows)
+                rows.append(_reduce(deg.nf, ((img, sign), (mask, -1))))
+        return deg.dim - rank_of_rows(rows, deg.extra.rows)
+
+
+def _reduce(forms, pairs):
+    """The sum of v * NF(c) over the ``(c, v)`` pairs, as a row that holds
+    no zero.  NF(c) is ``forms[c]``, a flat ``(key, coeff, key, coeff,
+    ...)`` tuple, where ``forms`` holds c, and c itself where it does not."""
+    acc = {}
+    get, fget = acc.get, forms.get
+    for c, v in pairs:
+        form = fget(c)
+        if form is None:
+            acc[c] = get(c, 0) + v
+        else:
+            it = iter(form)
+            for k, w in zip(it, it):
+                acc[k] = get(k, 0) + v * w
+    return {k: w for k, w in acc.items() if w}
+
+
+def _eliminate(kept, deferred, row_of, extra):
+    """Reduce every row against one fixed set of reducers, the kept rows,
+    as in Faugere's F4; returns their normal forms, {lead: NF(lead)}.
+
+    ``kept`` maps a lead to the first row with it and ``deferred`` lists
+    the others, each row as a handle that ``row_of`` builds into its
+    (key, coefficient) pairs in increasing order, the lead last, its entry
+    s = +-1.  The kept row with lead p gives NF(p) = -s * sum v * NF(c)
+    over its other terms v * c: exact, with no division.  Leads are taken
+    smallest first, so every NF(c) it reads is final and no key of a
+    normal form is a lead.  Each deferred row is built and summed over the
+    normal forms of its terms; what is left goes to the echelon ``extra``."""
+    forms = {}
+    for p in sorted(kept):
+        *rest, (_, s) = row_of(kept[p])
+        form = []
+        for key, v in _reduce(forms, rest).items():
+            form += (key, -s * v)
+        forms[p] = tuple(form)
+    for handle in deferred:
+        remainder = _reduce(forms, row_of(handle))
+        if remainder:
+            extra.add_row(remainder)
+    return forms
 
 
 def _bits(mask):

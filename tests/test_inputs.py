@@ -77,6 +77,8 @@ ROWS = [
     ("G-j", lambda v: G(3, v), "j", "label"),
     ("Layout", Layout, "n", "count"),
     ("BidegreeSpace-n", lambda v: BidegreeSpace(v, 0, 0).dim, "n", "count"),
+    ("BidegreeSpace-n-layout", lambda v: BidegreeSpace(v, 0, 0, layout=Layout(1)).dim, "n",
+     "count"),
     ("BidegreeSpace-p", lambda v: BidegreeSpace(2, v, 0).dim, "p", "signed"),
     ("BidegreeSpace-q", lambda v: BidegreeSpace(2, 0, v).dim, "q", "signed"),
     ("free_basis-n", lambda v: free_basis(v, 0, 0), "n", "count"),
@@ -90,6 +92,8 @@ ROWS = [
     # oracle
     ("ArnoldAlgebra", ArnoldAlgebra, "n", "count"),
     ("arnold_conf_betti", arnold_conf_betti, "n", "count"),
+    ("ArnoldAlgebra.quotient_dim", lambda v: ArnoldAlgebra(4).quotient_dim(v), "q", "signed"),
+    ("ArnoldAlgebra.invariant_dim", lambda v: ArnoldAlgebra(4).invariant_dim(v), "q", "signed"),
     ("v_basis", v_basis, "n", "count"),
     ("check_left_inverse", check_left_inverse, "n", "count"),
     ("run_selftest", run_selftest, "n_max", "count"),
@@ -166,3 +170,11 @@ def test_bad_input_is_refused_with_one_text_naming_the_argument(call, name, kind
     error, text = want
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("n, layout_n", [(3, 2), (1, 2), (0, 1)])
+def test_bidegree_space_refuses_a_layout_for_another_n(n, layout_n):
+    """A layout built for another n is refused, naming both, rather than
+    counting the dim from n and building the blocks from the layout."""
+    with pytest.raises(ValueError, match=f"^layout is for n={layout_n}, not n={n}$"):
+        BidegreeSpace(n, 1, 0, layout=Layout(layout_n))

@@ -21,7 +21,7 @@ from conftorus.gcalg import (
     multiply,
     normalize,
 )
-from conftorus.linalg import add_terms
+from conftorus.linalg import SparseEchelon, add_terms
 from conftorus.oracle import (
     ArnoldAlgebra,
     _Suite,
@@ -72,17 +72,25 @@ def _holds_triangle(alg, mask):
 
 
 def test_arnold_echelon_holds_no_zero_monomial():
-    """Every relation row left in the echelon is free of zero monomials, so
-    each degree splits into basis, zero monomials and pivots; and no basis
+    """No normal form, no row of ``extra`` and no pivot of either holds a
+    zero monomial, and no normal form holds a pivot, so each degree splits
+    into basis, zero monomials, leads and ``extra`` pivots; and no basis
     monomial relabels into a zero monomial, so the coinvariant rows hold
     none either."""
     for n in range(1, 7):
         alg = ArnoldAlgebra(n)
         for q in range(alg.npairs + 1):
             deg = alg.degree(q)
-            for row in deg.ech.rows.values():
+            pivots = deg.nf.keys() | deg.extra.rows.keys()
+            assert len(pivots) == len(deg.nf) + len(deg.extra.rows), (n, q)
+            assert deg.zero.isdisjoint(pivots), (n, q)
+            for form in deg.nf.values():
+                assert deg.zero.isdisjoint(form[::2]), (n, q)
+                assert pivots.isdisjoint(form[::2]), (n, q)
+                assert 0 not in form[1::2], (n, q)
+            for row in deg.extra.rows.values():
                 assert deg.zero.isdisjoint(row), (n, q)
-            assert deg.zero.isdisjoint(deg.ech.rows), (n, q)
+                assert deg.nf.keys().isdisjoint(row), (n, q)
             for table in alg._perm_tables:
                 for mask in deg.basis:
                     assert alg._relabel(table, mask)[1] not in deg.zero, (n, q, mask)
@@ -91,7 +99,7 @@ def test_arnold_echelon_holds_no_zero_monomial():
                 for sel in combinations(range(alg.npairs), q)
                 if not _holds_triangle(alg, sum(1 << b for b in sel))
             )
-            assert deg.dim + len(deg.zero) + len(deg.ech.rows) == free, (n, q)
+            assert deg.dim + len(deg.zero) + len(pivots) == free, (n, q)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -123,6 +131,112 @@ def test_arnold_dies_at_degree_n():
     alg = ArnoldAlgebra(4)
     assert alg.quotient_dim(3) > 0
     assert alg.quotient_dim(4) == 0
+
+
+def test_normal_forms_of_hand_made_rows():
+    """Kept rows become exact normal forms, smallest lead first, with
+    coefficients beyond +-1; a dependent deferred row leaves nothing, and
+    an independent one leaves a remainder in ``extra`` whose pivot lies
+    below the leads it read; each row is built once."""
+    rows = {
+        "a": {1: 2, 4: 1},  # NF(4) = -2 * 1
+        "b": {1: 1, 2: 3, 6: -1},  # NF(6) = 1 + 3 * 2
+        "c": {4: 1, 6: 1, 7: 1},  # NF(7) = -(NF(4) + NF(6)) = 1 - 3 * 2
+        "d": {3: 1, 5: -1},  # NF(5) = 3
+        "e": {1: -4, 4: -2},  # twice a, negated: reduces to nothing
+        "f": {1: -1, 2: 3, 7: 1},  # 7 - NF(7): reduces to nothing
+        "g": {2: 1, 6: 1},  # 2 + NF(6) = 1 + 4 * 2: a new pivot, 2
+    }
+    # the first row with each lead is kept, the others deferred, as
+    # ``degree`` splits its relation rows
+    kept = {4: "a", 6: "b", 7: "c", 5: "d"}
+    deferred = ["e", "f", "g"]
+    built = []
+
+    def row_of(h):
+        built.append(h)
+        return sorted(rows[h].items())
+
+    extra = SparseEchelon()
+    nf = oracle._eliminate(kept, deferred, row_of, extra)
+    assert {p: dict(zip(f[::2], f[1::2])) for p, f in nf.items()} == {
+        4: {1: -2},
+        5: {3: 1},
+        6: {1: 1, 2: 3},
+        7: {1: 1, 2: -3},
+    }
+    assert extra.rows == {2: {1: 1, 2: 4}}
+    assert built == ["a", "d", "b", "c", "e", "f", "g"]
+    # the same pivots as one plain echelon of every row
+    plain = SparseEchelon()
+    for row in rows.values():
+        plain.add_row(row)
+    assert plain.rows.keys() == nf.keys() | extra.rows.keys()
+
+
+def _plain_degrees(n):
+    """Every degree of the genus-zero algebra by plain elimination, from
+    scratch: each relation row mu * r_T, for every mu of q - 2 edges that
+    holds no triangle and every triangle T missing mu, its terms that hold
+    no triangle signed by the inversions of their bit lists, goes to one
+    ``SparseEchelon`` as it is; a row left with one term names a zero
+    monomial.  Returns, per degree, the zero set, the pivot set and the
+    sorted basis."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    bit = {p: b for b, p in enumerate(pairs)}
+    triangles = [
+        (bit[i, j], bit[i, k], bit[j, k]) for i, j, k in combinations(range(1, n + 1), 3)
+    ]
+    tri_masks = [sum(1 << b for b in tri) for tri in triangles]
+    free = {m for m in range(1 << len(pairs)) if all(m & t != t for t in tri_masks)}
+    out = {}
+    for q in range(len(pairs) + 1):
+        ech, zero = SparseEchelon(), set()
+        for sel in combinations(range(len(pairs)), q - 2) if q >= 2 else ():
+            mu = sum(1 << b for b in sel)
+            if mu not in free:
+                continue
+            for (a, b, c), tri in zip(triangles, tri_masks):
+                if mu & tri:
+                    continue
+                row = {}
+                for x, y, coeff in ((a, b, 1), (a, c, -1), (b, c, 1)):
+                    prod = mu | 1 << x | 1 << y
+                    if prod in free:
+                        row[prod] = coeff * _inversion_sign([*sel, x, y])
+                if len(row) == 1:
+                    zero |= row.keys()
+                if row:
+                    ech.add_row(row)
+        basis = sorted(m for m in free if m.bit_count() == q and m not in ech.rows)
+        out[q] = (zero, set(ech.rows), basis)
+    return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_arnold_degrees_match_a_plain_elimination(n):
+    """Every degree's zero set, pivot set and basis equal those of one
+    plain echelon of every relation row, built without the oracle's walk,
+    codes or normal forms: the pivots of a max-column echelon do not depend
+    on the order of its rows, and its pivots past the zero monomials are
+    the oracle's leads and the pivots of its ``extra``, empty for n <= 7."""
+    alg = ArnoldAlgebra(n)
+    for q, (zero, pivots, basis) in _plain_degrees(n).items():
+        deg = alg.degree(q)
+        assert deg.zero == zero, (n, q)
+        assert deg.nf.keys() | deg.extra.rows.keys() == pivots - zero, (n, q)
+        assert not deg.extra.rows, (n, q)
+        assert list(deg.basis) == basis, (n, q)
+
+
+def test_arnold_codes_outgrow_64_bits_past_n_11():
+    """At n = 12 a row code mu * 220 + k reaches 2^66 at q = 3, so the
+    codes are held in a list, and the quotient dimension is still the
+    coefficient of t^3 in (1 + t)(1 + 2t)...(1 + 11t)."""
+    alg = ArnoldAlgebra(12)
+    assert len(alg._relations) << alg.npairs > 1 << 64
+    want = sum(a * b * c for a, b, c in combinations(range(1, 12), 3))
+    assert alg.quotient_dim(3) == want == 32670
 
 
 def _record_echelons(monkeypatch):
@@ -201,26 +315,29 @@ def _inversion_sign(seq):
 
 
 def _first_relation_sign_error(alg, monkeypatch):
-    """The first row ``degree(q)`` sends to its echelon that differs from
-    the row built by hand, or None.  By hand: for every triangle-free mu of
-    q - 2 edges and every triangle T that meets neither mu nor its closing
-    mask, the terms t of r_T whose product is not a zero monomial, each
-    with its coefficient times the inversion sign of bits(mu) + bits(t);
-    rows that keep no term are not sent."""
-    sent = []
+    """The first row ``degree(q)`` builds, kept or deferred, in walk order,
+    that differs from the row built by hand, or None.  By hand: for every
+    triangle-free mu of q - 2 edges and every triangle T that meets neither
+    mu nor its closing mask, the terms t of r_T whose product is not a zero
+    monomial, each with its coefficient times the inversion sign of
+    bits(mu) + bits(t); rows that keep no term are not built, and every
+    other row is built exactly once."""
+    built = {}
+    row_of = alg._row
 
-    class Recording(oracle.SparseEchelon):
-        def add_row(self, row):
-            sent.append(dict(row))
-            return super().add_row(row)
+    def recording(zero, code):
+        row = row_of(zero, code)
+        built.setdefault(code, []).append(row)
+        return row
 
-    monkeypatch.setattr(oracle, "SparseEchelon", Recording)
+    monkeypatch.setattr(alg, "_row", recording)
+    nrel = len(alg._relations)
     for q in range(2, alg.npairs + 1):
-        sent.clear()
+        built.clear()
         zero = alg.degree(q).zero
-        k = 0
+        expected = 0
         for mu, closing in alg._walk(q - 2):
-            for tri, terms in alg._relations:
+            for k, (tri, terms) in enumerate(alg._relations):
                 if tri & (mu | closing):
                     continue
                 want = {}
@@ -229,8 +346,11 @@ def _first_relation_sign_error(alg, monkeypatch):
                         want[mu | t] = c * _inversion_sign(_bit_list(mu) + _bit_list(t))
                 if not want:
                     continue
-                got = sent[k] if k < len(sent) else {}
-                k += 1
+                expected += 1
+                rows = built.get(mu * nrel + k, [])
+                if len(rows) != 1:
+                    return f"n={alg.n} q={q} mu={_bit_list(mu)}: row built {len(rows)} times"
+                got = dict(rows[0])
                 for prod, sign in want.items():
                     if got.get(prod) != sign:
                         return (
@@ -239,8 +359,8 @@ def _first_relation_sign_error(alg, monkeypatch):
                         )
                 if got.keys() != want.keys():
                     return f"n={alg.n} q={q} mu={_bit_list(mu)}: row {got} not {want}"
-        if k != len(sent):
-            return f"n={alg.n} q={q}: {len(sent)} rows sent, {k} expected"
+        if expected != len(built):
+            return f"n={alg.n} q={q}: {len(built)} rows built, {expected} expected"
     return None
 
 
@@ -273,7 +393,7 @@ def test_arnold_relation_signs_are_inversion_parities(monkeypatch, n):
     """Every sign the elimination writes, exhaustively for n <= 6, against
     the inversion count of the concatenated bit lists; quotient dimensions
     alone can survive a sign error.  n = 6 is the first n with rows that
-    lose every term (900 of them, at q = 6 and 7), which are not sent."""
+    lose every term (900 of them, at q = 6 and 7), which are not built."""
     assert _first_relation_sign_error(ArnoldAlgebra(n), monkeypatch) is None
 
 
