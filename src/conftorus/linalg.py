@@ -9,14 +9,15 @@ whose members must equal their own negative is zero.  The root of a class
 is its smallest key, so :meth:`SignedUnionFind.project` rewrites a row
 onto the small monomials, as the echelon's pivots would.  It serves the
 spectral engine's coinvariant blocks, where most rows (86% at n = 6) are
-such identifications.
+such identifications, and the genus-zero oracle's
+(:class:`conftorus.oracle.ArnoldAlgebra`) coinvariants, where 73% of the
+rows for n = 2..7 are.
 
 ``SparseEchelon`` is a forward-only integer echelon form; it serves the
 rows of the coinvariant blocks the union-find cannot absorb, the reference
 invariant kernels and the differential ranks.  The genus-zero oracle
-(:class:`conftorus.oracle.ArnoldAlgebra`) reduces its relation rows by
-normal forms of its own and sends an echelon only what they leave of a
-row (nothing, for n <= 7) and its coinvariant rows.  Pivot = largest
+reduces its relation rows by normal forms of its own and sends an echelon
+only what they leave of a row (nothing, for n <= 7).  Pivot = largest
 column key of the row, so the surviving coset representatives are the
 small monomials.  Elimination is fraction-free: a row is reduced against a
 pivot entry 1 in place, and is scaled by the pivot entry and divided by
@@ -27,8 +28,9 @@ row however it was reached.
 The echelon reduces no vector to a normal form.  ``rank_of_rows(rows,
 base)`` seeds an echelon with the rows of another one and counts the rank
 the new rows add; it serves the engine's d-ranks, modulo a target block's
-relations, and the genus-zero oracle's S_n-coinvariants, modulo what a
-degree's relation rows left in its echelon.
+relations, and ranks, shortest first, the genus-zero oracle's coinvariant
+rows that the union-find cannot absorb, projected onto its class roots
+together with what a degree's relation rows left in its echelon.
 
 ``kernel_of_columns`` eliminates its equations shortest first (most have
 two terms) and back-substitutes sparsely: each column is indexed to the

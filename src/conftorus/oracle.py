@@ -47,6 +47,7 @@ from .gcalg import (
     symmetrize,
 )
 from .linalg import (
+    SignedUnionFind,
     SparseEchelon,
     add_terms,
     check_int,
@@ -128,8 +129,9 @@ class ArnoldAlgebra:
     degrees hold 13.0 MB together (tracemalloc), degree 6 the most at
     5.3 MB, 6.8 MB at its peak while it is built.  On a 2-vCPU Linux
     container (CPython 3.11) ``arnold_conf_betti(n)`` for n = 2..7 takes
-    1.3-1.9 s, of which degree 7 takes 0.35-0.45 s; for n = 8 it takes
-    36 s at 185 MB peak RSS."""
+    1.33 s (median of 10 runs of the benchmark's ``genus0`` workload), of
+    which degree 7 takes 0.33 s; for n = 8 it takes 33-42 s at 187 MB
+    peak RSS."""
 
     def __init__(self, n):
         check_int(n, "n")
@@ -271,24 +273,48 @@ class ArnoldAlgebra:
         generate S_n.  In characteristic zero averaging maps the fixed space
         isomorphically onto the coinvariants, so this is also the dimension
         of the fixed space.  Each row is written as sign * NF(sigma . m) - m
-        with the degree's normal forms, and the rank the rows add to its
-        ``extra`` is the codimension of the coinvariants in the quotient.
-        The degree is dropped once read."""
+        with the degree's normal forms, over the basis masks and the pivots
+        of ``extra``.  A row that says ``a = +-b`` (73% of them for
+        n = 2..7) goes to a signed union-find, as in the spectral engine's
+        coinvariant blocks; the other rows and the rows of ``extra``,
+        projected onto the class roots, are ranked shortest first.  The
+        number of live roots less that rank is the dimension, that of the
+        same quotient as one echelon of ``extra`` and every row.  The
+        degree is dropped once read."""
         deg = self.degree(q)
         del self._degrees[q]
-        rows = []
+        classes = SignedUnionFind()
+        rest = list(deg.extra.rows.values())
         for mask in deg.basis:
             for table in self._perm_tables:
                 # sigma is an automorphism, so sigma . m is never a zero monomial
                 sign, img = self._relabel(table, mask)
-                rows.append(_reduce(deg.nf, ((img, sign), (mask, -1))))
-        return deg.dim - rank_of_rows(rows, deg.extra.rows)
+                row = _reduce(deg.nf, ((img, sign), (mask, -1)))
+                if 0 in row.values():  # rare: a new dict only then
+                    row = {k: w for k, w in row.items() if w}
+                if len(row) == 2:
+                    (a, ca), (b, cb) = row.items()
+                    if ca * cb in (1, -1):
+                        classes.union(a, b, -ca * cb)
+                        continue
+                if row:
+                    rest.append(row)
+        live = sum(
+            1 for mask in (*deg.basis, *deg.extra.rows)
+            if mask not in classes.parent and mask not in classes.zero
+        )
+        # shortest first keeps fill-in down; the rank does not depend on the order
+        return live - rank_of_rows(
+            sorted((classes.project(row.items()) for row in rest), key=len)
+        )
 
 
 def _reduce(forms, pairs):
-    """The sum of v * NF(c) over the ``(c, v)`` pairs, as a row that holds
-    no zero.  NF(c) is ``forms[c]``, a flat ``(key, coeff, key, coeff,
-    ...)`` tuple, where ``forms`` holds c, and c itself where it does not."""
+    """The sum of v * NF(c) over the ``(c, v)`` pairs, as the raw
+    accumulator {key: coeff}, which may hold zeros: each caller drops them
+    as it reads the row.  NF(c) is ``forms[c]``, a flat ``(key, coeff,
+    key, coeff, ...)`` tuple, where ``forms`` holds c, and c itself where it
+    does not."""
     acc = {}
     get, fget = acc.get, forms.get
     for c, v in pairs:
@@ -299,7 +325,7 @@ def _reduce(forms, pairs):
             it = iter(form)
             for k, w in zip(it, it):
                 acc[k] = get(k, 0) + v * w
-    return {k: w for k, w in acc.items() if w}
+    return acc
 
 
 def _eliminate(kept, deferred, row_of, extra):
@@ -319,11 +345,12 @@ def _eliminate(kept, deferred, row_of, extra):
         *rest, (_, s) = row_of(kept[p])
         form = []
         for key, v in _reduce(forms, rest).items():
-            form += (key, -s * v)
+            if v:
+                form += (key, -s * v)
         forms[p] = tuple(form)
     for handle in deferred:
         remainder = _reduce(forms, row_of(handle))
-        if remainder:
+        if any(remainder.values()):
             extra.add_row(remainder)
     return forms
 

@@ -21,7 +21,7 @@ from conftorus.gcalg import (
     multiply,
     normalize,
 )
-from conftorus.linalg import SparseEchelon, add_terms
+from conftorus.linalg import SparseEchelon, add_terms, rank_of_rows
 from conftorus.oracle import (
     ArnoldAlgebra,
     _Suite,
@@ -227,6 +227,69 @@ def test_arnold_degrees_match_a_plain_elimination(n):
         assert deg.nf.keys() | deg.extra.rows.keys() == pivots - zero, (n, q)
         assert not deg.extra.rows, (n, q)
         assert list(deg.basis) == basis, (n, q)
+
+
+def _invariant_dim_by_one_echelon(alg, deg):
+    """The coinvariant dimension of ``deg`` with no union-find: every row
+    sign * NF(sigma . m) - m, for each basis mask m and each generator
+    sigma, added to one echelon seeded with the rows of ``extra``; the
+    rank they add is the codimension in the quotient."""
+    rows = []
+    for mask in deg.basis:
+        for table in alg._perm_tables:
+            sign, img = alg._relabel(table, mask)
+            form = deg.nf.get(img, (img, 1))
+            row = {}
+            add_terms(row, zip(form[::2], (sign * w for w in form[1::2])))
+            add_terms(row, ((mask, -1),))
+            rows.append(row)
+    return deg.dim - rank_of_rows(rows, deg.extra.rows)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_arnold_invariant_dims_match_one_echelon_of_every_row(n):
+    alg = ArnoldAlgebra(n)
+    for q in range(alg.npairs + 1):
+        want = _invariant_dim_by_one_echelon(alg, alg.degree(q))
+        assert alg.invariant_dim(q) == want, (n, q)
+
+
+# the edges of n = 4 as degree-one masks
+_G12, _G13, _G14, _G23, _G24, _G34 = (1 << b for b in range(6))
+
+
+@pytest.mark.parametrize(
+    "form, extra_row, want",
+    [
+        # g23 = 2 g14 gives the rows 2 g14 - g12 and 2 g14 - g13, and g34
+        # is reached from g23 alone: its class is only g34, and ``extra``
+        # kills it, so leaving out the rows of ``extra`` counts one class
+        # too many
+        ((_G14, 2), {_G34: 1}, 0),
+        # g23 = 2 g34 joins g34 to the other edges by the rows 2 g34 - g12
+        # and 2 g34 - g13, which agree, and the row of ``extra`` says
+        # again what they say; taken as unions, with the factor 2 or with
+        # its sign alone, they and the row of ``extra`` leave no class
+        ((_G34, 2), {_G34: 2, _G12: -1}, 1),
+    ],
+    ids=["extra-row-kills-a-class", "factor-2-rows-agree"],
+)
+def test_invariant_dim_of_a_hand_made_degree_matches_one_echelon(form, extra_row, want):
+    """Every real degree for n <= 7 has an empty ``extra``, and its three
+    two-term coinvariant rows with a coefficient +-2 give the same
+    dimension taken as unions, so this degree of n = 4 is made by hand:
+    degree one with g23 a lead, its normal form edited to twice one edge,
+    and g34 moved from the basis to the pivot of a row of ``extra``."""
+    alg = ArnoldAlgebra(4)
+    real = alg.degree(1)
+    assert real.basis == (_G12, _G13, _G14, _G23, _G24, _G34) and not real.nf
+    extra = SparseEchelon()
+    extra.add_row(extra_row)
+    basis = (_G12, _G13, _G14, _G24)
+    deg = real._replace(dim=len(basis), basis=basis, nf={_G23: form}, extra=extra)
+    assert _invariant_dim_by_one_echelon(alg, deg) == want
+    alg._degrees[1] = deg
+    assert alg.invariant_dim(1) == want
 
 
 def test_arnold_codes_outgrow_64_bits_past_n_11():
