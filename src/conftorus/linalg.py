@@ -107,7 +107,10 @@ class SignedUnionFind:
         return cur, sign
 
     def union(self, a, b, s):
-        """Impose ``a = s * b``."""
+        """Impose ``a = s * b``; an ``s`` other than +1 or -1 would be
+        stored inverted when a's root is the smaller, so it is refused."""
+        if s != 1 and s != -1:
+            raise ValueError(f"s must be +1 or -1, got {s!r}")
         ra, sa = self.find(a)
         rb, sb = self.find(b)
         rel = sa * s * sb  # ra = rel * rb

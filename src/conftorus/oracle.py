@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from functools import partial
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 from typing import NamedTuple
 
 from .gcalg import (
@@ -80,6 +79,7 @@ class _Degree(NamedTuple):
     zero: set
     nf: dict  # lead -> its normal form, a flat (key, coeff, ...) tuple
     extra: SparseEchelon
+    rows: int  # relation rows reduced, kept and deferred
 
 
 class ArnoldAlgebra:
@@ -108,11 +108,12 @@ class ArnoldAlgebra:
     n = 11, where the codes outgrow 64 bits).  The terms of r_T rise, so
     once ``zero`` is whole, the lead of a row, its last term that is not a
     zero monomial, is read from its code without building the row; a row
-    stripped of every term has no lead and is never built.  The first row
-    with each lead is kept and the others are deferred;
-    :func:`_eliminate` turns the kept rows into normal forms, smallest lead
-    first, and reduces every deferred row by them, as in Faugere's F4: one
-    fixed set of reducers, computed once, and no chain of echelon steps.
+    stripped of every term has no lead and is never reduced.  The first row
+    with each lead is kept and the others are deferred; one loop of
+    :meth:`_eliminate` decodes, signs and reduces each row from its code,
+    the kept rows into normal forms, smallest lead first, then every
+    deferred row by them, as in Faugere's F4: one fixed set of reducers,
+    computed once, no chain of echelon steps and no call per row.
     What a deferred row leaves goes to the echelon ``extra``.  No row is
     assumed to reduce to zero: every remainder is computed (for n <= 7 each
     is empty, so ``extra`` stays empty).  The basis is every triangle-free
@@ -122,16 +123,12 @@ class ArnoldAlgebra:
     so :func:`arnold_conf_betti` holds one degree at a time and no
     caller that reads every quotient dimension first builds one twice.
 
-    At n = 7 the degrees q = 2..7 build 142,345 rows, 63,000 of them at
-    the empty degree 7 (13,860 more multiples there lose every term).  The
-    47,065 kept rows are the whole rank; each of the other 95,280 reads at
-    most three normal forms and leaves no remainder.  Built, the n = 7
-    degrees hold 13.0 MB together (tracemalloc), degree 6 the most at
-    5.3 MB, 6.8 MB at its peak while it is built.  On a 2-vCPU Linux
-    container (CPython 3.11) ``arnold_conf_betti(n)`` for n = 2..7 takes
-    1.33 s (median of 10 runs of the benchmark's ``genus0`` workload), of
-    which degree 7 takes 0.33 s; for n = 8 it takes 33-42 s at 187 MB
-    peak RSS."""
+    At n = 7 the degrees q = 2..7 reduce 142,345 rows, 63,000 of them at
+    the empty degree 7; the 47,065 kept rows are the whole rank, a third of
+    their normal forms empty, and each other row leaves no remainder.
+    Degree 6 holds 4.4 MB and peaks at 5.9 MB while built (tracemalloc).
+    On a 2-vCPU host (CPython 3.11) ``arnold_conf_betti(n)`` for n = 2..7
+    takes 1.19 s (median, ``genus0`` workload), n = 8 30-35 s at 188 MB."""
 
     def __init__(self, n):
         check_int(n, "n")
@@ -141,9 +138,9 @@ class ArnoldAlgebra:
         ]
         self.bit = {p: b for b, p in enumerate(self.pairs)}
         self.npairs = len(self.pairs)
-        # the terms (t, c, lo, hi) of r_T, lo and hi the positions just past
-        # the two bits of t; and per edge e the wedges (f, g) as bits: f < e
-        # shares a vertex with e and g closes the triangle on e and f
+        # the terms (t, c, span) of r_T, span the bits above the low bit of
+        # t up to its high bit; and per edge e the wedges (f, g) as bits:
+        # f < e shares a vertex with e and g closes the triangle on e and f
         self._relations = []
         self._wedges = [[] for _ in self.pairs]
         for i, j, k in combinations(range(1, n + 1), 3):
@@ -151,7 +148,7 @@ class ArnoldAlgebra:
             tri = eij | eik | ejk
             terms = ((eij | eik, 1), (eij | ejk, -1), (eik | ejk, 1))
             self._relations.append(
-                (tri, tuple((t, c, (t & -t).bit_length(), t.bit_length()) for t, c in terms))
+                (tri, tuple((t, c, (1 << t.bit_length()) - ((t & -t) << 1)) for t, c in terms))
             )
             self._wedges[self.bit[(i, k)]].append((eij, ejk))
             self._wedges[self.bit[(j, k)]] += [(eij, eik), (eik, eij)]
@@ -229,29 +226,56 @@ class ArnoldAlgebra:
                     break
         del codes  # before the normal forms are built, to lower the peak
         extra = SparseEchelon()
-        nf = _eliminate(kept, deferred, partial(self._row, zero), extra)
+        nf, rows = self._eliminate(kept, deferred, zero, extra)
         basis = [
             mask for mask, _ in self._walk(q)
             if mask not in zero and mask not in nf and mask not in extra.rows
         ]
-        deg = _Degree(len(basis), tuple(sorted(basis)), zero, nf, extra)
+        deg = _Degree(len(basis), tuple(sorted(basis)), zero, nf, extra, rows)
         self._degrees[q] = deg
         return deg
 
-    def _row(self, zero, code):
-        """The row mu * r_T named by ``code``, stripped of its zero
-        monomials, as (monomial, coefficient) pairs in increasing order."""
-        relations = self._relations
-        mu, k = divmod(code, len(relations))
-        row = []
-        for t, c, lo, hi in relations[k][1]:
-            prod = mu | t
-            if prod not in zero:
+    def _eliminate(self, kept, deferred, zero, extra):
+        """One loop over the rows named by their codes: the kept rows,
+        smallest lead first so that every NF it reads is final, then the
+        deferred ones; returns {lead: NF(lead)} and the number of rows
+        reduced.  A kept row with entry s = +-1 at its lead p gives
+        NF(p) = -s * (the rest); what a deferred row leaves goes to ``extra``."""
+        nrel = len(self._relations)
+        terms_of = [terms for _, terms in self._relations]
+        forms, rows = {}, 0
+        fget = forms.get
+        leads = sorted(kept)
+        for lead, code in chain(zip(leads, map(kept.get, leads)), zip(repeat(None), deferred)):
+            mu, k = divmod(code, nrel)
+            acc = {}
+            get = acc.get
+            for t, c, span in terms_of[k]:
+                prod = mu | t
+                if prod in zero:
+                    continue
                 # sorting mu . t moves each bit of t past the bits of mu
-                # above it
-                parity = ((mu >> lo).bit_count() + (mu >> hi).bit_count()) & 1
-                row.append((prod, -c if parity else c))
-        return row
+                # above it: the bits of mu between the two of t, mod 2
+                if (mu & span).bit_count() & 1:
+                    c = -c
+                form = fget(prod)
+                if form is None:
+                    acc[prod] = get(prod, 0) + c
+                elif form:  # a third of the normal forms are empty
+                    it = iter(form)
+                    for key, w in zip(it, it):
+                        acc[key] = get(key, 0) + c * w
+            rows += 1
+            if lead is not None:
+                s = acc.pop(lead)
+                form = []
+                for key, v in acc.items():
+                    if v:
+                        form += (key, -s * v)
+                forms[lead] = tuple(form)
+            elif any(acc.values()):
+                extra.add_row(acc)
+        return forms, rows
 
     def quotient_dim(self, q):
         return self.degree(q).dim
@@ -310,11 +334,11 @@ class ArnoldAlgebra:
 
 
 def _reduce(forms, pairs):
-    """The sum of v * NF(c) over the ``(c, v)`` pairs, as the raw
-    accumulator {key: coeff}, which may hold zeros: each caller drops them
-    as it reads the row.  NF(c) is ``forms[c]``, a flat ``(key, coeff,
-    key, coeff, ...)`` tuple, where ``forms`` holds c, and c itself where it
-    does not."""
+    """The sum of v * NF(c) over the ``(c, v)`` pairs of a coinvariant row
+    of :meth:`ArnoldAlgebra.invariant_dim`, as the raw accumulator {key:
+    coeff}, which may hold zeros: the caller drops them as it reads the row.
+    NF(c) is ``forms[c]``, a flat ``(key, coeff, ...)`` tuple, where
+    ``forms`` holds c, and c itself where it does not."""
     acc = {}
     get, fget = acc.get, forms.get
     for c, v in pairs:
@@ -326,33 +350,6 @@ def _reduce(forms, pairs):
             for k, w in zip(it, it):
                 acc[k] = get(k, 0) + v * w
     return acc
-
-
-def _eliminate(kept, deferred, row_of, extra):
-    """Reduce every row against one fixed set of reducers, the kept rows,
-    as in Faugere's F4; returns their normal forms, {lead: NF(lead)}.
-
-    ``kept`` maps a lead to the first row with it and ``deferred`` lists
-    the others, each row as a handle that ``row_of`` builds into its
-    (key, coefficient) pairs in increasing order, the lead last, its entry
-    s = +-1.  The kept row with lead p gives NF(p) = -s * sum v * NF(c)
-    over its other terms v * c: exact, with no division.  Leads are taken
-    smallest first, so every NF(c) it reads is final and no key of a
-    normal form is a lead.  Each deferred row is built and summed over the
-    normal forms of its terms; what is left goes to the echelon ``extra``."""
-    forms = {}
-    for p in sorted(kept):
-        *rest, (_, s) = row_of(kept[p])
-        form = []
-        for key, v in _reduce(forms, rest).items():
-            if v:
-                form += (key, -s * v)
-        forms[p] = tuple(form)
-    for handle in deferred:
-        remainder = _reduce(forms, row_of(handle))
-        if any(remainder.values()):
-            extra.add_row(remainder)
-    return forms
 
 
 def _bits(mask):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from conftorus.linalg import (
     SignedUnionFind,
     SparseEchelon,
@@ -244,3 +246,16 @@ def test_signed_union_find_zero_class_merges_into_a_live_one():
     uf.union(2, 5, 1)  # the zero class {3, 5} joins {1, 2, 7}
     assert uf.find(5)[0] == 1 and uf.zero == {1}
     assert uf.project({2: 4, 7: 1, 8: -2}.items()) == {8: -2}
+
+
+@pytest.mark.parametrize("s", [2, -2, 0, 3])
+def test_signed_union_find_refuses_a_sign_that_is_not_a_unit(s):
+    """``a = 2 * b`` cannot join two classes of signed keys: taken as it
+    came, with a's root the smaller, it was stored as b = 2 * a, the
+    inverse, and the quotient came out wrong with no error.  A refused
+    union leaves the classes as they were."""
+    uf = SignedUnionFind()
+    uf.union(4, 1, -1)
+    with pytest.raises(ValueError, match=f"^s must be \\+1 or -1, got {s}$"):
+        uf.union(2, 3, s)
+    assert uf.parent == {4: (1, -1)} and not uf.zero

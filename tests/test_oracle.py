@@ -137,28 +137,25 @@ def test_normal_forms_of_hand_made_rows():
     """Kept rows become exact normal forms, smallest lead first, with
     coefficients beyond +-1; a dependent deferred row leaves nothing, and
     an independent one leaves a remainder in ``extra`` whose pivot lies
-    below the leads it read; each row is built once."""
-    rows = {
-        "a": {1: 2, 4: 1},  # NF(4) = -2 * 1
-        "b": {1: 1, 2: 3, 6: -1},  # NF(6) = 1 + 3 * 2
-        "c": {4: 1, 6: 1, 7: 1},  # NF(7) = -(NF(4) + NF(6)) = 1 - 3 * 2
-        "d": {3: 1, 5: -1},  # NF(5) = 3
-        "e": {1: -4, 4: -2},  # twice a, negated: reduces to nothing
-        "f": {1: -1, 2: 3, 7: 1},  # 7 - NF(7): reduces to nothing
-        "g": {2: 1, 6: 1},  # 2 + NF(6) = 1 + 4 * 2: a new pivot, 2
-    }
+    below the leads it read; each row is reduced once.  The rows are a
+    hand-made relation table on ArnoldAlgebra(4), each named by its code
+    with mu = 0, where no term is a zero monomial and no sign flips."""
+    rows = [
+        {1: 2, 4: 1},  # 0: NF(4) = -2 * 1
+        {1: 1, 2: 3, 6: -1},  # 1: NF(6) = 1 + 3 * 2
+        {4: 1, 6: 1, 7: 1},  # 2: NF(7) = -(NF(4) + NF(6)) = 1 - 3 * 2
+        {3: 1, 5: -1},  # 3: NF(5) = 3
+        {1: -4, 4: -2},  # 4: twice row 0, negated: reduces to nothing
+        {1: -1, 2: 3, 7: 1},  # 5: 7 - NF(7): reduces to nothing
+        {2: 1, 6: 1},  # 6: 2 + NF(6) = 1 + 4 * 2: a new pivot, 2
+    ]
+    alg = ArnoldAlgebra(4)
+    alg._relations = [(0, tuple((t, c, 0) for t, c in row.items())) for row in rows]
     # the first row with each lead is kept, the others deferred, as
     # ``degree`` splits its relation rows
-    kept = {4: "a", 6: "b", 7: "c", 5: "d"}
-    deferred = ["e", "f", "g"]
-    built = []
-
-    def row_of(h):
-        built.append(h)
-        return sorted(rows[h].items())
-
+    kept = {4: 0, 6: 1, 7: 2, 5: 3}
     extra = SparseEchelon()
-    nf = oracle._eliminate(kept, deferred, row_of, extra)
+    nf, reduced = alg._eliminate(kept, [4, 5, 6], set(), extra)
     assert {p: dict(zip(f[::2], f[1::2])) for p, f in nf.items()} == {
         4: {1: -2},
         5: {3: 1},
@@ -166,10 +163,10 @@ def test_normal_forms_of_hand_made_rows():
         7: {1: 1, 2: -3},
     }
     assert extra.rows == {2: {1: 1, 2: 4}}
-    assert built == ["a", "d", "b", "c", "e", "f", "g"]
+    assert reduced == len(rows)
     # the same pivots as one plain echelon of every row
     plain = SparseEchelon()
-    for row in rows.values():
+    for row in rows:
         plain.add_row(row)
     assert plain.rows.keys() == nf.keys() | extra.rows.keys()
 
@@ -377,53 +374,43 @@ def _inversion_sign(seq):
     return -1 if inversions % 2 else 1
 
 
-def _first_relation_sign_error(alg, monkeypatch):
-    """The first row ``degree(q)`` builds, kept or deferred, in walk order,
-    that differs from the row built by hand, or None.  By hand: for every
+def _first_relation_sign_error(alg):
+    """The first relation row, built by hand in walk order, that the normal
+    forms of its degree do not reduce to zero, or None.  By hand: for every
     triangle-free mu of q - 2 edges and every triangle T that meets neither
     mu nor its closing mask, the terms t of r_T whose product is not a zero
     monomial, each with its coefficient times the inversion sign of
-    bits(mu) + bits(t); rows that keep no term are not built, and every
-    other row is built exactly once."""
-    built = {}
-    row_of = alg._row
-
-    def recording(zero, code):
-        row = row_of(zero, code)
-        built.setdefault(code, []).append(row)
-        return row
-
-    monkeypatch.setattr(alg, "_row", recording)
-    nrel = len(alg._relations)
+    bits(mu) + bits(t).  Each row must sum to zero over ``deg.nf``
+    (NF(t) = t off the leads) and ``extra`` must be empty, so the oracle's
+    leads span every row; a row that keeps no term is not reduced, and the
+    degree must count one reduced row for every other."""
     for q in range(2, alg.npairs + 1):
-        built.clear()
-        zero = alg.degree(q).zero
+        deg = alg.degree(q)
         expected = 0
         for mu, closing in alg._walk(q - 2):
-            for k, (tri, terms) in enumerate(alg._relations):
+            for tri, terms in alg._relations:
                 if tri & (mu | closing):
                     continue
-                want = {}
+                total, kept_terms = {}, 0
                 for t, c, *_ in terms:
-                    if mu | t not in zero:
-                        want[mu | t] = c * _inversion_sign(_bit_list(mu) + _bit_list(t))
-                if not want:
+                    if mu | t in deg.zero:
+                        continue
+                    kept_terms += 1
+                    sign = c * _inversion_sign(_bit_list(mu) + _bit_list(t))
+                    form = deg.nf.get(mu | t, (mu | t, 1))
+                    add_terms(total, zip(form[::2], (sign * w for w in form[1::2])))
+                if not kept_terms:
                     continue
                 expected += 1
-                rows = built.get(mu * nrel + k, [])
-                if len(rows) != 1:
-                    return f"n={alg.n} q={q} mu={_bit_list(mu)}: row built {len(rows)} times"
-                got = dict(rows[0])
-                for prod, sign in want.items():
-                    if got.get(prod) != sign:
-                        return (
-                            f"n={alg.n} q={q} mu={_bit_list(mu)} "
-                            f"t={_bit_list(prod ^ mu)}: wrote {got.get(prod)}, want {sign}"
-                        )
-                if got.keys() != want.keys():
-                    return f"n={alg.n} q={q} mu={_bit_list(mu)}: row {got} not {want}"
-        if expected != len(built):
-            return f"n={alg.n} q={q}: {len(built)} rows built, {expected} expected"
+                if total:
+                    return (
+                        f"n={alg.n} q={q} mu={_bit_list(mu)} T={_bit_list(tri)}: "
+                        f"sums to {total}"
+                    )
+        if deg.extra.rows:
+            return f"n={alg.n} q={q}: extra holds {deg.extra.rows}"
+        if deg.rows != expected:
+            return f"n={alg.n} q={q}: {deg.rows} rows reduced, {expected} expected"
     return None
 
 
@@ -452,12 +439,13 @@ def _first_relabel_sign_error(alg):
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_arnold_relation_signs_are_inversion_parities(monkeypatch, n):
-    """Every sign the elimination writes, exhaustively for n <= 6, against
-    the inversion count of the concatenated bit lists; quotient dimensions
-    alone can survive a sign error.  n = 6 is the first n with rows that
-    lose every term (900 of them, at q = 6 and 7), which are not built."""
-    assert _first_relation_sign_error(ArnoldAlgebra(n), monkeypatch) is None
+def test_arnold_relation_signs_are_inversion_parities(n):
+    """Every relation row, exhaustively for n <= 6, signed by the inversion
+    count of the concatenated bit lists, reduces to zero over the oracle's
+    normal forms; quotient dimensions alone can survive a sign error.
+    n = 6 is the first n with rows that lose every term (900 of them, at
+    q = 6 and 7), which are not reduced."""
+    assert _first_relation_sign_error(ArnoldAlgebra(n)) is None
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -465,19 +453,23 @@ def test_arnold_relabel_signs_are_permutation_signs(n):
     assert _first_relabel_sign_error(ArnoldAlgebra(n)) is None
 
 
-def test_arnold_relation_sign_check_names_a_shifted_position(monkeypatch):
-    """Negative control: with hi one position too high, the sign check
-    stops at its first wrong sign.  (hi - 1 would be the top bit of t,
-    never in mu, and give the same counts.)"""
+def test_arnold_relation_sign_check_names_a_shifted_position():
+    """Negative control: with each span one position too long at its top,
+    as if the high bit of t were counted one place too high, the sign check
+    stops at the first hand-made row the normal forms leave nonzero.  (A
+    span one shorter at either end would drop a bit of t, never in mu, and
+    give the same counts.)"""
     alg = ArnoldAlgebra(4)
     alg._relations = [
-        (tri, tuple((t, c, lo, hi + 1) for t, c, lo, hi in terms))
+        (tri, tuple((t, c, span | 1 << t.bit_length()) for t, c, span in terms))
         for tri, terms in alg._relations
     ]
     # r_T for T = 123 (edge bits 0, 1, 3) times mu = g14 (bit 2): the term
-    # g12 g13 passes bit 2 once, which hi + 1 = 3 no longer counts
-    assert _first_relation_sign_error(alg, monkeypatch) == (
-        "n=4 q=3 mu=[2] t=[0, 1]: wrote -1, want 1"
+    # g12 g13 passes bit 2 once, which the long span counts twice, so the
+    # oracle keeps the row with that sign flipped, and the row by hand sums
+    # to twice g12 g13 g14 (mask 7)
+    assert _first_relation_sign_error(alg) == (
+        "n=4 q=3 mu=[2] T=[0, 1, 3]: sums to {7: 2}"
     )
 
 
